@@ -14,7 +14,7 @@ import sys
 from . import corpus, oracle, snapshot
 from .corpus.fixtures import BUILDERS, load_fixture
 from .errors import GtvmError, MatcherError, ParseError
-from .rules import VM, STEP_BUDGET_ENV
+from .rules import VM, step_budget_from_env
 from .vtcl import link, parse
 
 
@@ -41,11 +41,11 @@ def cmd_run(args) -> int:
         registry = corpus.metamodels()
         program = link(machines, registry)
         space = _load_model(args.model, registry)
+        budget = step_budget_from_env()
     except (GtvmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     entry = machines[-1].name
-    budget = int(os.environ[STEP_BUDGET_ENV]) if STEP_BUDGET_ENV in os.environ else None
     try:
         vm = VM(program, space, matcher=args.matcher, step_budget=budget, echo=True)
         report = vm.run(entry)

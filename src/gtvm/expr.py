@@ -90,6 +90,15 @@ def eval_expr(e: Expr, lookup, space):
     raise ExecError(f"cannot evaluate {e!r}")
 
 
+def holds(e: Expr, lookup, space) -> bool:
+    """Whether ``e`` evaluates to True; a check that fails to evaluate (an
+    ``ExecError``, e.g. adding undef) does not hold."""
+    try:
+        return eval_expr(e, lookup, space) is True
+    except ExecError:
+        return False
+
+
 def _element_arg(e: Expr, lookup, space, fn: str) -> int:
     v = eval_expr(e, lookup, space)
     if not isinstance(v, int) or not space.is_live(v):

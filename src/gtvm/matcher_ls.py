@@ -22,6 +22,27 @@ def order_key(values) -> tuple:
     return tuple((0, v) if isinstance(v, int) else (1, str(v)) for v in values)
 
 
+# Match values are ints (element ids, counts) or strings. On those, native
+# tuple comparison agrees with ``order_key`` wherever it raises no TypeError
+# (an int meeting a str), so ``sorted``/``min`` run natively and fall back to
+# the key only then. Both take a collection, which the fallback re-reads.
+
+def in_order(tuples) -> list[tuple]:
+    """``sorted(tuples, key=order_key)``."""
+    try:
+        return sorted(tuples)
+    except TypeError:
+        return sorted(tuples, key=order_key)
+
+
+def least(tuples) -> tuple | None:
+    """``min(tuples, key=order_key)``; None when ``tuples`` is empty."""
+    try:
+        return min(tuples, default=None)
+    except TypeError:
+        return min(tuples, key=order_key, default=None)
+
+
 class LocalSearchMatcher:
     """Query interface over a space and a closed, validated pattern set."""
 
@@ -41,7 +62,7 @@ class LocalSearchMatcher:
         b = self._checked_binding(p, binding)
         tuples = self._solve(p, b)
         params = p.params
-        return [dict(zip(params, t)) for t in sorted(tuples, key=order_key)]
+        return [dict(zip(params, t)) for t in in_order(tuples)]
 
     def match_one(self, name: str, binding: dict | None = None) -> Optional[dict]:
         all_ = self.match_all(name, binding)
@@ -176,7 +197,7 @@ class LocalSearchMatcher:
                 return
             c = plan[i]
             if isinstance(c, CheckC):
-                if ex.eval_expr(c.expr, env.__getitem__, space) is True:
+                if ex.holds(c.expr, env.__getitem__, space):
                     yield from bindings(i + 1)
                 return
             if isinstance(c, NegC):

@@ -172,7 +172,7 @@ class BruteForce:
                     else:
                         final[c.out] = n
                 elif isinstance(c, CheckC):
-                    if ex.eval_expr(c.expr, final.__getitem__, space) is not True:
+                    if not ex.holds(c.expr, final.__getitem__, space):
                         return None
             return final
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from . import expr as ex
@@ -168,6 +169,19 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
     Sets the derived ``requires_ls``/``recursive``/``int_params`` flags and
     attaches per-body :class:`BodyInfo` (as ``body.info``).
     """
+    # call arities first: the int-parameter fixpoint indexes callee params
+    for p in patterns.values():
+        for body in p.bodies:
+            for c in body.constraints:
+                if isinstance(c, (FindC, NegC, CountC)):
+                    callee = patterns.get(c.pattern)
+                    if callee is None:
+                        raise PatternError(f"{p.name}: unknown pattern {c.pattern}")
+                    if len(c.args) != len(callee.params):
+                        raise PatternError(
+                            f"{p.name}: {c.pattern} takes {len(callee.params)} "
+                            f"arguments, got {len(c.args)}")
+
     # int-valued parameter discovery needs a fixpoint through find calls
     for p in patterns.values():
         p.int_params = frozenset()
@@ -180,7 +194,7 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
                 for c in body.constraints:
                     if isinstance(c, CountC) and c.out in p.params:
                         ints.add(c.out)
-                    if isinstance(c, FindC) and c.pattern in patterns:
+                    if isinstance(c, FindC):
                         callee = patterns[c.pattern]
                         for i, a in enumerate(c.args):
                             if a in p.params and callee.params[i] in callee.int_params:
@@ -202,14 +216,6 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
                 elif isinstance(c, RelationC):
                     if c.type is not None and registry.kind(c.type) != RELATION:
                         raise PatternError(f"{p.name}: {c.type} is not a relation type")
-                elif isinstance(c, (FindC, NegC, CountC)):
-                    callee = patterns.get(c.pattern)
-                    if callee is None:
-                        raise PatternError(f"{p.name}: unknown pattern {c.pattern}")
-                    if len(c.args) != len(callee.params):
-                        raise PatternError(
-                            f"{p.name}: {c.pattern} takes {len(callee.params)} "
-                            f"arguments, got {len(c.args)}")
             body_vars = set(body.vars())
             for param in p.params:
                 if param not in body_vars:
@@ -373,6 +379,50 @@ def flatten_body(patterns: Mapping[str, Pattern], body: Body,
             inner = {param: sub(arg) for param, arg in zip(callee.params, c.args)}
             out.extend(flatten_body(patterns, callee.bodies[0], inner, fresh))
     return out
+
+
+# --- argument tuples (shared by both matchers and the VM) -------------------
+
+
+def tuple_getter(positions: Iterable[int]) -> Callable[[tuple], tuple]:
+    """``t -> tuple(t[i] for i in positions)`` as one native call.
+
+    Consecutive positions, none and a single one included, become a slice,
+    so the result is always a tuple: ``()`` or a 1-tuple where
+    ``itemgetter`` alone would give the item itself.
+    """
+    positions = tuple(positions)
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
+def arg_equalities(args: Iterable[str]) -> tuple[tuple[int, int], ...]:
+    """``(first_pos, pos)`` for each repeat of an argument variable.
+
+    A tuple aligned with ``args`` is consistent with them when the values at
+    every such pair of positions are equal.
+    """
+    first: dict[str, int] = {}
+    eqs = []
+    for pos, a in enumerate(args):
+        if a in first:
+            eqs.append((first[a], pos))
+        else:
+            first[a] = pos
+    return tuple(eqs)
+
+
+def consistency_test(args: Iterable[str]) -> Callable[[tuple], bool] | None:
+    """Predicate on tuples aligned with ``args`` that holds when repeated
+    argument variables have equal values; None when no variable repeats."""
+    eqs = arg_equalities(args)
+    if not eqs:
+        return None
+    firsts = tuple_getter(i for i, _ in eqs)
+    repeats = tuple_getter(j for _, j in eqs)
+    return lambda t: firsts(t) == repeats(t)
 
 
 # --- constraint scheduling (shared by both matchers) ------------------------

@@ -1,16 +1,16 @@
 """Incremental (Rete-style) pattern matcher.
 
 Non-recursive patterns compile into a dataflow network fed by model-space
-change events: alpha memories per conforming type, hash joins, anti-joins
-for negative conditions, counting nodes for match counting, and one
-production memory per registered pattern. Called patterns compile to their
-own production, shared across callers. After each event is processed the
-production memories equal the local-search match sets by construction.
+change events: alpha memories per conforming type, hash joins, counting
+nodes for negative conditions and match counting, and one production memory
+per registered pattern. Called patterns compile to their own production,
+shared across callers. After each event is processed the production
+memories equal the local-search match sets by construction.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from . import expr as ex
 from .errors import MatcherError
@@ -18,27 +18,22 @@ from .modelspace import (ENTITY, ElementCreated, ElementDeleted,
                          EndpointRetargeted, ModelSpace, Renamed, TypeAdded,
                          TypeRemoved, ValueSet)
 from .patterns import (CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, schedule)
+                       RelationC, consistency_test, schedule, tuple_getter)
 
 
 class Node:
     def __init__(self, engine: "ReteEngine", schema: tuple[str, ...]):
         self.engine = engine
         self.schema = schema
-        self.children: list[tuple["Node", object]] = []
+        # input callbacks (on_left / on_right) of the nodes this one feeds
+        self.outputs: list[Callable[[tuple, int], None]] = []
         engine.nodes.append(self)
 
-    def add_child(self, child: "Node", tag) -> None:
-        self.children.append((child, tag))
-
     def emit(self, t: tuple, sign: int) -> None:
-        for child, tag in self.children:
-            child.on_delta(tag, t, sign)
+        for out in self.outputs:
+            out(t, sign)
 
     def all_tuples(self):
-        raise NotImplementedError
-
-    def on_delta(self, tag, t, sign):  # pragma: no cover - leaf nodes
         raise NotImplementedError
 
 
@@ -159,236 +154,143 @@ class ContainmentAlpha(Node):
         return [t for pairs in self.by_elem.values() for t in pairs]
 
 
-class JoinNode(Node):
+def _update_bucket(mem: dict[tuple, set], key: tuple, t: tuple, sign: int) -> None:
+    """Add ``t`` to (sign > 0) or drop it from the bucket ``mem[key]``."""
+    bucket = mem.get(key)
+    if sign > 0:
+        if bucket is None:
+            mem[key] = {t}
+        else:
+            bucket.add(t)
+    elif bucket is not None:
+        bucket.discard(t)
+        if not bucket:
+            del mem[key]
+
+
+class BetaNode(Node):
+    """Two-input node: left (beta) tuples meet the tuples of a right input
+    whose positions carry the argument variables ``args``.
+
+    The key extractors and the repeated-argument test are compiled once,
+    here; ``left_mem`` buckets the left tuples by their key.
+    """
+
+    def __init__(self, engine, left: Node, args: tuple[str, ...], schema):
+        super().__init__(engine, schema)
+        shared = [i for i, a in enumerate(args) if a in left.schema]
+        self.left_key = tuple_getter(left.schema.index(args[i]) for i in shared)
+        self.right_key = tuple_getter(shared)
+        self.right_ok = consistency_test(args)
+        self.left_mem: dict[tuple, set] = {}
+
+    def _attach(self, left: Node, right: Node) -> None:
+        for lt in left.all_tuples():
+            _update_bucket(self.left_mem, self.left_key(lt), lt, +1)
+        left.outputs.append(self.on_left)
+        right.outputs.append(self.on_right)
+
+
+class JoinNode(BetaNode):
     """Hash join of a beta input with an alpha/production input."""
 
-    def __init__(self, engine, left: Node, right: Node,
-                 right_map: list[tuple[int, str]]):
-        left_schema = left.schema
-        self.key_entries = [(pos, var) for pos, var in right_map if var in left_schema]
-        self.left_key_idx = [left_schema.index(var) for _, var in self.key_entries]
-        new_vars: list[str] = []
-        first_pos: dict[str, int] = {}
-        eqs: list[tuple[int, int]] = []
-        for pos, var in right_map:
-            if var in left_schema:
-                continue
-            if var in first_pos:
-                eqs.append((first_pos[var], pos))
-            else:
-                first_pos[var] = pos
-                new_vars.append(var)
-        self.right_eqs = eqs
-        self.extract = [first_pos[v] for v in new_vars]
-        super().__init__(engine, left_schema + tuple(new_vars))
-        self.left_mem: dict[tuple, set] = {}
+    def __init__(self, engine, left: Node, right: Node, args: tuple[str, ...]):
+        new_vars = tuple(dict.fromkeys(a for a in args if a not in left.schema))
+        super().__init__(engine, left, args, left.schema + new_vars)
+        self.extract = tuple_getter(args.index(v) for v in new_vars)
         self.right_mem: dict[tuple, set] = {}
-        self.memory: dict[tuple, int] = {}
-        for t in right.all_tuples():
-            if self._right_ok(t):
-                self.right_mem.setdefault(self._right_key(t), set()).add(t)
-        for lt in left.all_tuples():
-            self._left(lt, +1, propagate=False)
-        left.add_child(self, "left")
-        right.add_child(self, "right")
+        for rt in right.all_tuples():
+            if self.right_ok is None or self.right_ok(rt):
+                _update_bucket(self.right_mem, self.right_key(rt), rt, +1)
+        self._attach(left, right)
 
-    def _right_ok(self, t) -> bool:
-        return all(t[i] == t[j] for i, j in self.right_eqs)
+    def on_left(self, lt, sign):
+        key = self.left_key(lt)
+        _update_bucket(self.left_mem, key, lt, sign)
+        rts = self.right_mem.get(key)
+        if rts:
+            extract = self.extract
+            for rt in rts:
+                self.emit(lt + extract(rt), sign)
 
-    def _right_key(self, t) -> tuple:
-        return tuple(t[pos] for pos, _ in self.key_entries)
-
-    def _left_key(self, lt) -> tuple:
-        return tuple(lt[i] for i in self.left_key_idx)
-
-    def _merge(self, lt, rt) -> tuple:
-        return lt + tuple(rt[pos] for pos in self.extract)
-
-    def _out(self, t, sign):
-        n = self.memory.get(t, 0) + sign
-        if n <= 0:
-            self.memory.pop(t, None)
-        else:
-            self.memory[t] = n
-        self.emit(t, sign)
-
-    def _left(self, lt, sign, propagate=True):
-        key = self._left_key(lt)
-        bucket = self.left_mem.setdefault(key, set())
-        if sign > 0:
-            bucket.add(lt)
-        else:
-            bucket.discard(lt)
-            if not bucket:
-                del self.left_mem[key]
-        if propagate:
-            for rt in self.right_mem.get(key, ()):
-                self._out(self._merge(lt, rt), sign)
-        else:
-            for rt in self.right_mem.get(key, ()):
-                t = self._merge(lt, rt)
-                self.memory[t] = self.memory.get(t, 0) + 1
-
-    def on_delta(self, tag, t, sign):
-        if tag == "left":
-            self._left(t, sign)
+    def on_right(self, rt, sign):
+        if self.right_ok is not None and not self.right_ok(rt):
             return
-        if not self._right_ok(t):
+        key = self.right_key(rt)
+        _update_bucket(self.right_mem, key, rt, sign)
+        lts = self.left_mem.get(key)
+        if lts:
+            tail = self.extract(rt)
+            for lt in lts:
+                self.emit(lt + tail, sign)
+
+    def all_tuples(self):
+        extract = self.extract
+        return [lt + extract(rt) for key, lts in self.left_mem.items()
+                for rt in self.right_mem.get(key, ()) for lt in lts]
+
+
+class CountNode(BetaNode):
+    """Per left tuple, the number of consistent tuples of a called production.
+
+    ``out`` names the count: a new variable is appended as a column, a
+    variable the left side already binds must equal it, and ``None`` (a
+    negative condition) keeps the left tuples whose count is 0.
+    """
+
+    def __init__(self, engine, left: Node, right: Node, args: tuple[str, ...],
+                 out: str | None = None):
+        self.append = out is not None and out not in left.schema
+        super().__init__(engine, left, args,
+                         left.schema + (out,) if self.append else left.schema)
+        self.out_idx = left.schema.index(out) if out in left.schema else None
+        self.right_counts: dict[tuple, int] = {}
+        for rt in right.all_tuples():
+            if self.right_ok is None or self.right_ok(rt):
+                k = self.right_key(rt)
+                self.right_counts[k] = self.right_counts.get(k, 0) + 1
+        self._attach(left, right)
+
+    def _row(self, lt, n):
+        """The output tuple of ``lt`` when its count is ``n``, or None."""
+        if self.append:
+            return lt + (n,)
+        want = 0 if self.out_idx is None else lt[self.out_idx]
+        return lt if n == want else None
+
+    def on_left(self, lt, sign):
+        key = self.left_key(lt)
+        _update_bucket(self.left_mem, key, lt, sign)
+        row = self._row(lt, self.right_counts.get(key, 0))
+        if row is not None:
+            self.emit(row, sign)
+
+    def on_right(self, rt, sign):
+        if self.right_ok is not None and not self.right_ok(rt):
             return
-        key = self._right_key(t)
-        bucket = self.right_mem.setdefault(key, set())
-        if sign > 0:
-            bucket.add(t)
+        key = self.right_key(rt)
+        old = self.right_counts.get(key, 0)
+        new = old + sign
+        if new <= 0:
+            self.right_counts.pop(key, None)
         else:
-            bucket.discard(t)
-            if not bucket:
-                del self.right_mem[key]
+            self.right_counts[key] = new
         for lt in self.left_mem.get(key, ()):
-            self._out(self._merge(lt, t), sign)
-
-    def all_tuples(self):
-        return list(self.memory)
-
-
-class AntiJoinNode(Node):
-    """Pass left tuples with no counterpart in the negated production."""
-
-    def __init__(self, engine, left: Node, right: Node,
-                 key_entries: list[tuple[int, str]], right_eqs: list[tuple[int, int]]):
-        super().__init__(engine, left.schema)
-        self.key_entries = key_entries
-        self.right_eqs = right_eqs
-        self.left_key_idx = [left.schema.index(var) for _, var in key_entries]
-        self.left_mem: dict[tuple, set] = {}
-        self.right_counts: dict[tuple, int] = {}
-        for t in right.all_tuples():
-            if self._right_ok(t):
-                k = self._right_key(t)
-                self.right_counts[k] = self.right_counts.get(k, 0) + 1
-        for lt in left.all_tuples():
-            self.left_mem.setdefault(self._left_key(lt), set()).add(lt)
-        left.add_child(self, "left")
-        right.add_child(self, "right")
-
-    def _right_ok(self, t):
-        return all(t[i] == t[j] for i, j in self.right_eqs)
-
-    def _right_key(self, t):
-        return tuple(t[pos] for pos, _ in self.key_entries)
-
-    def _left_key(self, lt):
-        return tuple(lt[i] for i in self.left_key_idx)
-
-    def on_delta(self, tag, t, sign):
-        if tag == "left":
-            key = self._left_key(t)
-            bucket = self.left_mem.setdefault(key, set())
-            if sign > 0:
-                bucket.add(t)
-            else:
-                bucket.discard(t)
-                if not bucket:
-                    del self.left_mem[key]
-            if self.right_counts.get(key, 0) == 0:
-                self.emit(t, sign)
-            return
-        if not self._right_ok(t):
-            return
-        key = self._right_key(t)
-        old = self.right_counts.get(key, 0)
-        new = old + sign
-        if new <= 0:
-            self.right_counts.pop(key, None)
-        else:
-            self.right_counts[key] = new
-        if old == 0 and new > 0:
-            for lt in self.left_mem.get(key, ()):
-                self.emit(lt, -1)
-        elif old > 0 and new == 0:
-            for lt in self.left_mem.get(key, ()):
-                self.emit(lt, +1)
-
-    def all_tuples(self):
-        return [lt for key, bucket in self.left_mem.items()
-                if self.right_counts.get(key, 0) == 0 for lt in bucket]
-
-
-class CountNode(Node):
-    """Append the number of matching sub-production tuples per key."""
-
-    def __init__(self, engine, left: Node, right: Node,
-                 key_entries: list[tuple[int, str]], right_eqs: list[tuple[int, int]],
-                 out: str):
-        self.filter_mode = out in left.schema
-        schema = left.schema if self.filter_mode else left.schema + (out,)
-        super().__init__(engine, schema)
-        self.out_idx = left.schema.index(out) if self.filter_mode else None
-        self.key_entries = key_entries
-        self.right_eqs = right_eqs
-        self.left_key_idx = [left.schema.index(var) for _, var in key_entries]
-        self.left_mem: dict[tuple, set] = {}
-        self.right_counts: dict[tuple, int] = {}
-        for t in right.all_tuples():
-            if self._right_ok(t):
-                k = self._right_key(t)
-                self.right_counts[k] = self.right_counts.get(k, 0) + 1
-        for lt in left.all_tuples():
-            self.left_mem.setdefault(self._left_key(lt), set()).add(lt)
-        left.add_child(self, "left")
-        right.add_child(self, "right")
-
-    def _right_ok(self, t):
-        return all(t[i] == t[j] for i, j in self.right_eqs)
-
-    def _right_key(self, t):
-        return tuple(t[pos] for pos, _ in self.key_entries)
-
-    def _left_key(self, lt):
-        return tuple(lt[i] for i in self.left_key_idx)
-
-    def _emit_for(self, lt, n, sign):
-        if self.filter_mode:
-            if lt[self.out_idx] == n:
-                self.emit(lt, sign)
-        else:
-            self.emit(lt + (n,), sign)
-
-    def on_delta(self, tag, t, sign):
-        if tag == "left":
-            key = self._left_key(t)
-            bucket = self.left_mem.setdefault(key, set())
-            if sign > 0:
-                bucket.add(t)
-            else:
-                bucket.discard(t)
-                if not bucket:
-                    del self.left_mem[key]
-            self._emit_for(t, self.right_counts.get(key, 0), sign)
-            return
-        if not self._right_ok(t):
-            return
-        key = self._right_key(t)
-        old = self.right_counts.get(key, 0)
-        new = old + sign
-        if new <= 0:
-            self.right_counts.pop(key, None)
-        else:
-            self.right_counts[key] = new
-        if old != new:
-            for lt in self.left_mem.get(key, ()):
-                self._emit_for(lt, old, -1)
-                self._emit_for(lt, new, +1)
+            row = self._row(lt, old)
+            if row is not None:
+                self.emit(row, -1)
+            row = self._row(lt, new)
+            if row is not None:
+                self.emit(row, +1)
 
     def all_tuples(self):
         out = []
         for key, bucket in self.left_mem.items():
             n = self.right_counts.get(key, 0)
             for lt in bucket:
-                if self.filter_mode:
-                    if lt[self.out_idx] == n:
-                        out.append(lt)
-                else:
-                    out.append(lt + (n,))
+                row = self._row(lt, n)
+                if row is not None:
+                    out.append(row)
         return out
 
 
@@ -404,17 +306,14 @@ class CheckNode(Node):
             self.mem.add(lt)
             if self._passes(lt):
                 self.passing.add(lt)
-        left.add_child(self, "left")
+        left.outputs.append(self.on_left)
         engine.check_nodes.append(self)
 
     def _passes(self, lt) -> bool:
         env = dict(zip(self.schema, lt))
-        try:
-            return ex.eval_expr(self.expr, env.__getitem__, self.engine.space) is True
-        except Exception:
-            return False
+        return ex.holds(self.expr, env.__getitem__, self.engine.space)
 
-    def on_delta(self, tag, t, sign):
+    def on_left(self, t, sign):
         if sign > 0:
             self.mem.add(t)
             if self._passes(t):
@@ -446,15 +345,15 @@ class InjectivityNode(Node):
 
     def __init__(self, engine, left: Node, positions: list[int]):
         super().__init__(engine, left.schema)
-        self.positions = positions
+        self.values = tuple_getter(positions)
         self.left = left
-        left.add_child(self, "left")
+        left.outputs.append(self.on_left)
 
     def _ok(self, t) -> bool:
-        vals = [t[i] for i in self.positions]
+        vals = self.values(t)
         return len(vals) == len(set(vals))
 
-    def on_delta(self, tag, t, sign):
+    def on_left(self, t, sign):
         if self._ok(t):
             self.emit(t, sign)
 
@@ -465,15 +364,15 @@ class InjectivityNode(Node):
 class ProjectNode(Node):
     def __init__(self, engine, left: Node, positions: list[int], schema):
         super().__init__(engine, schema)
-        self.positions = positions
+        self.project = tuple_getter(positions)
         self.counts: dict[tuple, int] = {}
         for lt in left.all_tuples():
-            t = tuple(lt[i] for i in self.positions)
+            t = self.project(lt)
             self.counts[t] = self.counts.get(t, 0) + 1
-        left.add_child(self, "left")
+        left.outputs.append(self.on_left)
 
-    def on_delta(self, tag, lt, sign):
-        t = tuple(lt[i] for i in self.positions)
+    def on_left(self, lt, sign):
+        t = self.project(lt)
         old = self.counts.get(t, 0)
         new = old + sign
         if new <= 0:
@@ -501,9 +400,9 @@ class ProductionNode(Node):
             for t in node.all_tuples():
                 self.counts[t] = self.counts.get(t, 0) + 1
         for node in bodies:
-            node.add_child(self, "body")
+            node.outputs.append(self.on_left)
 
-    def on_delta(self, tag, t, sign):
+    def on_left(self, t, sign):
         old = self.counts.get(t, 0)
         new = old + sign
         if new <= 0:
@@ -519,6 +418,10 @@ class ProductionNode(Node):
 
     def match_tuples(self) -> set[tuple]:
         return set(self.counts)
+
+    def live_tuples(self):
+        """The match tuples without a copy; valid until the next change."""
+        return self.counts.keys()
 
     def matches(self) -> list[dict]:
         return [dict(zip(self.schema, t)) for t in self.counts]
@@ -616,35 +519,21 @@ class ReteEngine:
         current: Node = self._seed_node()
         for c in plan:
             if isinstance(c, EntityC):
-                current = JoinNode(self, current, self._entity_alpha(c.type),
-                                   [(0, c.var)])
+                current = JoinNode(self, current, self._entity_alpha(c.type), (c.var,))
                 if c.in_var is not None:
                     # `in <namespace>` is vacuous (everything is under root)
                     current = JoinNode(self, current, self._containment_alpha(),
-                                       [(0, c.var), (1, c.in_var)])
+                                       (c.var, c.in_var))
             elif isinstance(c, RelationC):
                 current = JoinNode(self, current, self._relation_alpha(c.type),
-                                   [(0, c.rel), (1, c.src), (2, c.trg)])
+                                   (c.rel, c.src, c.trg))
             elif isinstance(c, FindC):
-                right = self.productions[c.pattern]
-                current = JoinNode(self, current, right,
-                                   [(i, a) for i, a in enumerate(c.args)])
-            elif isinstance(c, (NegC, CountC)):
-                right = self.productions[c.pattern]
-                key_entries = []
-                first: dict[str, int] = {}
-                eqs = []
-                for i, a in enumerate(c.args):
-                    if a in current.schema:
-                        key_entries.append((i, a))
-                    elif a in first:
-                        eqs.append((first[a], i))
-                    else:
-                        first[a] = i
-                if isinstance(c, NegC):
-                    current = AntiJoinNode(self, current, right, key_entries, eqs)
-                else:
-                    current = CountNode(self, current, right, key_entries, eqs, c.out)
+                current = JoinNode(self, current, self.productions[c.pattern], c.args)
+            elif isinstance(c, NegC):
+                current = CountNode(self, current, self.productions[c.pattern], c.args)
+            elif isinstance(c, CountC):
+                current = CountNode(self, current, self.productions[c.pattern], c.args,
+                                    c.out)
             elif isinstance(c, CheckC):
                 current = CheckNode(self, current, c.expr)
             else:

@@ -15,13 +15,31 @@ from typing import Optional
 
 from . import expr as ex
 from .errors import DivergenceError, ExecError, LinkError
-from .matcher_ls import LocalSearchMatcher, order_key
+from .matcher_ls import LocalSearchMatcher, in_order, least
 from .modelspace import ROOT_ID, ModelSpace
 from .patterns import (CheckC, CountC, EntityC, FlattenError, NegC,
-                       Pattern, RelationC, flatten_body)
+                       Pattern, RelationC, arg_equalities, consistency_test,
+                       flatten_body, tuple_getter)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
+# rule calls nest at most this deep; each level takes several interpreter
+# frames, so this stays well inside Python's default recursion limit
+MAX_CALL_DEPTH = 100
+
+
+def step_budget_from_env() -> int:
+    """The ``iterate`` step budget: ``GTVM_STEP_BUDGET`` if set, else the default."""
+    text = os.environ.get(STEP_BUDGET_ENV)
+    if text is None:
+        return DEFAULT_STEP_BUDGET
+    try:
+        budget = int(text)
+        if budget >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise ExecError(f"{STEP_BUDGET_ENV} must be a non-negative integer, got {text!r}")
 
 
 # --- statement IR -----------------------------------------------------------
@@ -518,7 +536,7 @@ class VM:
         self.backend = matcher
         self.echo = echo
         if step_budget is None:
-            step_budget = int(os.environ.get(STEP_BUDGET_ENV, DEFAULT_STEP_BUDGET))
+            step_budget = step_budget_from_env()
         self.step_budget = step_budget
         self.ls = LocalSearchMatcher(space, program.patterns)
         self._rete = None
@@ -531,18 +549,43 @@ class VM:
             self._rete = ReteEngine(self.space, self.program.patterns)
         return self._rete
 
+    def _agreeing(self, p: Pattern, binding: dict | None, tuples):
+        """The production-memory ``tuples`` of ``p`` that agree with ``binding``."""
+        if not binding:
+            return tuples
+        self.ls._checked_binding(p, binding)
+        bound = tuple_getter(p.params.index(k) for k in binding)
+        values = tuple(binding.values())
+        return [t for t in tuples if bound(t) == values]
+
     def query_all(self, pattern_name: str, binding: dict | None = None) -> list[dict]:
         p = self.program.patterns[pattern_name]
         if self.backend == "inc" and not p.requires_ls:
-            engine = self._rete_engine()
-            handle = engine.register(pattern_name)
-            tuples = handle.match_tuples()
-            if binding:
-                self.ls._checked_binding(p, binding)
-                idx = [(p.params.index(k), v) for k, v in binding.items()]
-                tuples = {t for t in tuples if all(t[i] == v for i, v in idx)}
-            return [dict(zip(p.params, t)) for t in sorted(tuples, key=order_key)]
+            handle = self._rete_engine().register(pattern_name)
+            tuples = self._agreeing(p, binding, handle.match_tuples())
+            return [dict(zip(p.params, t)) for t in in_order(tuples)]
         return self.ls.match_all(pattern_name, binding)
+
+    def query_first(self, pattern_name: str, binding: dict | None = None,
+                    args: tuple[str, ...] = ()) -> dict | None:
+        """The match ``query_all`` lists first among those that give each
+        repeated variable of ``args`` (call arguments aligned with the
+        parameters) a single value; None when there is none.
+
+        One scan of the production memory (``inc``) or of the match set
+        (``ls``): no sort, and one dict for the result.
+        """
+        p = self.program.patterns[pattern_name]
+        if self.backend == "inc" and not p.requires_ls:
+            handle = self._rete_engine().register(pattern_name)
+            tuples = self._agreeing(p, binding, handle.live_tuples())
+        else:
+            tuples = self.ls.match_set(pattern_name, binding)
+        consistent = consistency_test(args)
+        if consistent is not None:
+            tuples = [t for t in tuples if consistent(t)]
+        first = least(tuples)
+        return None if first is None else dict(zip(p.params, first))
 
     # -- top level -----------------------------------------------------------
 
@@ -569,10 +612,10 @@ class VM:
         gt = self.program.gtrules[name]
         ctx = _Ctx(self, self.program.machines[gt.machine],
                    report or ExecutionReport(gt.machine))
-        matches = self.query_all(gt.pre_pattern, in_binding)
-        if not matches:
+        match = self.query_first(gt.pre_pattern, in_binding)
+        if match is None:
             return None
-        return _apply_gt_match(ctx, gt, matches[0])
+        return _apply_gt_match(ctx, gt, match)
 
 
 def execute_machine(program: LinkedProgram, machine_name: str, space: ModelSpace,
@@ -586,6 +629,7 @@ class _Ctx:
     vm: VM
     machine: Machine
     report: ExecutionReport
+    depth: int = 0  # rule calls open around the executing statement
 
 
 def _as_text(v) -> str:
@@ -612,8 +656,11 @@ def _call_rule(ctx: _Ctx, machine_name: str, rule: AsmRule, args, caller: Frame)
     if len(args) != len(rule.params):
         raise ExecError(f"rule {rule.name} takes {len(rule.params)} arguments, "
                         f"got {len(args)}")
+    if ctx.depth >= MAX_CALL_DEPTH:
+        raise ExecError(f"rule calls nested deeper than {MAX_CALL_DEPTH} "
+                        f"(calling {rule.name})")
     machine = ctx.vm.program.machines[machine_name]
-    callee_ctx = _Ctx(ctx.vm, machine, ctx.report)
+    callee_ctx = _Ctx(ctx.vm, machine, ctx.report, ctx.depth + 1)
     frame = Frame()
     for param, arg in zip(rule.params, args):
         if param.mode == "in":
@@ -657,7 +704,8 @@ def _apply_gt_match(ctx: _Ctx, gt: CompiledGt, match: dict) -> dict:
         frame = Frame()
         for name in gt.scope_names:
             frame.declare(name, binding.get(name))
-        action_ctx = _Ctx(ctx.vm, ctx.vm.program.machines[gt.machine], ctx.report)
+        action_ctx = _Ctx(ctx.vm, ctx.vm.program.machines[gt.machine], ctx.report,
+                          ctx.depth)
         _exec(action_ctx, frame, gt.action)
     return binding
 
@@ -788,20 +836,18 @@ def _exec_choose(ctx: _Ctx, frame: Frame, stmt: Choose) -> None:
         pname = vm.program.resolve(ctx.machine.name, "pattern", stmt.source.ref)
         pattern = vm.program.patterns[pname]
         binding = _source_binding(ctx, frame, pattern.params, stmt.source.args, to_bind)
-        matches = vm.query_all(pname, binding)
-        matches = [m for m in matches
-                   if _args_consistent(pattern.params, stmt.source.args, m)]
-        if not matches:
+        match = vm.query_first(pname, binding, stmt.source.args)
+        if match is None:
             raise ChooseFailed()
         child = _bind_match_vars(frame, pattern.params, stmt.source.args,
-                                 to_bind, matches[0])
+                                 to_bind, match)
         _exec(ctx, child, stmt.do)
     else:
         gt, in_binding, _ = _gt_source(ctx, frame, stmt)
-        matches = vm.query_all(gt.pre_pattern, _gt_pre_binding(gt, in_binding))
-        if not matches:
+        match = vm.query_first(gt.pre_pattern, _gt_pre_binding(gt, in_binding))
+        if match is None:
             raise ChooseFailed()
-        result = _apply_gt_match(ctx, gt, matches[0])
+        result = _apply_gt_match(ctx, gt, match)
         child = _bind_gt_outs(ctx, frame, stmt, gt, result)
         _exec(ctx, child, stmt.do)
 
@@ -813,8 +859,10 @@ def _exec_forall(ctx: _Ctx, frame: Frame, stmt: Forall) -> None:
         pname = vm.program.resolve(ctx.machine.name, "pattern", stmt.source.ref)
         pattern = vm.program.patterns[pname]
         binding = _source_binding(ctx, frame, pattern.params, stmt.source.args, to_bind)
+        params = pattern.params
+        eqs = arg_equalities(stmt.source.args)
         snapshot = [m for m in vm.query_all(pname, binding)
-                    if _args_consistent(pattern.params, stmt.source.args, m)]
+                    if all(m[params[i]] == m[params[j]] for i, j in eqs)]
         for match in snapshot:
             if not _live_match(vm, pattern, match):
                 continue  # invalidated by an earlier iteration
@@ -841,13 +889,3 @@ def _gt_pre_binding(gt: CompiledGt, in_binding: dict) -> dict:
                             f"by the precondition")
         out[name] = value
     return out
-
-
-def _args_consistent(params, args, match: dict) -> bool:
-    seen: dict[str, object] = {}
-    for param, arg in zip(params, args):
-        v = match[param]
-        if arg in seen and seen[arg] != v:
-            return False
-        seen[arg] = v
-    return True

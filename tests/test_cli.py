@@ -61,6 +61,20 @@ def test_run_runtime_error(tmp_path, capsys):
         del os.environ["GTVM_STEP_BUDGET"]
 
 
+@pytest.mark.parametrize("budget", ["abc", "-5"])
+def test_run_bad_step_budget(budget, monkeypatch, capsys):
+    monkeypatch.setenv("GTVM_STEP_BUDGET", budget)
+    assert main(["run", "helloWorldASM"]) == 1
+    assert "GTVM_STEP_BUDGET must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_run_self_calling_rule(tmp_path, capsys):
+    src = tmp_path / "loop.vtcl"
+    src.write_text("machine loop{ rule main() = seq { call main(); } }")
+    assert main(["run", str(src)]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
 def test_match_dangling(tmp_path, capsys):
     gms = tmp_path / "d.gms"
     snapshot.save_file(load_fixture("dangling"), gms)

@@ -1,9 +1,11 @@
 import pytest
 
+from gtvm import corpus
 from gtvm.errors import LinkError, PatternError
 from gtvm.patterns import (Body, CheckC, CountC, EntityC, FindC, NegC,
-                           Pattern, RelationC, builtin_library, schedule,
-                           validate, validate_patterns)
+                           Pattern, RelationC, arg_equalities, builtin_library,
+                           consistency_test, schedule, tuple_getter, validate,
+                           validate_patterns)
 from gtvm.vtcl import link, parse
 
 G1 = "nemf.packages.graph1."
@@ -123,6 +125,29 @@ def test_arity_mismatch_rejected(registry):
     with pytest.raises(PatternError) as err:
         validate(p, registry, context=lib)
     assert "3 arguments" in str(err.value)
+
+
+def test_arity_checked_before_int_param_inference(registry):
+    src = corpus.corpus_source("graphPatterns")
+    call = "find edgeFromToInternal(Edge,From,To);"
+    assert call in src
+    bad = src.replace(call, "find edgeFromToInternal(Edge,Node,Node,Edge);", 1)
+    with pytest.raises(LinkError) as err:  # a GtvmError, not an IndexError
+        link([parse(bad)], registry)
+    assert "3 arguments, got 4" in str(err.value)
+
+
+def test_tuple_getter_and_arg_equalities():
+    t = ("a", "b", "c", "d")
+    assert tuple_getter([])(t) == ()
+    assert tuple_getter([2])(t) == ("c",)
+    assert tuple_getter([3, 0, 2])(t) == ("d", "a", "c")
+    assert tuple_getter([1, 2, 3])(t) == ("b", "c", "d")
+    assert arg_equalities(("E", "N", "N", "E")) == ((1, 2), (0, 3))
+    assert arg_equalities(("A", "B")) == ()
+    assert consistency_test(("A", "B")) is None
+    same_ends = consistency_test(("E", "N", "N"))
+    assert same_ends((1, 2, 2)) and not same_ends((1, 2, 3))
 
 
 def test_count_output_is_int_param(registry):

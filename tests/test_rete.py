@@ -200,3 +200,23 @@ def test_cross_matcher_equivalence_scripts(seed):
     check()
     run_script(space, rng, 80, check)
     assert space.audit() == []
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_erroring_check_is_a_non_match(triangle, matcher):
+    from gtvm import oracle
+    from gtvm.rules import VM
+    from gtvm.vtcl import link, parse
+    src = """import nemf.packages;
+    machine m{
+      pattern plusOne(Node) = {
+        graph1.Node(Node);
+        check(value(Node) + 1 == 2);
+      }
+    }"""
+    program = link([corpus.load_machine("graphPatterns"), parse(src)],
+                   triangle.registry)
+    vm = VM(program, triangle, matcher=matcher)
+    assert vm.query_all("m.plusOne") == []  # value(Node) is undef
+    assert vm.query_first("m.plusOne") is None
+    assert oracle.BruteForce(triangle, program.patterns).match_set("m.plusOne") == set()

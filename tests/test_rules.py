@@ -4,7 +4,7 @@ from gtvm import corpus
 from gtvm.corpus.fixtures import G1, load_fixture
 from gtvm.errors import DivergenceError, ExecError, LinkError
 from gtvm.matcher_ls import LocalSearchMatcher
-from gtvm.rules import VM
+from gtvm.rules import MAX_CALL_DEPTH, VM
 from gtvm.vtcl import link, parse
 
 HEADER = "import datatypes;\nimport nemf.packages;\nimport nemf.ecore.datatypes;\n"
@@ -423,6 +423,20 @@ def test_failure_propagates_through_call():
           rule failing() = choose N with find graphPatterns.isolatedNode(N) do skip;
           rule main() = call failing();
         }""", fixture="triangle", libraries=["graphPatterns"])
+
+
+def test_call_depth_limit():
+    deep = """
+    machine m{
+      rule down(in N) = if (N != %d) call down(N + 1);
+      rule main() = seq{ call down(0); println("bottom"); }
+    }"""
+    # main is the first call; down(0) .. down(K) make K + 1 more
+    report, _, _ = run_source(deep % (MAX_CALL_DEPTH - 2))
+    assert report.log == ["bottom"]
+    with pytest.raises(ExecError) as err:
+        run_source(deep % (MAX_CALL_DEPTH - 1))
+    assert "nested deeper than" in str(err.value)
 
 
 def test_if_requires_comparison():
