@@ -9,13 +9,13 @@ on cyclic graphs. Match order is deterministic: sorted by bound values.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import expr as ex
 from .errors import PatternError, SpaceError
 from .modelspace import RELATION, ModelSpace
 from .patterns import (Body, CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, schedule)
+                       RelationC, consistency_test, schedule)
 
 
 def order_key(values) -> tuple:
@@ -53,6 +53,8 @@ class LocalSearchMatcher:
         self._memo_version = -1
         self._memo: dict = {}
         self._tables: dict[str, set[tuple]] = {}
+        # call arguments -> their repeated-variable test (None: no repeat)
+        self._arg_tests: dict[tuple[str, ...], Callable[[tuple], bool] | None] = {}
         self.shuffle = None  # test hook: random.Random for plan randomization
 
     # -- public -------------------------------------------------------------
@@ -143,16 +145,11 @@ class LocalSearchMatcher:
         return out
 
     def _call_matches(self, callee: Pattern, args: tuple[str, ...], env: dict,
-                      scc_ctx) -> Iterator[tuple]:
+                      scc_ctx) -> Iterable[tuple]:
         """Tuples of the callee's match set consistent with bound args and
         with repeated argument variables."""
-        push: dict[str, object] = {}
-        for param, a in zip(callee.params, args):
-            if a in env:
-                v = env[a]
-                if param in push and push[param] != v:
-                    return
-                push[param] = v
+        # callee parameters are distinct, so each bound argument pins one
+        push = {param: env[a] for param, a in zip(callee.params, args) if a in env}
         if scc_ctx is not None and callee.name in scc_ctx:
             base = scc_ctx[callee.name]
             params = callee.params
@@ -160,20 +157,11 @@ class LocalSearchMatcher:
                    if all(push[x] == t[i] for i, x in enumerate(params) if x in push))
         else:
             sub = self._solve(callee, push)
-        n = len(args)
-        for t in sub:
-            seen: dict[str, object] = {}
-            ok = True
-            for i in range(n):
-                a = args[i]
-                prev = seen.get(a)
-                if prev is None:
-                    seen[a] = t[i]
-                elif prev != t[i]:
-                    ok = False
-                    break
-            if ok:
-                yield t
+        try:
+            consistent = self._arg_tests[args]
+        except KeyError:
+            consistent = self._arg_tests[args] = consistency_test(args)
+        return sub if consistent is None else filter(consistent, sub)
 
     def _eval_body(self, p: Pattern, bidx: int, body: Body, seed: dict,
                    scc_ctx) -> Iterator[dict]:

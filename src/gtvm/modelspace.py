@@ -109,9 +109,6 @@ class TypeRegistry:
         self._closure_cache[name] = out
         return out
 
-    def conforms_type(self, t: str, super_t: str) -> bool:
-        return super_t in self.supers(t)
-
     def resolve(self, name: str, imports: Iterable[str] = ()) -> str:
         """Resolve a possibly import-relative dotted name to a registered type."""
         if name in self._types:

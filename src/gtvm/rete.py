@@ -1,15 +1,21 @@
 """Incremental (Rete-style) pattern matcher.
 
 Non-recursive patterns compile into a dataflow network fed by model-space
-change events: alpha memories per conforming type, hash joins, counting
-nodes for negative conditions and match counting, and one production memory
-per registered pattern. Called patterns compile to their own production,
-shared across callers. After each event is processed the production
-memories equal the local-search match sets by construction.
+change events. One alpha node per type holds the conforming elements (the
+``None`` alpha every relation), and a containment alpha the (entity,
+ancestor) pairs; every membership event reaches the alphas of its types'
+supertypes with a sign of +1 or -1. Beta nodes hash-join those memories or
+count the matches of a called pattern (``neg``/``#``), check nodes filter,
+and each body's last node feeds, through its projection onto the
+parameters, one production memory per registered pattern. Called patterns
+compile to their own production, shared across callers. After each event
+is processed the production memories equal the local-search match sets by
+construction.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from . import expr as ex
@@ -25,7 +31,7 @@ class Node:
     def __init__(self, engine: "ReteEngine", schema: tuple[str, ...]):
         self.engine = engine
         self.schema = schema
-        # input callbacks (on_left / on_right) of the nodes this one feeds
+        # input callbacks (on_left / on_right / on_body) of the nodes this one feeds
         self.outputs: list[Callable[[tuple, int], None]] = []
         engine.nodes.append(self)
 
@@ -47,79 +53,53 @@ class SeedNode(Node):
         return [()]
 
 
-class EntityAlpha(Node):
-    def __init__(self, engine, type_name: str):
-        super().__init__(engine, ("$e",))
-        self.type = type_name
-        self.counts: dict[int, int] = {}
-        space = engine.space
-        for eid in space.elements_of_type(type_name):
-            self.counts[eid] = sum(
-                1 for t in space.element(eid).types
-                if type_name in space.registry.supers(t))
-
-    def adjust(self, eid: int, delta: int) -> None:
-        old = self.counts.get(eid, 0)
-        new = old + delta
-        if new <= 0:
-            self.counts.pop(eid, None)
-        else:
-            self.counts[eid] = new
-        if old == 0 and new > 0:
-            self.emit((eid,), +1)
-        elif old > 0 and new <= 0:
-            self.emit((eid,), -1)
-
-    def drop(self, eid: int) -> None:
-        if self.counts.pop(eid, None):
-            self.emit((eid,), -1)
-
-    def all_tuples(self):
-        return [(eid,) for eid in self.counts]
+def _row(el) -> tuple:
+    """The alpha tuple of an element: ``(eid,)`` or ``(rid, src, trg)``."""
+    return (el.id,) if el.kind == ENTITY else (el.id, el.source, el.target)
 
 
-class RelationAlpha(Node):
+class TypeAlpha(Node):
+    """The elements that conform to one type; ``None`` stands for every
+    relation, typed or not.
+
+    ``counts`` holds, per element, how many of its types conform to the
+    alpha's type; ``tuples`` holds its row, kept current across retargets.
+    """
+
     def __init__(self, engine, type_name: Optional[str]):
-        super().__init__(engine, ("$r", "$s", "$t"))
+        space = engine.space
+        supers = space.registry.supers
+        relation = type_name is None or space.registry.kind(type_name) != ENTITY
+        super().__init__(engine, ("$r", "$s", "$t") if relation else ("$e",))
         self.type = type_name
         self.counts: dict[int, int] = {}
         self.tuples: dict[int, tuple] = {}
-        space = engine.space
-        rids = (space.iter_relations() if type_name is None
+        eids = (space.iter_relations() if type_name is None
                 else space.elements_of_type(type_name))
-        for rid in rids:
-            el = space.element(rid)
-            if type_name is None:
-                self.counts[rid] = 1
-            else:
-                self.counts[rid] = sum(
-                    1 for t in el.types if type_name in space.registry.supers(t))
-            self.tuples[rid] = (rid, el.source, el.target)
+        for eid in eids:
+            el = space.element(eid)
+            self.counts[eid] = (1 if type_name is None else
+                                sum(type_name in supers(t) for t in el.types))
+            self.tuples[eid] = _row(el)
 
-    def adjust(self, rid: int, delta: int, endpoints: tuple | None = None) -> None:
-        old = self.counts.get(rid, 0)
-        new = old + delta
-        if new <= 0:
-            self.counts.pop(rid, None)
-        else:
-            self.counts[rid] = new
-        if old == 0 and new > 0:
-            if endpoints is None:
-                el = self.engine.space.element(rid)
-                endpoints = (rid, el.source, el.target)
-            self.tuples[rid] = endpoints
-            self.emit(endpoints, +1)
-        elif old > 0 and new <= 0:
-            self.emit(self.tuples.pop(rid), -1)
-
-    def drop(self, rid: int) -> None:
-        if self.counts.pop(rid, None):
-            self.emit(self.tuples.pop(rid), -1)
+    def adjust(self, eid: int, sign: int, row: tuple | None) -> None:
+        """One conforming type more (``sign`` +1) or fewer (-1) for ``eid``;
+        ``row`` is its tuple, read only when the element enters."""
+        old = self.counts.get(eid, 0)
+        new = old + sign
+        if new > 0:
+            self.counts[eid] = new
+            if old == 0:
+                self.tuples[eid] = row
+                self.emit(row, +1)
+        elif old > 0:
+            del self.counts[eid]
+            self.emit(self.tuples.pop(eid), -1)
 
     def retarget(self, rid: int, end: str, new: int) -> None:
-        if rid not in self.counts:
+        old_t = self.tuples.get(rid)
+        if old_t is None:
             return
-        old_t = self.tuples[rid]
         new_t = (rid, new, old_t[2]) if end == "source" else (rid, old_t[1], new)
         self.tuples[rid] = new_t
         self.emit(old_t, -1)
@@ -140,15 +120,15 @@ class ContainmentAlpha(Node):
             if space.kind(eid) == ENTITY:
                 self.by_elem[eid] = [(eid, anc) for anc in space.ancestors(eid)]
 
-    def add_element(self, eid: int) -> None:
-        pairs = [(eid, anc) for anc in self.engine.space.ancestors(eid)]
-        self.by_elem[eid] = pairs
+    def update(self, eid: int, sign: int) -> None:
+        """Enter (``sign`` +1) or drop (-1) the pairs of entity ``eid``."""
+        if sign > 0:
+            pairs = self.by_elem[eid] = [(eid, anc) for anc in
+                                         self.engine.space.ancestors(eid)]
+        else:
+            pairs = self.by_elem.pop(eid, ())
         for t in pairs:
-            self.emit(t, +1)
-
-    def drop(self, eid: int) -> None:
-        for t in self.by_elem.pop(eid, ()):
-            self.emit(t, -1)
+            self.emit(t, sign)
 
     def all_tuples(self):
         return [t for pairs in self.by_elem.values() for t in pairs]
@@ -361,60 +341,42 @@ class InjectivityNode(Node):
         return [t for t in self.left.all_tuples() if self._ok(t)]
 
 
-class ProjectNode(Node):
-    def __init__(self, engine, left: Node, positions: list[int], schema):
-        super().__init__(engine, schema)
-        self.project = tuple_getter(positions)
-        self.counts: dict[tuple, int] = {}
-        for lt in left.all_tuples():
-            t = self.project(lt)
-            self.counts[t] = self.counts.get(t, 0) + 1
-        left.outputs.append(self.on_left)
-
-    def on_left(self, lt, sign):
-        t = self.project(lt)
-        old = self.counts.get(t, 0)
-        new = old + sign
-        if new <= 0:
-            self.counts.pop(t, None)
-        else:
-            self.counts[t] = new
-        if old == 0 and new > 0:
-            self.emit(t, +1)
-        elif old > 0 and new == 0:
-            self.emit(t, -1)
-
-    def all_tuples(self):
-        return list(self.counts)
-
-
 class ProductionNode(Node):
-    """Per-pattern match memory with an append-only delta log."""
+    """Per-pattern match memory: the projected tuples of every body, each
+    counted once per body tuple that projects onto it.
 
-    def __init__(self, engine, pattern: Pattern, bodies: list[Node]):
+    The delta log starts with the first ``cursor()`` call; a production that
+    is never asked for one logs nothing.
+    """
+
+    def __init__(self, engine, pattern: Pattern,
+                 bodies: list[tuple[Node, list[int]]]):
         super().__init__(engine, pattern.params)
         self.pattern = pattern
         self.counts: dict[tuple, int] = {}
-        self.log: list[tuple[tuple, int]] = []
-        for node in bodies:
+        self.log: list[tuple[tuple, int]] | None = None
+        counts = self.counts
+        for node, positions in bodies:
+            project = tuple_getter(positions)
             for t in node.all_tuples():
-                self.counts[t] = self.counts.get(t, 0) + 1
-        for node in bodies:
-            node.outputs.append(self.on_left)
+                t = project(t)
+                counts[t] = counts.get(t, 0) + 1
+            node.outputs.append(partial(self.on_body, project))
 
-    def on_left(self, t, sign):
+    def on_body(self, project, t, sign):
+        """A body tuple ``t`` appears or goes; ``project`` maps it onto the
+        parameters."""
+        t = project(t)
         old = self.counts.get(t, 0)
         new = old + sign
-        if new <= 0:
-            self.counts.pop(t, None)
-        else:
+        if new > 0:
             self.counts[t] = new
-        if old == 0 and new > 0:
-            self.log.append((t, +1))
-            self.emit(t, +1)
-        elif old > 0 and new == 0:
-            self.log.append((t, -1))
-            self.emit(t, -1)
+        else:
+            self.counts.pop(t, None)
+        if (old > 0) != (new > 0):
+            if self.log is not None:
+                self.log.append((t, sign))
+            self.emit(t, sign)
 
     def match_tuples(self) -> set[tuple]:
         return set(self.counts)
@@ -423,13 +385,13 @@ class ProductionNode(Node):
         """The match tuples without a copy; valid until the next change."""
         return self.counts.keys()
 
-    def matches(self) -> list[dict]:
-        return [dict(zip(self.schema, t)) for t in self.counts]
-
     def count(self) -> int:
         return len(self.counts)
 
     def cursor(self) -> int:
+        """A position in the delta log, which starts here if it has not yet."""
+        if self.log is None:
+            self.log = []
         return len(self.log)
 
     def delta_since(self, cursor: int) -> tuple[set, set]:
@@ -444,6 +406,10 @@ class ProductionNode(Node):
         return list(self.counts)
 
 
+# membership events and the sign they give to the element's types
+_SIGNS = {ElementCreated: +1, ElementDeleted: -1, TypeAdded: +1, TypeRemoved: -1}
+
+
 class ReteEngine:
     """Network manager; one instance per (space, pattern set)."""
 
@@ -453,18 +419,11 @@ class ReteEngine:
         self.nodes: list[Node] = []
         self.check_nodes: list[CheckNode] = []
         self.productions: dict[str, ProductionNode] = {}
-        self._ent_alphas: dict[str, EntityAlpha] = {}
-        self._rel_alphas: dict[Optional[str], RelationAlpha] = {}
+        # type names are unique across kinds; None is the untyped relation alpha
+        self._alphas: dict[Optional[str], TypeAlpha] = {}
         self._containment: ContainmentAlpha | None = None
-        self._seed: SeedNode | None = None
+        self._seed = SeedNode(self)
         space.subscribe(self._on_change)
-
-    def close(self) -> None:
-        self.space.unsubscribe(self._on_change)
-
-    def on_change(self, ev) -> None:
-        """Feed one change event; normally driven by the space subscription."""
-        self._on_change(ev)
 
     @property
     def node_count(self) -> int:
@@ -472,23 +431,10 @@ class ReteEngine:
 
     # -- network building ----------------------------------------------------
 
-    def _seed_node(self) -> SeedNode:
-        if self._seed is None:
-            self._seed = SeedNode(self)
-        return self._seed
-
-    def _entity_alpha(self, type_name: str) -> EntityAlpha:
-        node = self._ent_alphas.get(type_name)
+    def _alpha(self, type_name: Optional[str]) -> TypeAlpha:
+        node = self._alphas.get(type_name)
         if node is None:
-            node = EntityAlpha(self, type_name)
-            self._ent_alphas[type_name] = node
-        return node
-
-    def _relation_alpha(self, type_name: Optional[str]) -> RelationAlpha:
-        node = self._rel_alphas.get(type_name)
-        if node is None:
-            node = RelationAlpha(self, type_name)
-            self._rel_alphas[type_name] = node
+            node = self._alphas[type_name] = TypeAlpha(self, type_name)
         return node
 
     def _containment_alpha(self) -> ContainmentAlpha:
@@ -514,18 +460,19 @@ class ReteEngine:
         self.productions[name] = prod
         return prod
 
-    def _compile_body(self, pattern: Pattern, body) -> Node:
+    def _compile_body(self, pattern: Pattern, body) -> tuple[Node, list[int]]:
+        """The body's last node and the positions of the parameters in it."""
         plan = schedule(body.constraints, pattern.params, frozenset())
-        current: Node = self._seed_node()
+        current: Node = self._seed
         for c in plan:
             if isinstance(c, EntityC):
-                current = JoinNode(self, current, self._entity_alpha(c.type), (c.var,))
+                current = JoinNode(self, current, self._alpha(c.type), (c.var,))
                 if c.in_var is not None:
                     # `in <namespace>` is vacuous (everything is under root)
                     current = JoinNode(self, current, self._containment_alpha(),
                                        (c.var, c.in_var))
             elif isinstance(c, RelationC):
-                current = JoinNode(self, current, self._relation_alpha(c.type),
+                current = JoinNode(self, current, self._alpha(c.type),
                                    (c.rel, c.src, c.trg))
             elif isinstance(c, FindC):
                 current = JoinNode(self, current, self.productions[c.pattern], c.args)
@@ -544,77 +491,41 @@ class ReteEngine:
             if len(positions) > 1:
                 current = InjectivityNode(self, current, positions)
         try:
-            positions = [current.schema.index(p) for p in pattern.params]
+            return current, [current.schema.index(p) for p in pattern.params]
         except ValueError:
             raise MatcherError(
                 f"pattern {pattern.name} has a parameter bound only under "
                 f"neg find; it cannot be enumerated") from None
-        return ProjectNode(self, current, positions, pattern.params)
-
-    # -- queries ---------------------------------------------------------------
-
-    def matches(self, name: str) -> set[tuple]:
-        return self.register(name).match_tuples()
-
-    def count(self, name: str) -> int:
-        return self.register(name).count()
 
     # -- event dispatch ----------------------------------------------------------
 
     def _on_change(self, ev) -> None:
-        supers = self.space.registry.supers
-        if isinstance(ev, ElementCreated):
-            if ev.kind == ENTITY:
-                for t in ev.types:
-                    for s in supers(t):
-                        alpha = self._ent_alphas.get(s)
-                        if alpha is not None:
-                            alpha.adjust(ev.subject, +1)
-                if self._containment is not None:
-                    self._containment.add_element(ev.subject)
+        sign = _SIGNS.get(type(ev))
+        if sign is not None:
+            # the alphas of the supertypes of each type the element gains or
+            # loses; a whole element also enters or leaves the untyped
+            # relation alpha or the containment alpha
+            eid = ev.subject
+            alphas = self._alphas
+            if isinstance(ev, (TypeAdded, TypeRemoved)):
+                types = (ev.type,)
+                row = _row(self.space.element(eid)) if sign > 0 else None
             else:
-                endpoints = (ev.subject, ev.source, ev.target)
-                untyped = self._rel_alphas.get(None)
-                if untyped is not None:
-                    untyped.adjust(ev.subject, +1, endpoints)
-                for t in ev.types:
-                    for s in supers(t):
-                        alpha = self._rel_alphas.get(s)
-                        if alpha is not None:
-                            alpha.adjust(ev.subject, +1, endpoints)
-        elif isinstance(ev, ElementDeleted):
-            if ev.kind == ENTITY:
-                for alpha in self._ent_alphas.values():
-                    alpha.drop(ev.subject)
-                if self._containment is not None:
-                    self._containment.drop(ev.subject)
-            else:
-                for alpha in self._rel_alphas.values():
-                    alpha.drop(ev.subject)
-        elif isinstance(ev, TypeAdded):
-            kind = self.space.registry.kind(ev.type)
-            for s in supers(ev.type):
-                if kind == ENTITY:
-                    alpha = self._ent_alphas.get(s)
+                types = ev.types
+                row = (eid,) if ev.kind == ENTITY else (eid, ev.source, ev.target)
+                if ev.kind == ENTITY:
+                    if self._containment is not None:
+                        self._containment.update(eid, sign)
+                elif None in alphas:
+                    alphas[None].adjust(eid, sign, row)
+            supers = self.space.registry.supers
+            for t in types:
+                for s in supers(t):
+                    alpha = alphas.get(s)
                     if alpha is not None:
-                        alpha.adjust(ev.subject, +1)
-                else:
-                    alpha = self._rel_alphas.get(s)
-                    if alpha is not None:
-                        alpha.adjust(ev.subject, +1)
-        elif isinstance(ev, TypeRemoved):
-            kind = self.space.registry.kind(ev.type)
-            for s in supers(ev.type):
-                if kind == ENTITY:
-                    alpha = self._ent_alphas.get(s)
-                    if alpha is not None:
-                        alpha.adjust(ev.subject, -1)
-                else:
-                    alpha = self._rel_alphas.get(s)
-                    if alpha is not None:
-                        alpha.adjust(ev.subject, -1)
+                        alpha.adjust(eid, sign, row)
         elif isinstance(ev, EndpointRetargeted):
-            for alpha in self._rel_alphas.values():
+            for alpha in self._alphas.values():
                 alpha.retarget(ev.subject, ev.end, ev.new)
         elif isinstance(ev, (ValueSet, Renamed)):
             for node in self.check_nodes:

@@ -23,9 +23,13 @@ from .patterns import (CheckC, CountC, EntityC, FlattenError, NegC,
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
-# rule calls nest at most this deep; each level takes several interpreter
-# frames, so this stays well inside Python's default recursion limit
+# rule calls nest at most this deep
 MAX_CALL_DEPTH = 100
+# statement executions nest at most this deep, through rule calls and GT
+# actions. Each level takes at most three interpreter frames, so a run stops
+# with an ExecError well inside Python's default recursion limit of 1000 and
+# leaves room for the matchers and for Rete propagation.
+MAX_EXEC_DEPTH = 240
 
 
 def step_budget_from_env() -> int:
@@ -540,6 +544,7 @@ class VM:
         self.step_budget = step_budget
         self.ls = LocalSearchMatcher(space, program.patterns)
         self._rete = None
+        self.exec_depth = 0  # statement executions open, see MAX_EXEC_DEPTH
 
     # -- pattern queries -----------------------------------------------------
 
@@ -677,15 +682,8 @@ def _call_rule(ctx: _Ctx, machine_name: str, rule: AsmRule, args, caller: Frame)
 
 def _source_binding(ctx: _Ctx, frame: Frame, params: tuple[str, ...],
                     args: tuple[str, ...], to_bind: set[str]) -> dict:
-    binding: dict[str, object] = {}
-    for param, arg in zip(params, args):
-        if arg in to_bind:
-            continue
-        value = frame.lookup(arg)
-        if param in binding and binding[param] != value:
-            raise ExecError(f"conflicting bindings for {param}")
-        binding[param] = value
-    return binding
+    return {param: frame.lookup(arg) for param, arg in zip(params, args)
+            if arg not in to_bind}
 
 
 def _bind_match_vars(frame: Frame, params, args, to_bind, match: dict) -> Frame:
@@ -741,92 +739,99 @@ def _bind_gt_outs(ctx: _Ctx, frame: Frame, stmt, gt: CompiledGt, result: dict) -
 
 def _exec(ctx: _Ctx, frame: Frame, stmt) -> None:
     vm = ctx.vm
-    space = vm.space
-    if isinstance(stmt, Seq):
-        for s in stmt.stmts:
-            _exec(ctx, frame, s)
-    elif isinstance(stmt, Let):
-        child = Frame(frame)
-        for name, init in stmt.inits:
-            child.declare(name, ex.eval_expr(init, child.lookup, space))
-        _exec(ctx, child, stmt.body)
-    elif isinstance(stmt, Update):
-        frame.assign(stmt.var, _eval(ctx, frame, stmt.expr))
-    elif isinstance(stmt, If):
-        cond = _eval(ctx, frame, stmt.cond)
-        if not isinstance(cond, bool):
-            raise ExecError("if condition must be a comparison")
-        if cond:
-            _exec(ctx, frame, stmt.then)
-        elif stmt.els is not None:
-            _exec(ctx, frame, stmt.els)
-    elif isinstance(stmt, Try):
-        try:
-            _exec(ctx, frame, stmt.inner)
-        except ChooseFailed:
-            pass
-    elif isinstance(stmt, Choose):
-        _exec_choose(ctx, frame, stmt)
-    elif isinstance(stmt, Forall):
-        _exec_forall(ctx, frame, stmt)
-    elif isinstance(stmt, Iterate):
-        steps = 0
-        while True:
+    if vm.exec_depth >= MAX_EXEC_DEPTH:
+        raise ExecError(f"statements nested deeper than {MAX_EXEC_DEPTH} "
+                        f"(rule bodies included)")
+    vm.exec_depth += 1
+    try:
+        space = vm.space
+        if isinstance(stmt, Seq):
+            for s in stmt.stmts:
+                _exec(ctx, frame, s)
+        elif isinstance(stmt, Let):
+            child = Frame(frame)
+            for name, init in stmt.inits:
+                child.declare(name, ex.eval_expr(init, child.lookup, space))
+            _exec(ctx, child, stmt.body)
+        elif isinstance(stmt, Update):
+            frame.assign(stmt.var, _eval(ctx, frame, stmt.expr))
+        elif isinstance(stmt, If):
+            cond = _eval(ctx, frame, stmt.cond)
+            if not isinstance(cond, bool):
+                raise ExecError("if condition must be a comparison")
+            if cond:
+                _exec(ctx, frame, stmt.then)
+            elif stmt.els is not None:
+                _exec(ctx, frame, stmt.els)
+        elif isinstance(stmt, Try):
             try:
                 _exec(ctx, frame, stmt.inner)
             except ChooseFailed:
-                break
-            steps += 1
-            if steps > vm.step_budget:
-                raise DivergenceError(
-                    f"iterate exceeded the step budget ({vm.step_budget})")
-    elif isinstance(stmt, Call):
-        rule_name = vm.program.resolve(ctx.machine.name, "rule", stmt.ref)
-        machine_name, rule = vm.program.rules[rule_name]
-        _call_rule(ctx, machine_name, rule, list(stmt.args), frame)
-    elif isinstance(stmt, Println):
-        text = _as_text(_eval(ctx, frame, stmt.expr))
-        ctx.report.log.append(text)
-        if vm.echo:
-            print(text)
-    elif isinstance(stmt, Skip):
-        pass
-    elif isinstance(stmt, NewEntity):
-        t = vm.program.resolve_type(ctx.machine.name, stmt.type)
-        if stmt.container is None or stmt.container.kind == "root":
-            parent = ROOT_ID
+                pass
+        elif isinstance(stmt, Choose):
+            _exec_choose(ctx, frame, stmt)
+        elif isinstance(stmt, Forall):
+            _exec_forall(ctx, frame, stmt)
+        elif isinstance(stmt, Iterate):
+            steps = 0
+            while True:
+                try:
+                    _exec(ctx, frame, stmt.inner)
+                except ChooseFailed:
+                    break
+                steps += 1
+                if steps > vm.step_budget:
+                    raise DivergenceError(
+                        f"iterate exceeded the step budget ({vm.step_budget})")
+        elif isinstance(stmt, Call):
+            rule_name = vm.program.resolve(ctx.machine.name, "rule", stmt.ref)
+            machine_name, rule = vm.program.rules[rule_name]
+            _call_rule(ctx, machine_name, rule, list(stmt.args), frame)
+        elif isinstance(stmt, Println):
+            text = _as_text(_eval(ctx, frame, stmt.expr))
+            ctx.report.log.append(text)
+            if vm.echo:
+                print(text)
+        elif isinstance(stmt, Skip):
+            pass
+        elif isinstance(stmt, NewEntity):
+            t = vm.program.resolve_type(ctx.machine.name, stmt.type)
+            if stmt.container is None or stmt.container.kind == "root":
+                parent = ROOT_ID
+            else:
+                parent = frame.lookup(stmt.container.name)
+                if not isinstance(parent, int):
+                    raise ExecError(f"container {stmt.container.name} is not an element")
+            frame.assign(stmt.var, space.new_entity(t, parent))
+        elif isinstance(stmt, NewRelation):
+            t = (vm.program.resolve_type(ctx.machine.name, stmt.type)
+                 if stmt.type is not None else None)
+            src = frame.lookup(stmt.src)
+            trg = frame.lookup(stmt.trg)
+            frame.assign(stmt.var, space.new_relation(t, src, trg))
+        elif isinstance(stmt, NewInstanceOf):
+            t = vm.program.resolve_type(ctx.machine.name, stmt.type)
+            space.add_type(frame.lookup(stmt.var), t)
+        elif isinstance(stmt, DeleteInstanceOf):
+            t = vm.program.resolve_type(ctx.machine.name, stmt.type)
+            space.remove_type(frame.lookup(stmt.var), t)
+        elif isinstance(stmt, DeleteStmt):
+            space.delete(_element(ctx, frame, stmt.expr, "delete"))
+        elif isinstance(stmt, SetValueStmt):
+            space.set_value(_element(ctx, frame, stmt.target, "setValue"),
+                            _eval(ctx, frame, stmt.value))
+        elif isinstance(stmt, SetToStmt):
+            space.set_target(_element(ctx, frame, stmt.rel, "setTo"),
+                             _element(ctx, frame, stmt.target, "setTo"))
+        elif isinstance(stmt, RenameStmt):
+            name = _eval(ctx, frame, stmt.name)
+            if not isinstance(name, str):
+                raise ExecError("rename needs a string name")
+            space.rename(_element(ctx, frame, stmt.target, "rename"), name)
         else:
-            parent = frame.lookup(stmt.container.name)
-            if not isinstance(parent, int):
-                raise ExecError(f"container {stmt.container.name} is not an element")
-        frame.assign(stmt.var, space.new_entity(t, parent))
-    elif isinstance(stmt, NewRelation):
-        t = (vm.program.resolve_type(ctx.machine.name, stmt.type)
-             if stmt.type is not None else None)
-        src = frame.lookup(stmt.src)
-        trg = frame.lookup(stmt.trg)
-        frame.assign(stmt.var, space.new_relation(t, src, trg))
-    elif isinstance(stmt, NewInstanceOf):
-        t = vm.program.resolve_type(ctx.machine.name, stmt.type)
-        space.add_type(frame.lookup(stmt.var), t)
-    elif isinstance(stmt, DeleteInstanceOf):
-        t = vm.program.resolve_type(ctx.machine.name, stmt.type)
-        space.remove_type(frame.lookup(stmt.var), t)
-    elif isinstance(stmt, DeleteStmt):
-        space.delete(_element(ctx, frame, stmt.expr, "delete"))
-    elif isinstance(stmt, SetValueStmt):
-        space.set_value(_element(ctx, frame, stmt.target, "setValue"),
-                        _eval(ctx, frame, stmt.value))
-    elif isinstance(stmt, SetToStmt):
-        space.set_target(_element(ctx, frame, stmt.rel, "setTo"),
-                         _element(ctx, frame, stmt.target, "setTo"))
-    elif isinstance(stmt, RenameStmt):
-        name = _eval(ctx, frame, stmt.name)
-        if not isinstance(name, str):
-            raise ExecError("rename needs a string name")
-        space.rename(_element(ctx, frame, stmt.target, "rename"), name)
-    else:
-        raise ExecError(f"cannot execute {stmt!r}")
+            raise ExecError(f"cannot execute {stmt!r}")
+    finally:
+        vm.exec_depth -= 1
 
 
 def _exec_choose(ctx: _Ctx, frame: Frame, stmt: Choose) -> None:

@@ -116,11 +116,17 @@ def tokenize(source: str) -> list[Token]:
 
 # --- parser -------------------------------------------------------------------
 
+# Statements, pattern bodies, parenthesised and call expressions and the
+# operands of a `+` chain nest at most this deep, which bounds the recursion
+# of the parser, the linker, the printer and the evaluator alike.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -165,6 +171,13 @@ class _Parser:
 
     def semi(self) -> None:
         self.accept(";")
+
+    def deeper(self) -> None:
+        """Enter one more level of nesting; callers step back out with
+        ``self.depth -= 1``."""
+        if self.depth >= MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
     # -- machine ---------------------------------------------------------------
 
@@ -217,25 +230,21 @@ class _Parser:
         shareable = self.accept("shareable")
         self.expect("pattern")
         name = self.ident()
-        self.expect("(")
-        params = []
-        if not self.at(")"):
-            params.append(self.ident())
-            while self.accept(","):
-                params.append(self.ident())
-        self.expect(")")
+        params = self.arg_list()
         self.expect("=")
         bodies = [self.pattern_body()]
         while self.accept("or"):
             bodies.append(self.pattern_body())
-        return Pattern(name, tuple(params), tuple(bodies), shareable=shareable,
+        return Pattern(name, params, tuple(bodies), shareable=shareable,
                        localsearch="localsearch" in annotations)
 
     def pattern_body(self) -> Body:
         self.expect("{")
+        self.deeper()
         constraints = []
         while not self.at("}"):
             constraints.append(self.constraint())
+        self.depth -= 1
         self.expect("}")
         return Body(tuple(constraints))
 
@@ -361,6 +370,12 @@ class _Parser:
     # -- statements -------------------------------------------------------------------
 
     def statement(self):
+        self.deeper()
+        stmt = self._statement()
+        self.depth -= 1
+        return stmt
+
+    def _statement(self):
         if self.accept("seq"):
             self.expect("{")
             stmts = []
@@ -440,13 +455,7 @@ class _Parser:
         if self.accept("delete"):
             self.expect("(")
             if self.at("instanceOf"):
-                self.next()
-                self.expect("(")
-                var = self.ident()
-                self.expect(",")
-                type_name = self.dotted()
-                self.expect(")")
-                stmt = ir.DeleteInstanceOf(var, type_name)
+                stmt = ir.DeleteInstanceOf(*self.instance_of())
             else:
                 stmt = ir.DeleteStmt(self.expr())
             self.expect(")")
@@ -484,6 +493,16 @@ class _Parser:
         self.expect("do")
         return ir.Choose(tuple(vars_), source, self.statement())
 
+    def instance_of(self) -> tuple[str, str]:
+        """``instanceOf(Var, type)`` as (var, type name)."""
+        self.expect("instanceOf")
+        self.expect("(")
+        var = self.ident()
+        self.expect(",")
+        type_name = self.dotted()
+        self.expect(")")
+        return var, type_name
+
     def source(self):
         if self.accept("find"):
             return ir.FindSource(self.dotted(), self.arg_list())
@@ -499,13 +518,7 @@ class _Parser:
                 self.error("relation(...) takes exactly 3 arguments")
             return ir.NewRelation(None, *args)
         if self.at("instanceOf"):
-            self.next()
-            self.expect("(")
-            var = self.ident()
-            self.expect(",")
-            type_name = self.dotted()
-            self.expect(")")
-            return ir.NewInstanceOf(var, type_name)
+            return ir.NewInstanceOf(*self.instance_of())
         type_name = self.dotted()
         args = self.arg_list()
         if len(args) == 1:
@@ -529,11 +542,22 @@ class _Parser:
         return left
 
     def additive(self) -> ex.Expr:
+        depth = self.depth
         left = self.primary()
         while self.at("+"):
             self.next()
+            self.deeper()  # the chain is a left-deep tree
             left = ex.BinOp("+", left, self.primary())
+        self.depth = depth
         return left
+
+    def parenthesised(self) -> ex.Expr:
+        self.expect("(")
+        self.deeper()
+        e = self.expr()
+        self.depth -= 1
+        self.expect(")")
+        return e
 
     def primary(self) -> ex.Expr:
         tok = self.peek()
@@ -547,20 +571,12 @@ class _Parser:
             return ex.Lit(None)
         if self.at("value") and self.peek(1).text == "(":
             self.next()
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            return ex.ValueOf(e)
+            return ex.ValueOf(self.parenthesised())
         if self.at("name") and self.peek(1).text == "(":
             self.next()
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            return ex.NameOf(e)
-        if self.accept("("):
-            e = self.expr()
-            self.expect(")")
-            return e
+            return ex.NameOf(self.parenthesised())
+        if self.at("("):
+            return self.parenthesised()
         if tok.kind == "ident":
             self.next()
             return ex.Var(tok.text)
@@ -570,11 +586,6 @@ class _Parser:
 def parse(source: str) -> ir.Machine:
     """Parse one machine definition."""
     return _Parser(source).machine()
-
-
-def parse_file(path) -> ir.Machine:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse(f.read())
 
 
 # --- pretty printer ---------------------------------------------------------------

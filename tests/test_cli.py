@@ -75,6 +75,19 @@ def test_run_self_calling_rule(tmp_path, capsys):
     assert "nested deeper than" in capsys.readouterr().err
 
 
+def test_run_deep_nesting(tmp_path, capsys):
+    src = tmp_path / "deep.vtcl"
+    src.write_text("machine deep{ rule main() = " + "seq{ " * 3000 + "skip;"
+                   + " }" * 3000 + " }")
+    assert main(["run", str(src)]) == 1
+    assert "nesting deeper than" in capsys.readouterr().err
+    src.write_text("machine deep{ rule down(in N) = " + "seq{ " * 8
+                   + "if (N != 98) call down(N + 1);" + " }" * 8
+                   + " rule main() = call down(0); }")
+    assert main(["run", str(src)]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
 def test_match_dangling(tmp_path, capsys):
     gms = tmp_path / "d.gms"
     snapshot.save_file(load_fixture("dangling"), gms)

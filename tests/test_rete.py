@@ -220,3 +220,84 @@ def test_erroring_check_is_a_non_match(triangle, matcher):
     assert vm.query_all("m.plusOne") == []  # value(Node) is undef
     assert vm.query_first("m.plusOne") is None
     assert oracle.BruteForce(triangle, program.patterns).match_set("m.plusOne") == set()
+
+
+def test_production_keeps_no_log_until_cursor():
+    space = load_fixture("triangle")
+    _, rete = engines(space)
+    handle = rete.register("graphPatterns.edgeFromTo")
+    run_script(space, random.Random(7), 30, lambda: None)
+    assert handle.log is None
+    cursor = handle.cursor()
+    assert cursor == 0 and handle.log == []
+
+
+def test_iter_asm_run_keeps_no_delta_log():
+    from gtvm.rules import VM
+    space = load_fixture("random", n=12, e=24, seed=1)
+    task_files, entry = corpus.TASKS[("2.6", "iter-asm")]
+    program = corpus.load_program(list(task_files), space.registry)
+    vm = VM(program, space, matcher="inc")
+    vm.run(entry)
+    assert vm._rete.productions
+    assert all(p.log is None for p in vm._rete.productions.values())
+
+
+SHARED_SUPER = """
+machine m{
+  pattern s(X) = { t.S(X); }
+  pattern a(X) = { t.A(X); }
+  pattern sNotA(X) = { t.S(X); neg find a(X); }
+  pattern sOnly(X) = { t.S(X); neg find a(X); neg find b(X); }
+  pattern b(X) = { t.B(X); }
+  pattern r(R, X, Y) = { t.R(R, X, Y); }
+  pattern rNotR1(R, X, Y) = { t.R(R, X, Y); neg find r1(R, X, Y); }
+  pattern r1(R, X, Y) = { t.R1(R, X, Y); }
+  pattern anyRel(R, X, Y) = { relation(R, X, Y); }
+  pattern sAtBoth(R, X) = { t.R(R, X, Y); t.S(X); t.S(Y); }
+}"""
+
+
+def shared_super_space():
+    from gtvm.modelspace import ENTITY, RELATION, ModelSpace, TypeRegistry
+    registry = TypeRegistry()
+    registry.register("t.S", ENTITY)
+    registry.register("t.A", ENTITY, "t.S")
+    registry.register("t.B", ENTITY, "t.S")
+    registry.register("t.R", RELATION)
+    registry.register("t.R1", RELATION, "t.R")
+    registry.register("t.R2", RELATION, "t.R")
+    return ModelSpace(registry)
+
+
+@pytest.mark.parametrize("kind", ["entity", "relation"])
+def test_two_types_with_a_common_supertype(kind):
+    """The supertype alpha counts the element's conforming types: it keeps
+    the element while either type stays, and drops it with the last."""
+    from gtvm.vtcl import link, parse
+    space = shared_super_space()
+    program = link([parse(SHARED_SUPER)], space.registry)
+    ls = LocalSearchMatcher(space, program.patterns)
+    rete = ReteEngine(space, program.patterns)
+    handles = {n: rete.register(n) for n in program.patterns}
+    x, y = space.new_entity("t.A"), space.new_entity("t.B")
+    if kind == "entity":
+        subject, first, second = space.new_entity("t.A"), "t.A", "t.B"
+    else:
+        subject, first, second = space.new_relation("t.R1", x, y), "t.R1", "t.R2"
+    steps = [(space.add_type, second), (space.remove_type, first),
+             (space.remove_type, second), (space.add_type, first),
+             (space.add_type, second), (space.delete, None)]  # deleted with both
+
+    def check(step):
+        for n, h in handles.items():
+            assert h.match_tuples() == ls.match_set(n), (step, n)
+
+    check("start")
+    for op, type_name in steps:
+        if type_name is None:
+            op(subject)
+        else:
+            op(subject, type_name)
+        check((op.__name__, type_name))
+    assert not any(subject in t for h in handles.values() for t in h.match_tuples())

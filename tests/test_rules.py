@@ -4,7 +4,7 @@ from gtvm import corpus
 from gtvm.corpus.fixtures import G1, load_fixture
 from gtvm.errors import DivergenceError, ExecError, LinkError
 from gtvm.matcher_ls import LocalSearchMatcher
-from gtvm.rules import MAX_CALL_DEPTH, VM
+from gtvm.rules import MAX_CALL_DEPTH, MAX_EXEC_DEPTH, VM
 from gtvm.vtcl import link, parse
 
 HEADER = "import datatypes;\nimport nemf.packages;\nimport nemf.ecore.datatypes;\n"
@@ -437,6 +437,36 @@ def test_call_depth_limit():
     with pytest.raises(ExecError) as err:
         run_source(deep % (MAX_CALL_DEPTH - 1))
     assert "nested deeper than" in str(err.value)
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_statement_nesting_limit(matcher):
+    """Rule bodies nested 8 seq deep recursing 98 deep stay below the call
+    limit but past the statement-nesting limit: an ExecError, raised before
+    Python's recursion limit and between, never inside, Rete updates."""
+    deep = """
+    machine m{
+      pattern node(N) = { graph1.Node(N); }
+      rule down(in N) = %s let X = undef in if (N != %d)
+        seq{ new(graph1.Node(X)); call down(N + 1); } %s
+      rule main() = seq{ call down(0); println("bottom"); }
+    }"""
+    space = load_fixture("empty")
+    src = deep % ("seq{ " * 8, 98, " }" * 8)
+    program = link([machine(src)], space.registry)
+    vm = VM(program, space, matcher=matcher)
+    if matcher == "inc":
+        handle = vm._rete_engine().register("m.node")
+    with pytest.raises(ExecError) as err:
+        vm.run("m")
+    assert f"nested deeper than {MAX_EXEC_DEPTH}" in str(err.value)
+    assert vm.exec_depth == 0
+    created = LocalSearchMatcher(space, program.patterns).match_set("m.node")
+    assert 0 < len(created) < 98
+    if matcher == "inc":
+        assert handle.match_tuples() == created
+    report, _, _ = run_source(deep % ("seq{ " * 8, 10, " }" * 8), matcher=matcher)
+    assert report.log == ["bottom"]
 
 
 def test_if_requires_comparison():

@@ -137,3 +137,30 @@ def test_forall_var_must_occur_in_args(registry):
     with pytest.raises(LinkError) as err:
         link([bad, corpus.load_machine("graphPatterns")], registry)
     assert "Ghost" in str(err.value)
+
+
+@pytest.mark.parametrize("depth", [100, 3000])
+def test_deep_statement_nesting_is_a_parse_error(depth):
+    src = "machine m{ rule main() = " + "seq{ " * depth + "skip;" + " }" * depth + " }"
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert "nesting deeper than" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "value(" * 3000 + "X" + ")" * 3000,
+    "+".join(["1"] * 3000),
+])
+def test_deep_expression_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse("machine m{ rule main() = println(" + text + "); }")
+    assert "nesting deeper than" in str(err.value)
+
+
+def test_nesting_within_the_limit_parses():
+    from gtvm.vtcl import MAX_NESTING
+    depth = MAX_NESTING // 2 - 1  # depth seqs, println, depth parens
+    stmt = "seq{ " * depth + "println(" + "(" * depth + "1" + ")" * depth + ");" + " }" * depth
+    m = parse("machine m{ rule main() = " + stmt + " }")
+    assert parse(pretty(m)) == m
