@@ -106,8 +106,18 @@ def _element_arg(e: Expr, lookup, space, fn: str) -> int:
     return v
 
 
+def _comparison(e: Expr) -> bool:
+    return isinstance(e, BinOp) and e.op != "+"
+
+
 def render_expr(e: Expr) -> str:
-    """Canonical VTCL text of an expression (for the pretty printer)."""
+    """Canonical VTCL text of an expression (for the pretty printer).
+
+    Only the parentheses the grammar needs are printed: around a comparison
+    that is an operand, and around a ``+`` that is the right operand of
+    ``+``, since ``a + b + c`` parses as ``(a + b) + c``. The text therefore
+    nests no deeper than any text that parses to ``e``.
+    """
     if isinstance(e, Lit):
         if e.value is UNDEF:
             return "undef"
@@ -122,5 +132,10 @@ def render_expr(e: Expr) -> str:
     if isinstance(e, NameOf):
         return f"name({render_expr(e.arg)})"
     if isinstance(e, BinOp):
-        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
+        left, right = render_expr(e.left), render_expr(e.right)
+        if _comparison(e.left):
+            left = f"({left})"
+        if _comparison(e.right) or (e.op == "+" and isinstance(e.right, BinOp)):
+            right = f"({right})"
+        return f"{left} {e.op} {right}"
     raise AssertionError(e)

@@ -5,17 +5,27 @@ chosen greedily per (pattern, bound-parameter set) and cached; recursive
 patterns are evaluated by least-fixpoint tabling over their call cycle
 (semi-naive for bodies with a single in-cycle call), so evaluation terminates
 on cyclic graphs. Match order is deterministic: sorted by bound values.
+
+Answers are memoized per ``space.version``; the first query after a change
+drops them all. A pattern's unbound answer set, once held (searched, or
+tabled for a recursive pattern), also answers every bound call to it through
+a hash index keyed by the bound parameter positions, built on first use.
+A bound call whose pattern has no unbound set held is searched with its
+binding pushed down, and its answers are memoized by binding; no unbound set
+is ever built only to serve a bound call. The tabling bases (table and delta
+of each cycle member) are indexed the same way, and an index of a growing
+table takes each added tuple, so none serves a stale set.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
 
 from . import expr as ex
 from .errors import PatternError, SpaceError
 from .modelspace import RELATION, ModelSpace
 from .patterns import (Body, CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, schedule)
+                       RelationC, consistency_test, schedule, tuple_getter)
 
 
 def order_key(values) -> tuple:
@@ -43,6 +53,42 @@ def least(tuples) -> tuple | None:
         return min(tuples, key=order_key, default=None)
 
 
+class AnswerSet:
+    """The answer tuples of one pattern, with hash indexes keyed by bound
+    parameter positions. An index is built on the first lookup with its
+    positions and takes every tuple that ``add`` brings later."""
+
+    __slots__ = ("tuples", "arity", "_indexes")
+
+    def __init__(self, tuples: set[tuple], arity: int):
+        self.tuples = tuples
+        self.arity = arity
+        # positions -> (key getter, key -> tuples with that key)
+        self._indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+
+    def lookup(self, positions: tuple[int, ...], key: tuple) -> Collection[tuple]:
+        """The tuples whose values at ``positions`` (ascending) are ``key``."""
+        if not positions:
+            return self.tuples
+        if len(positions) == self.arity:
+            return (key,) if key in self.tuples else ()
+        entry = self._indexes.get(positions)
+        if entry is None:
+            getter = tuple_getter(positions)
+            index: dict[tuple, list[tuple]] = {}
+            for t in self.tuples:
+                index.setdefault(getter(t), []).append(t)
+            entry = self._indexes[positions] = (getter, index)
+        return entry[1].get(key, ())
+
+    def add(self, new: set[tuple]) -> None:
+        """Add ``new``, none of whose tuples is held yet."""
+        self.tuples |= new
+        for getter, index in self._indexes.values():
+            for t in new:
+                index.setdefault(getter(t), []).append(t)
+
+
 class LocalSearchMatcher:
     """Query interface over a space and a closed, validated pattern set."""
 
@@ -50,9 +96,11 @@ class LocalSearchMatcher:
         self.space = space
         self.patterns = dict(patterns)
         self._plans: dict = {}
-        self._memo_version = -1
-        self._memo: dict = {}
-        self._tables: dict[str, set[tuple]] = {}
+        # answers at space.version == self._version: unbound answer sets and
+        # tables by pattern, bound searches by (pattern, positions, key)
+        self._version = -1
+        self._held: dict[str, AnswerSet] = {}
+        self._memo: dict[tuple, set[tuple]] = {}
         # call arguments -> their repeated-variable test (None: no repeat)
         self._arg_tests: dict[tuple[str, ...], Callable[[tuple], bool] | None] = {}
         self.shuffle = None  # test hook: random.Random for plan randomization
@@ -61,8 +109,7 @@ class LocalSearchMatcher:
 
     def match_all(self, name: str, binding: dict | None = None) -> list[dict]:
         p = self._pattern(name)
-        b = self._checked_binding(p, binding)
-        tuples = self._solve(p, b)
+        tuples = self._query(p, binding)
         params = p.params
         return [dict(zip(params, t)) for t in in_order(tuples)]
 
@@ -71,12 +118,10 @@ class LocalSearchMatcher:
         return all_[0] if all_ else None
 
     def count(self, name: str, binding: dict | None = None) -> int:
-        p = self._pattern(name)
-        return len(self._solve(p, self._checked_binding(p, binding)))
+        return len(self._query(self._pattern(name), binding))
 
     def match_set(self, name: str, binding: dict | None = None) -> frozenset[tuple]:
-        p = self._pattern(name)
-        return frozenset(self._solve(p, self._checked_binding(p, binding)))
+        return frozenset(self._query(self._pattern(name), binding))
 
     # -- plumbing -------------------------------------------------------------
 
@@ -85,6 +130,11 @@ class LocalSearchMatcher:
             return self.patterns[name]
         except KeyError:
             raise PatternError(f"unknown pattern {name}") from None
+
+    def _query(self, p: Pattern, binding: dict | None) -> Collection[tuple]:
+        b = self._checked_binding(p, binding)
+        positions = tuple(sorted(p.params.index(v) for v in b))
+        return self._solve(p, positions, tuple(b[p.params[i]] for i in positions))
 
     def _checked_binding(self, p: Pattern, binding: dict | None) -> dict:
         if not binding:
@@ -110,53 +160,63 @@ class LocalSearchMatcher:
 
     def _size_hint(self, c) -> int:
         if isinstance(c, EntityC):
-            return len(self.space.elements_of_type(c.type))
+            return self.space.count_of_type(c.type)
         if isinstance(c, RelationC):
             if c.type is None:
-                return len(self.space.iter_relations())
-            return len(self.space.elements_of_type(c.type))
-        return 8
+                return self.space.relation_count()
+            return self.space.count_of_type(c.type)
+        # a call: a partly bound one ranks ahead of a type scan of 2 or more
+        return 1
 
     # -- evaluation -----------------------------------------------------------
 
-    def _solve(self, p: Pattern, binding: dict) -> set[tuple]:
-        if p.recursive:
-            table = self._table(p)
-            if not binding:
-                return set(table)
-            idx = [p.params.index(v) for v in binding]
-            vals = list(binding.values())
-            return {t for t in table if all(t[i] == v for i, v in zip(idx, vals))}
+    def _sync(self) -> None:
+        if self._version != self.space.version:
+            self._held.clear()
+            self._memo.clear()
+            self._version = self.space.version
 
-        if self.shuffle is None:
-            if self._memo_version != self.space.version:
-                self._memo.clear()
-                self._memo_version = self.space.version
-            key = (p.name, tuple(sorted(binding.items())))
-            hit = self._memo.get(key)
+    def _solve(self, p: Pattern, positions: tuple[int, ...],
+               key: tuple) -> Collection[tuple]:
+        """The answers of ``p`` whose values at ``positions`` are ``key``."""
+        self._sync()
+        held = self._held.get(p.name)
+        if held is None and p.recursive:
+            held = self._table(p)
+        if held is not None:
+            return held.lookup(positions, key)
+
+        memo = self.shuffle is None
+        if memo and positions:
+            memo_key = (p.name, positions, key)
+            hit = self._memo.get(memo_key)
             if hit is not None:
                 return hit
+        params = p.params
+        seed = {params[i]: v for i, v in zip(positions, key)}
         out: set[tuple] = set()
         for bidx, body in enumerate(p.bodies):
-            for env in self._eval_body(p, bidx, body, binding, None):
-                out.add(tuple(env[x] for x in p.params))
-        if self.shuffle is None:
-            self._memo[key] = out
+            for env in self._eval_body(p, bidx, body, seed, None):
+                out.add(tuple(env[x] for x in params))
+        if memo:
+            if positions:
+                self._memo[memo_key] = out
+            else:
+                self._held[p.name] = AnswerSet(out, len(params))
         return out
 
     def _call_matches(self, callee: Pattern, args: tuple[str, ...], env: dict,
                       scc_ctx) -> Iterable[tuple]:
         """Tuples of the callee's match set consistent with bound args and
         with repeated argument variables."""
-        # callee parameters are distinct, so each bound argument pins one
-        push = {param: env[a] for param, a in zip(callee.params, args) if a in env}
+        # callee parameters align with the arguments, so bound argument
+        # positions are the callee's bound parameter positions
+        positions = tuple([j for j, a in enumerate(args) if a in env])
+        key = tuple([env[args[j]] for j in positions])
         if scc_ctx is not None and callee.name in scc_ctx:
-            base = scc_ctx[callee.name]
-            params = callee.params
-            sub = (t for t in base
-                   if all(push[x] == t[i] for i, x in enumerate(params) if x in push))
+            sub = scc_ctx[callee.name].lookup(positions, key)
         else:
-            sub = self._solve(callee, push)
+            sub = self._solve(callee, positions, key)
         try:
             consistent = self._arg_tests[args]
         except KeyError:
@@ -319,34 +379,31 @@ class LocalSearchMatcher:
 
     # -- recursion ------------------------------------------------------------
 
-    def _table(self, p: Pattern) -> set[tuple]:
-        if self._memo_version != self.space.version:
-            self._memo.clear()
-            self._tables.clear()
-            self._memo_version = self.space.version
-        cached = self._tables.get(p.name)
-        if cached is not None:
-            return cached
+    def _table(self, p: Pattern) -> AnswerSet:
+        """Tabulate ``p``'s call cycle; every member's table is then held."""
         members = [self.patterns[n] for n in p.scc_members]
         names = {m.name for m in members}
-        tabs: dict[str, set[tuple]] = {n: set() for n in names}
+
+        def empty() -> dict[str, AnswerSet]:
+            return {m.name: AnswerSet(set(), len(m.params)) for m in members}
 
         def scc_calls(body: Body):
             return [c for c in body.constraints
                     if isinstance(c, FindC) and c.pattern in names]
 
-        deltas: dict[str, set[tuple]] = {n: set() for n in names}
+        tabs = empty()
+        deltas = empty()
         for m in members:
             for bidx, body in enumerate(m.bodies):
                 if scc_calls(body):
                     continue
                 for env in self._eval_body(m, bidx, body, {}, None):
-                    deltas[m.name].add(tuple(env[x] for x in m.params))
+                    deltas[m.name].tuples.add(tuple(env[x] for x in m.params))
         for n in names:
-            tabs[n] |= deltas[n]
+            tabs[n].add(deltas[n].tuples)
 
-        while any(deltas.values()):
-            new: dict[str, set[tuple]] = {n: set() for n in names}
+        while any(d.tuples for d in deltas.values()):
+            new = empty()
             for m in members:
                 for bidx, body in enumerate(m.bodies):
                     calls = scc_calls(body)
@@ -354,7 +411,7 @@ class LocalSearchMatcher:
                         continue
                     if len(calls) == 1:
                         target = calls[0].pattern
-                        if not deltas[target]:
+                        if not deltas[target].tuples:
                             continue
                         ctx = dict(tabs)
                         ctx[target] = deltas[target]
@@ -362,11 +419,10 @@ class LocalSearchMatcher:
                         ctx = tabs  # naive round for multi-call bodies
                     for env in self._eval_body(m, bidx, body, {}, ctx):
                         t = tuple(env[x] for x in m.params)
-                        if t not in tabs[m.name]:
-                            new[m.name].add(t)
+                        if t not in tabs[m.name].tuples:
+                            new[m.name].tuples.add(t)
             deltas = new
             for n in names:
-                tabs[n] |= new[n]
-        for n in names:
-            self._tables[n] = tabs[n]
-        return self._tables[p.name]
+                tabs[n].add(new[n].tuples)
+        self._held.update(tabs)
+        return tabs[p.name]

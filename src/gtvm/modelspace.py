@@ -275,8 +275,8 @@ class ModelSpace:
         return frozenset(self.element(eid).types)
 
     def conforms(self, eid: int, type_name: str) -> bool:
-        self.registry.info(type_name)
-        return any(type_name in self.registry.supers(t) for t in self.element(eid).types)
+        subtypes = self.registry.subtype_closure(type_name)
+        return not self.element(eid).types.isdisjoint(subtypes)
 
     def children(self, eid: int) -> set[int]:
         self.element(eid)
@@ -300,6 +300,18 @@ class ModelSpace:
         for t in self.registry.subtype_closure(type_name):
             out |= self._by_type.get(t, set())
         return sorted(out)
+
+    def count_of_type(self, type_name: str) -> int:
+        """How many elements conform to ``type_name``, read from the type
+        index without building a list. An element holding two types of the
+        subtype closure counts twice, so this is at least
+        ``len(elements_of_type(type_name))``."""
+        by_type = self._by_type
+        return sum(len(by_type.get(t, ()))
+                   for t in self.registry.subtype_closure(type_name))
+
+    def relation_count(self) -> int:
+        return len(self._relations)
 
     def relations_from(self, eid: int) -> set[int]:
         self.element(eid)

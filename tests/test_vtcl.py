@@ -164,3 +164,24 @@ def test_nesting_within_the_limit_parses():
     stmt = "seq{ " * depth + "println(" + "(" * depth + "1" + ")" * depth + ");" + " }" * depth
     m = parse("machine m{ rule main() = " + stmt + " }")
     assert parse(pretty(m)) == m
+
+
+def test_long_plus_chain_round_trips():
+    chain = "+".join(["1"] * 64)
+    m = parse("machine m{ rule main() = println(" + chain + "); }")
+    text = pretty(m)
+    assert "println(" + " + ".join(["1"] * 64) + ");" in text  # no parentheses
+    assert parse(text) == m
+
+
+@pytest.mark.parametrize("text", [
+    'value(N) + 1 == 2',
+    '(1 == 1) + "x" != "truex"',
+    'a + (b + c) == (a == b)',
+    '"p" + (1 + 2) + value(name(N) + "q")',
+    '(a != b) == (c == d + e + (f + g))',
+])
+def test_mixed_operators_round_trip(text):
+    m = parse("machine m{ rule main() = let a = 1, b = 2, c = 3, d = 4, e = 5, "
+              "f = 6, g = 7, N = 8 in println(" + text + "); }")
+    assert parse(pretty(m)) == m
