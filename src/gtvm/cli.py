@@ -20,8 +20,12 @@ from .vtcl import link, parse
 
 def _load_machine_arg(arg: str):
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as f:
-            return parse(f.read())
+        try:
+            with open(arg, "r", encoding="utf-8") as f:
+                source = f.read()
+        except UnicodeDecodeError as e:
+            raise GtvmError(f"{arg} is not UTF-8 text (byte {e.start})") from None
+        return parse(source)
     stem = os.path.splitext(os.path.basename(arg))[0]
     if stem in corpus.CORPUS_MACHINES:
         return parse(corpus.corpus_source(stem))
@@ -77,6 +81,7 @@ def cmd_match(args) -> int:
                 print(f"error: unknown pattern {pattern_name}", file=sys.stderr)
                 return 1
             pattern_name = qualified[0]
+        budget = step_budget_from_env()
     except (GtvmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -87,7 +92,7 @@ def cmd_match(args) -> int:
               f"matched incrementally; use --matcher ls", file=sys.stderr)
         return 1
     try:
-        vm = VM(program, space, matcher=args.matcher)
+        vm = VM(program, space, matcher=args.matcher, step_budget=budget)
         matches = vm.query_all(pattern_name)
     except MatcherError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -238,25 +238,14 @@ class Machine:
 
 @dataclass
 class LinkedProgram:
+    """The output of ``vtcl.link``. Every reference in ``patterns``, ``gtrules``
+    and ``rules`` is a global name (``machine.member``) and every type a fully
+    qualified name; ``machines`` keeps the machines as parsed."""
     machines: dict[str, Machine]
     patterns: dict[str, Pattern]          # global name -> resolved pattern
     gtrules: dict[str, "CompiledGt"]
-    rules: dict[str, tuple[str, AsmRule]]  # global name -> (machine, rule)
-    resolutions: dict[tuple[str, str, str], str]  # (machine, kind, raw ref) -> global
-    stmt_types: dict[tuple[str, str], str]        # (machine, raw type) -> fqn
+    rules: dict[str, AsmRule]             # global name -> linked rule
     registry: object
-
-    def resolve(self, machine: str, kind: str, raw: str) -> str:
-        try:
-            return self.resolutions[(machine, kind, raw)]
-        except KeyError:
-            raise ExecError(f"unresolved {kind} reference {raw} in {machine}") from None
-
-    def resolve_type(self, machine: str, raw: str) -> str:
-        try:
-            return self.stmt_types[(machine, raw)]
-        except KeyError:
-            raise ExecError(f"unresolved type {raw} in {machine}") from None
 
 
 # --- GT rule compilation --------------------------------------------------------
@@ -312,7 +301,7 @@ class CompiledGt:
     pre_pattern: str          # global name of the matchable precondition
     pre_params: tuple[str, ...]
     script: Optional[DiffScript]
-    action: Optional[Stmt]
+    action: Optional[Stmt]    # linked, like the bodies in LinkedProgram.rules
     scope_names: tuple[str, ...]
 
 
@@ -544,6 +533,8 @@ class VM:
         self.step_budget = step_budget
         self.ls = LocalSearchMatcher(space, program.patterns)
         self._rete = None
+        self.report: ExecutionReport | None = None  # of the open run
+        self.call_depth = 0  # rule calls open, see MAX_CALL_DEPTH
         self.exec_depth = 0  # statement executions open, see MAX_EXEC_DEPTH
 
     # -- pattern queries -----------------------------------------------------
@@ -595,16 +586,14 @@ class VM:
     # -- top level -----------------------------------------------------------
 
     def run(self, machine_name: str) -> ExecutionReport:
-        machine = self.program.machines.get(machine_name)
-        if machine is None:
+        if machine_name not in self.program.machines:
             raise ExecError(f"machine {machine_name} is not loaded")
-        main = machine.rule("main")
+        main = self.program.rules.get(f"{machine_name}.main")
         if main is None:
             raise ExecError(f"machine {machine_name} has no main rule")
-        report = ExecutionReport(machine_name)
-        ctx = _Ctx(self, machine, report)
+        report = self.report = ExecutionReport(machine_name)
         try:
-            _call_rule(ctx, machine.name, main, [], Frame())
+            _call_rule(self, main, (), Frame())
         except ChooseFailed:
             raise ExecError("choose failed outside try") from None
         report.results = collect_results(self.space)
@@ -615,12 +604,11 @@ class VM:
         """Match the rule's precondition (extending ``in_binding``), apply the
         first match, run the action; returns the full binding or None."""
         gt = self.program.gtrules[name]
-        ctx = _Ctx(self, self.program.machines[gt.machine],
-                   report or ExecutionReport(gt.machine))
         match = self.query_first(gt.pre_pattern, in_binding)
         if match is None:
             return None
-        return _apply_gt_match(ctx, gt, match)
+        self.report = report or ExecutionReport(gt.machine)
+        return _apply_gt_match(self, gt, match)
 
 
 def execute_machine(program: LinkedProgram, machine_name: str, space: ModelSpace,
@@ -629,25 +617,17 @@ def execute_machine(program: LinkedProgram, machine_name: str, space: ModelSpace
     return VM(program, space, matcher=matcher, **vm_options).run(machine_name)
 
 
-@dataclass
-class _Ctx:
-    vm: VM
-    machine: Machine
-    report: ExecutionReport
-    depth: int = 0  # rule calls open around the executing statement
-
-
 def _as_text(v) -> str:
     return "undef" if v is None else str(v)
 
 
-def _eval(ctx: _Ctx, frame: Frame, e: ex.Expr):
-    return ex.eval_expr(e, frame.lookup, ctx.vm.space)
+def _eval(vm: VM, frame: Frame, e: ex.Expr):
+    return ex.eval_expr(e, frame.lookup, vm.space)
 
 
-def _element(ctx: _Ctx, frame: Frame, e: ex.Expr, what: str) -> int:
-    v = _eval(ctx, frame, e)
-    if not isinstance(v, int) or not ctx.vm.space.is_live(v):
+def _element(vm: VM, frame: Frame, e: ex.Expr, what: str) -> int:
+    v = _eval(vm, frame, e)
+    if not isinstance(v, int) or not vm.space.is_live(v):
         raise ExecError(f"{what} needs a live element, got {_as_text(v)}")
     return v
 
@@ -657,88 +637,74 @@ def _live_match(vm: VM, pattern: Pattern, match: dict) -> bool:
                for param in pattern.params)
 
 
-def _call_rule(ctx: _Ctx, machine_name: str, rule: AsmRule, args, caller: Frame):
-    if len(args) != len(rule.params):
-        raise ExecError(f"rule {rule.name} takes {len(rule.params)} arguments, "
-                        f"got {len(args)}")
-    if ctx.depth >= MAX_CALL_DEPTH:
+def _call_rule(vm: VM, rule: AsmRule, args, caller: Frame):
+    if vm.call_depth >= MAX_CALL_DEPTH:
         raise ExecError(f"rule calls nested deeper than {MAX_CALL_DEPTH} "
                         f"(calling {rule.name})")
-    machine = ctx.vm.program.machines[machine_name]
-    callee_ctx = _Ctx(ctx.vm, machine, ctx.report, ctx.depth + 1)
     frame = Frame()
     for param, arg in zip(rule.params, args):
-        if param.mode == "in":
-            frame.declare(param.name, _eval(ctx, caller, arg))
-        else:
-            frame.declare(param.name, None)
-    _exec(callee_ctx, frame, rule.body)
+        frame.declare(param.name, _eval(vm, caller, arg) if param.mode == "in" else None)
+    vm.call_depth += 1
+    try:
+        _exec(vm, frame, rule.body)
+    finally:
+        vm.call_depth -= 1
     for param, arg in zip(rule.params, args):
         if param.mode == "out":
-            if not isinstance(arg, ex.Var):
-                raise ExecError(f"out argument of {rule.name} must be a variable")
             caller.assign(arg.name, frame.lookup(param.name))
 
 
-def _source_binding(ctx: _Ctx, frame: Frame, params: tuple[str, ...],
-                    args: tuple[str, ...], to_bind: set[str]) -> dict:
-    return {param: frame.lookup(arg) for param, arg in zip(params, args)
-            if arg not in to_bind}
-
-
-def _bind_match_vars(frame: Frame, params, args, to_bind, match: dict) -> Frame:
-    child = Frame(frame)
-    for param, arg in zip(params, args):
-        if arg in to_bind:
-            child.vars.setdefault(arg, match[param])
-    return child
-
-
-def _apply_gt_match(ctx: _Ctx, gt: CompiledGt, match: dict) -> dict:
+def _apply_gt_match(vm: VM, gt: CompiledGt, match: dict) -> dict:
     binding = dict(match)
     if gt.script is not None:
-        apply_diff(gt.script, ctx.vm, binding)
+        apply_diff(gt.script, vm, binding)
     if gt.action is not None:
         frame = Frame()
         for name in gt.scope_names:
             frame.declare(name, binding.get(name))
-        action_ctx = _Ctx(ctx.vm, ctx.vm.program.machines[gt.machine], ctx.report,
-                          ctx.depth)
-        _exec(action_ctx, frame, gt.action)
+        _exec(vm, frame, gt.action)
     return binding
 
 
-def _gt_source(ctx: _Ctx, frame: Frame, stmt) -> tuple[CompiledGt, dict, list[str]]:
-    gt_name = ctx.vm.program.resolve(ctx.machine.name, "gtrule", stmt.source.ref)
-    gt = ctx.vm.program.gtrules[gt_name]
-    args = stmt.source.args
-    if len(args) != len(gt.params):
-        raise ExecError(f"gtrule {gt_name} takes {len(gt.params)} arguments")
-    in_binding: dict[str, object] = {}
-    out_args: list[str] = []
-    for param, arg in zip(gt.params, args):
-        if param.mode == "in":
-            in_binding[param.name] = frame.lookup(arg)
-        else:
-            out_args.append(arg)
-    return gt, in_binding, out_args
+def _source(vm: VM, frame: Frame, stmt: Choose | Forall):
+    """What a ``choose``/``forall`` source reads: the pattern to match, the
+    binding of its parameters from ``frame``, the arguments whose repeated
+    variables a match must honour, and the step that turns a match into the
+    frame of the body (for ``apply``, by applying the GT rule first)."""
+    src = stmt.source
+    if isinstance(src, FindSource):
+        pattern = vm.program.patterns[src.ref]
+        pairs = tuple(zip(pattern.params, src.args))
+        binding = {param: frame.lookup(arg) for param, arg in pairs
+                   if arg not in stmt.vars}
+
+        def enter(match: dict) -> Frame:
+            child = Frame(frame)
+            for param, arg in pairs:
+                if arg in stmt.vars:
+                    child.vars.setdefault(arg, match[param])
+            return child
+        return pattern, binding, src.args, enter
+
+    gt = vm.program.gtrules[src.ref]
+    pairs = tuple(zip(gt.params, src.args))
+    binding = {param.name: frame.lookup(arg) for param, arg in pairs
+               if param.mode == "in"}
+
+    def enter(match: dict) -> Frame:
+        result = _apply_gt_match(vm, gt, match)
+        child = Frame(frame)
+        for param, arg in pairs:
+            if param.mode == "out":
+                if arg in stmt.vars:
+                    child.vars[arg] = result.get(param.name)
+                else:
+                    frame.assign(arg, result.get(param.name))
+        return child
+    return vm.program.patterns[gt.pre_pattern], binding, (), enter
 
 
-def _bind_gt_outs(ctx: _Ctx, frame: Frame, stmt, gt: CompiledGt, result: dict) -> Frame:
-    child = Frame(frame)
-    for param, arg in zip(gt.params, stmt.source.args):
-        if param.mode != "out":
-            continue
-        value = result.get(param.name)
-        if arg in stmt.vars:
-            child.vars[arg] = value
-        else:
-            frame.assign(arg, value)
-    return child
-
-
-def _exec(ctx: _Ctx, frame: Frame, stmt) -> None:
-    vm = ctx.vm
+def _exec(vm: VM, frame: Frame, stmt) -> None:
     if vm.exec_depth >= MAX_EXEC_DEPTH:
         raise ExecError(f"statements nested deeper than {MAX_EXEC_DEPTH} "
                         f"(rule bodies included)")
@@ -747,36 +713,47 @@ def _exec(ctx: _Ctx, frame: Frame, stmt) -> None:
         space = vm.space
         if isinstance(stmt, Seq):
             for s in stmt.stmts:
-                _exec(ctx, frame, s)
+                _exec(vm, frame, s)
         elif isinstance(stmt, Let):
             child = Frame(frame)
             for name, init in stmt.inits:
                 child.declare(name, ex.eval_expr(init, child.lookup, space))
-            _exec(ctx, child, stmt.body)
+            _exec(vm, child, stmt.body)
         elif isinstance(stmt, Update):
-            frame.assign(stmt.var, _eval(ctx, frame, stmt.expr))
+            frame.assign(stmt.var, _eval(vm, frame, stmt.expr))
         elif isinstance(stmt, If):
-            cond = _eval(ctx, frame, stmt.cond)
+            cond = _eval(vm, frame, stmt.cond)
             if not isinstance(cond, bool):
                 raise ExecError("if condition must be a comparison")
             if cond:
-                _exec(ctx, frame, stmt.then)
+                _exec(vm, frame, stmt.then)
             elif stmt.els is not None:
-                _exec(ctx, frame, stmt.els)
+                _exec(vm, frame, stmt.els)
         elif isinstance(stmt, Try):
             try:
-                _exec(ctx, frame, stmt.inner)
+                _exec(vm, frame, stmt.inner)
             except ChooseFailed:
                 pass
         elif isinstance(stmt, Choose):
-            _exec_choose(ctx, frame, stmt)
+            pattern, binding, args, enter = _source(vm, frame, stmt)
+            match = vm.query_first(pattern.name, binding, args)
+            if match is None:
+                raise ChooseFailed()
+            _exec(vm, enter(match), stmt.do)
         elif isinstance(stmt, Forall):
-            _exec_forall(ctx, frame, stmt)
+            pattern, binding, args, enter = _source(vm, frame, stmt)
+            params = pattern.params
+            eqs = arg_equalities(args)
+            snapshot = [m for m in vm.query_all(pattern.name, binding)
+                        if all(m[params[i]] == m[params[j]] for i, j in eqs)]
+            for match in snapshot:
+                if _live_match(vm, pattern, match):  # else an earlier step removed it
+                    _exec(vm, enter(match), stmt.do)
         elif isinstance(stmt, Iterate):
             steps = 0
             while True:
                 try:
-                    _exec(ctx, frame, stmt.inner)
+                    _exec(vm, frame, stmt.inner)
                 except ChooseFailed:
                     break
                 steps += 1
@@ -784,113 +761,44 @@ def _exec(ctx: _Ctx, frame: Frame, stmt) -> None:
                     raise DivergenceError(
                         f"iterate exceeded the step budget ({vm.step_budget})")
         elif isinstance(stmt, Call):
-            rule_name = vm.program.resolve(ctx.machine.name, "rule", stmt.ref)
-            machine_name, rule = vm.program.rules[rule_name]
-            _call_rule(ctx, machine_name, rule, list(stmt.args), frame)
+            _call_rule(vm, vm.program.rules[stmt.ref], stmt.args, frame)
         elif isinstance(stmt, Println):
-            text = _as_text(_eval(ctx, frame, stmt.expr))
-            ctx.report.log.append(text)
+            text = _as_text(_eval(vm, frame, stmt.expr))
+            vm.report.log.append(text)
             if vm.echo:
                 print(text)
         elif isinstance(stmt, Skip):
             pass
         elif isinstance(stmt, NewEntity):
-            t = vm.program.resolve_type(ctx.machine.name, stmt.type)
             if stmt.container is None or stmt.container.kind == "root":
                 parent = ROOT_ID
             else:
                 parent = frame.lookup(stmt.container.name)
                 if not isinstance(parent, int):
                     raise ExecError(f"container {stmt.container.name} is not an element")
-            frame.assign(stmt.var, space.new_entity(t, parent))
+            frame.assign(stmt.var, space.new_entity(stmt.type, parent))
         elif isinstance(stmt, NewRelation):
-            t = (vm.program.resolve_type(ctx.machine.name, stmt.type)
-                 if stmt.type is not None else None)
             src = frame.lookup(stmt.src)
             trg = frame.lookup(stmt.trg)
-            frame.assign(stmt.var, space.new_relation(t, src, trg))
+            frame.assign(stmt.var, space.new_relation(stmt.type, src, trg))
         elif isinstance(stmt, NewInstanceOf):
-            t = vm.program.resolve_type(ctx.machine.name, stmt.type)
-            space.add_type(frame.lookup(stmt.var), t)
+            space.add_type(frame.lookup(stmt.var), stmt.type)
         elif isinstance(stmt, DeleteInstanceOf):
-            t = vm.program.resolve_type(ctx.machine.name, stmt.type)
-            space.remove_type(frame.lookup(stmt.var), t)
+            space.remove_type(frame.lookup(stmt.var), stmt.type)
         elif isinstance(stmt, DeleteStmt):
-            space.delete(_element(ctx, frame, stmt.expr, "delete"))
+            space.delete(_element(vm, frame, stmt.expr, "delete"))
         elif isinstance(stmt, SetValueStmt):
-            space.set_value(_element(ctx, frame, stmt.target, "setValue"),
-                            _eval(ctx, frame, stmt.value))
+            space.set_value(_element(vm, frame, stmt.target, "setValue"),
+                            _eval(vm, frame, stmt.value))
         elif isinstance(stmt, SetToStmt):
-            space.set_target(_element(ctx, frame, stmt.rel, "setTo"),
-                             _element(ctx, frame, stmt.target, "setTo"))
+            space.set_target(_element(vm, frame, stmt.rel, "setTo"),
+                             _element(vm, frame, stmt.target, "setTo"))
         elif isinstance(stmt, RenameStmt):
-            name = _eval(ctx, frame, stmt.name)
+            name = _eval(vm, frame, stmt.name)
             if not isinstance(name, str):
                 raise ExecError("rename needs a string name")
-            space.rename(_element(ctx, frame, stmt.target, "rename"), name)
+            space.rename(_element(vm, frame, stmt.target, "rename"), name)
         else:
             raise ExecError(f"cannot execute {stmt!r}")
     finally:
         vm.exec_depth -= 1
-
-
-def _exec_choose(ctx: _Ctx, frame: Frame, stmt: Choose) -> None:
-    vm = ctx.vm
-    to_bind = set(stmt.vars)
-    if isinstance(stmt.source, FindSource):
-        pname = vm.program.resolve(ctx.machine.name, "pattern", stmt.source.ref)
-        pattern = vm.program.patterns[pname]
-        binding = _source_binding(ctx, frame, pattern.params, stmt.source.args, to_bind)
-        match = vm.query_first(pname, binding, stmt.source.args)
-        if match is None:
-            raise ChooseFailed()
-        child = _bind_match_vars(frame, pattern.params, stmt.source.args,
-                                 to_bind, match)
-        _exec(ctx, child, stmt.do)
-    else:
-        gt, in_binding, _ = _gt_source(ctx, frame, stmt)
-        match = vm.query_first(gt.pre_pattern, _gt_pre_binding(gt, in_binding))
-        if match is None:
-            raise ChooseFailed()
-        result = _apply_gt_match(ctx, gt, match)
-        child = _bind_gt_outs(ctx, frame, stmt, gt, result)
-        _exec(ctx, child, stmt.do)
-
-
-def _exec_forall(ctx: _Ctx, frame: Frame, stmt: Forall) -> None:
-    vm = ctx.vm
-    to_bind = set(stmt.vars)
-    if isinstance(stmt.source, FindSource):
-        pname = vm.program.resolve(ctx.machine.name, "pattern", stmt.source.ref)
-        pattern = vm.program.patterns[pname]
-        binding = _source_binding(ctx, frame, pattern.params, stmt.source.args, to_bind)
-        params = pattern.params
-        eqs = arg_equalities(stmt.source.args)
-        snapshot = [m for m in vm.query_all(pname, binding)
-                    if all(m[params[i]] == m[params[j]] for i, j in eqs)]
-        for match in snapshot:
-            if not _live_match(vm, pattern, match):
-                continue  # invalidated by an earlier iteration
-            child = _bind_match_vars(frame, pattern.params, stmt.source.args,
-                                     to_bind, match)
-            _exec(ctx, child, stmt.do)
-    else:
-        gt, in_binding, _ = _gt_source(ctx, frame, stmt)
-        pattern = vm.program.patterns[gt.pre_pattern]
-        snapshot = vm.query_all(gt.pre_pattern, _gt_pre_binding(gt, in_binding))
-        for match in snapshot:
-            if not _live_match(vm, pattern, match):
-                continue
-            result = _apply_gt_match(ctx, gt, match)
-            child = _bind_gt_outs(ctx, frame, stmt, gt, result)
-            _exec(ctx, child, stmt.do)
-
-
-def _gt_pre_binding(gt: CompiledGt, in_binding: dict) -> dict:
-    out = {}
-    for name, value in in_binding.items():
-        if name not in gt.pre_params:
-            raise ExecError(f"{gt.name}: in parameter {name} is not bound "
-                            f"by the precondition")
-        out[name] = value
-    return out

@@ -161,5 +161,9 @@ def save_file(space: ModelSpace, path) -> None:
 
 
 def load_file(path, registry: TypeRegistry) -> ModelSpace:
-    with open(path, "r", encoding="utf-8") as f:
-        return load(f.read(), registry)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise SnapshotError(f"{path} is not UTF-8 text (byte {e.start})") from None
+    return load(text, registry)

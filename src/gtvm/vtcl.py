@@ -10,7 +10,8 @@ control language. Anything outside the subset is a parse error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 from . import expr as ex
 from . import rules as ir
@@ -29,7 +30,19 @@ class NegInlineC:
 
 # --- lexer -------------------------------------------------------------------
 
-_PUNCT = ("==", "!=", "{", "}", "(", ")", ",", ";", "=", "+", "@", "#", ".")
+# One alternative per token kind, tried in this order at each position.
+# "/*/" is a whole comment: the closing "*/" may share the opening star.
+# Integers are ASCII digits only; an identifier starts with a letter or "_",
+# which ``tokenize`` checks, since \w also takes other digits and numerals.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*/ | /\*.*?\*/)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<int>[0-9]+)
+  | (?P<ident>\w+)
+  | (?P<punct>==|!=|[{}(),;=+@#.])
+""", re.S | re.X)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_ESCAPED = {"n": "\n", "t": "\t"}
 
 
 @dataclass(frozen=True)
@@ -40,77 +53,39 @@ class Token:
     col: int
 
 
+def _unescape(m: re.Match) -> str:
+    return _ESCAPED.get(m[1], m[1])
+
+
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    i = 0
     line = 1
-    col = 1
+    line_start = 0  # index of the first character of ``line``
+    pos = 0
     n = len(source)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            advance((j if j != -1 else n) - i)
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i)
-            if j == -1:
+    match = _TOKEN.match
+    while pos < n:
+        m = match(source, pos)
+        col = pos - line_start + 1
+        if m is None:
+            if source.startswith("/*", pos):
                 raise ParseError("unterminated block comment", line, col)
-            advance(j + 2 - i)
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            buf = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\" and j + 1 < n:
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(
-                        source[j + 1], source[j + 1]))
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], line, col))
-            advance(j - i)
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                advance(len(p))
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            if source[pos] == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        kind = m.lastgroup
+        text = m[0]
+        if kind == "string":
+            tokens.append(Token(kind, _ESCAPE.sub(_unescape, text[1:-1]), line, col))
+        elif kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind != "skip":
+            tokens.append(Token(kind, text, line, col))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -727,20 +702,25 @@ def pretty(machine: ir.Machine) -> str:
 # --- linking ------------------------------------------------------------------------
 
 
-def _resolve_pattern_ref(machines: dict, machine: ir.Machine, raw: str) -> str:
+def _resolve_ref(machines: dict, machine: ir.Machine, raw: str, kind: str):
+    """Resolve ``raw``, a ``kind`` ('pattern', 'rule' or 'gtrule') reference
+    made in ``machine``: its global name and the parsed member, whose
+    ``params`` give the arity."""
     if "." in raw:
-        mname, pname = raw.split(".", 1)
+        mname, name = raw.split(".", 1)
         target = machines.get(mname)
         if target is None:
             raise LinkError(f"machine {mname} is not loaded "
                             f"(referenced from {machine.name} as {raw})")
-        if not any(p.name == pname for p in target.patterns):
-            raise LinkError(f"machine {mname} has no pattern {pname} "
-                            f"(referenced from {machine.name})")
-        return f"{mname}.{pname}"
-    if not any(p.name == raw for p in machine.patterns):
-        raise LinkError(f"machine {machine.name} has no pattern {raw}")
-    return f"{machine.name}.{raw}"
+    else:
+        mname, name, target = machine.name, raw, machine
+    members = {"pattern": target.patterns, "rule": target.rules,
+               "gtrule": target.gtrules}[kind]
+    for member in members:
+        if member.name == name:
+            return f"{mname}.{name}", member
+    where = f" (referenced from {machine.name})" if "." in raw else ""
+    raise LinkError(f"machine {mname} has no {kind} {name}{where}")
 
 
 def _link_pattern(machines: dict, machine: ir.Machine, p: Pattern,
@@ -759,13 +739,14 @@ def _link_pattern(machines: dict, machine: ir.Machine, p: Pattern,
                 constraints.append(RelationC(t, c.rel, c.src, c.trg))
             elif isinstance(c, FindC):
                 constraints.append(FindC(
-                    _resolve_pattern_ref(machines, machine, c.pattern), c.args))
+                    _resolve_ref(machines, machine, c.pattern, "pattern")[0], c.args))
             elif isinstance(c, NegC):
                 constraints.append(NegC(
-                    _resolve_pattern_ref(machines, machine, c.pattern), c.args))
+                    _resolve_ref(machines, machine, c.pattern, "pattern")[0], c.args))
             elif isinstance(c, CountC):
                 constraints.append(CountC(
-                    _resolve_pattern_ref(machines, machine, c.pattern), c.args, c.out))
+                    _resolve_ref(machines, machine, c.pattern, "pattern")[0],
+                    c.args, c.out))
             elif isinstance(c, NegInlineC):
                 inner_name = f"{global_name}$neg${c.pattern.name}"
                 inner = _link_pattern(machines, machine, c.pattern, inner_name,
@@ -792,7 +773,9 @@ def _fresh_namer(prefix: str):
 
 def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedProgram:
     """Resolve cross-machine references, validate patterns and rules, and
-    precompute GT-rule edit scripts."""
+    precompute GT-rule edit scripts. Rule bodies and GT actions come out as
+    statement trees whose references are global names and whose types are
+    fully qualified, so the VM resolves nothing at run time."""
     machines: dict[str, ir.Machine] = {}
     for m in machines_list:
         if m.name in machines:
@@ -812,7 +795,7 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
             gt_name = f"{m.name}.{g.name}"
             pre_name = f"{gt_name}$pre"
             if isinstance(g.pre, ir.FindRef):
-                target = _resolve_pattern_ref(machines, m, g.pre.ref)
+                target, _ = _resolve_ref(machines, m, g.pre.ref, "pattern")
                 params = tuple(dict.fromkeys(g.pre.args))
                 wrapper = Pattern(pre_name, params,
                                   (Body((FindC(target, g.pre.args),)),),
@@ -824,8 +807,8 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
             post = None
             if g.post is not None:
                 if isinstance(g.post, ir.FindRef):
-                    post = ("find", _resolve_pattern_ref(machines, m, g.post.ref),
-                            g.post.args)
+                    target, _ = _resolve_ref(machines, m, g.post.ref, "pattern")
+                    post = ("find", target, g.post.args)
                 else:
                     post_name = f"{gt_name}$post"
                     linked = _link_pattern(machines, m, g.post, post_name,
@@ -871,79 +854,44 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
                 if q.mode == "out" and q.name not in scope:
                     raise LinkError(f"{gt_name}: out parameter {q.name} is not "
                                     f"bound by the rule")
+            action = (None if g.action is None
+                      else _link_stmt(machines, m, g.action, registry))
             gtrules[gt_name] = ir.CompiledGt(gt_name, m.name, g.params, pre_name,
-                                             pre_params, script, g.action, scope)
+                                             pre_params, script, action, scope)
 
-    rules: dict[str, tuple[str, ir.AsmRule]] = {}
-    for m in machines.values():
-        for r in m.rules:
-            rules[f"{m.name}.{r.name}"] = (m.name, r)
-
-    program = ir.LinkedProgram(machines, patterns, gtrules, rules, {}, {}, registry)
-    for m in machines.values():
-        for r in m.rules:
-            _link_statements(program, machines, m, r.body, registry)
-        for g in m.gtrules:
-            if g.action is not None:
-                _link_statements(program, machines, m, g.action, registry)
-    return program
+    rules = {f"{m.name}.{r.name}": ir.AsmRule(r.name, r.params,
+                                              _link_stmt(machines, m, r.body, registry))
+             for m in machines.values() for r in m.rules}
+    return ir.LinkedProgram(machines, patterns, gtrules, rules, registry)
 
 
-def _resolve_rule_ref(machines: dict, machine: ir.Machine, raw: str, kind: str) -> str:
-    def members(m: ir.Machine):
-        return m.rules if kind == "rule" else m.gtrules
+def _link_stmt(machines: dict, machine: ir.Machine, stmt,
+               registry: TypeRegistry):
+    """``stmt`` of ``machine`` with every reference resolved: patterns, GT
+    rules and ASM rules to global names, types to fully qualified names."""
 
-    if "." in raw:
-        mname, rname = raw.split(".", 1)
-        target = machines.get(mname)
-        if target is None:
-            raise LinkError(f"machine {mname} is not loaded "
-                            f"(referenced from {machine.name} as {raw})")
-        if not any(r.name == rname for r in members(target)):
-            raise LinkError(f"machine {mname} has no {kind} {rname}")
-        return f"{mname}.{rname}"
-    if not any(r.name == raw for r in members(machine)):
-        raise LinkError(f"machine {machine.name} has no {kind} {raw}")
-    return f"{machine.name}.{raw}"
-
-
-def _link_statements(program: ir.LinkedProgram, machines: dict,
-                     machine: ir.Machine, stmt, registry: TypeRegistry) -> None:
-    res = program.resolutions
-    types = program.stmt_types
-
-    def type_ref(raw: str | None):
-        if raw is None:
-            return
-        types[(machine.name, raw)] = registry.resolve(raw, machine.imports)
-
-    def walk(s, lets: frozenset[str]) -> None:
+    def walk(s, lets: frozenset[str]):
         if isinstance(s, ir.Seq):
-            for x in s.stmts:
-                walk(x, lets)
-        elif isinstance(s, ir.Let):
-            walk(s.body, lets | {n for n, _ in s.inits})
-        elif isinstance(s, ir.Update):
+            return ir.Seq(tuple(walk(x, lets) for x in s.stmts))
+        if isinstance(s, ir.Let):
+            return replace(s, body=walk(s.body, lets | {n for n, _ in s.inits}))
+        if isinstance(s, ir.Update):
             if s.var not in lets:
                 raise LinkError(f"{machine.name}: update targets {s.var}, "
                                 f"which is not a let variable")
-            walk_expr_only(s)
-        elif isinstance(s, ir.If):
-            walk(s.then, lets)
-            if s.els is not None:
-                walk(s.els, lets)
-        elif isinstance(s, ir.Try):
-            walk(s.inner, lets)
-        elif isinstance(s, (ir.Choose, ir.Forall)):
+            return s
+        if isinstance(s, ir.If):
+            return replace(s, then=walk(s.then, lets),
+                           els=None if s.els is None else walk(s.els, lets))
+        if isinstance(s, ir.Try):
+            return ir.Try(walk(s.inner, lets))
+        if isinstance(s, ir.Iterate):
+            return ir.Iterate(walk(s.inner, lets))
+        if isinstance(s, (ir.Choose, ir.Forall)):
             src = s.source
-            if isinstance(src, ir.FindSource):
-                gname = _resolve_pattern_ref(machines, machine, src.ref)
-                res[(machine.name, "pattern", src.ref)] = gname
-                arity = len(program.patterns[gname].params)
-            else:
-                gname = _resolve_rule_ref(machines, machine, src.ref, "gtrule")
-                res[(machine.name, "gtrule", src.ref)] = gname
-                arity = len(program.gtrules[gname].params)
+            kind = "pattern" if isinstance(src, ir.FindSource) else "gtrule"
+            gname, member = _resolve_ref(machines, machine, src.ref, kind)
+            arity = len(member.params)
             if len(src.args) != arity:
                 raise LinkError(f"{machine.name}: {src.ref} takes {arity} "
                                 f"arguments, got {len(src.args)}")
@@ -951,13 +899,9 @@ def _link_statements(program: ir.LinkedProgram, machines: dict,
                 if v not in src.args:
                     raise LinkError(f"{machine.name}: {v} does not occur in the "
                                     f"arguments of {src.ref}")
-            walk(s.do, lets)
-        elif isinstance(s, ir.Iterate):
-            walk(s.inner, lets)
-        elif isinstance(s, ir.Call):
-            gname = _resolve_rule_ref(machines, machine, s.ref, "rule")
-            res[(machine.name, "rule", s.ref)] = gname
-            _, rule = program.rules[gname]
+            return replace(s, source=replace(src, ref=gname), do=walk(s.do, lets))
+        if isinstance(s, ir.Call):
+            gname, rule = _resolve_ref(machines, machine, s.ref, "rule")
             if len(s.args) != len(rule.params):
                 raise LinkError(f"{machine.name}: rule {s.ref} takes "
                                 f"{len(rule.params)} arguments, got {len(s.args)}")
@@ -965,16 +909,10 @@ def _link_statements(program: ir.LinkedProgram, machines: dict,
                 if q.mode == "out" and not isinstance(a, ex.Var):
                     raise LinkError(f"{machine.name}: out argument {q.name} of "
                                     f"{s.ref} must be a variable")
-        elif isinstance(s, ir.NewEntity):
-            type_ref(s.type)
-        elif isinstance(s, ir.NewRelation):
-            type_ref(s.type)
-        elif isinstance(s, (ir.NewInstanceOf, ir.DeleteInstanceOf)):
-            type_ref(s.type)
-        else:
-            walk_expr_only(s)
+            return replace(s, ref=gname)
+        if isinstance(s, (ir.NewEntity, ir.NewRelation, ir.NewInstanceOf,
+                          ir.DeleteInstanceOf)) and s.type is not None:
+            return replace(s, type=registry.resolve(s.type, machine.imports))
+        return s
 
-    def walk_expr_only(s) -> None:
-        pass  # expressions are resolved at run time against the frame
-
-    walk(stmt, frozenset())
+    return walk(stmt, frozenset())

@@ -68,6 +68,43 @@ def test_run_bad_step_budget(budget, monkeypatch, capsys):
     assert "GTVM_STEP_BUDGET must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["abc", "-5"])
+def test_match_bad_step_budget(budget, tri_gms, monkeypatch, capsys):
+    monkeypatch.setenv("GTVM_STEP_BUDGET", budget)
+    assert main(["match", "--model", tri_gms, "--pattern", "SimpleNode"]) == 1
+    assert "GTVM_STEP_BUDGET must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.fixture
+def not_utf8(tmp_path):
+    def write(name: str, text: str) -> str:
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8").replace(b"@", b"\xff"))
+        return str(path)
+    return write
+
+
+def test_run_not_utf8(not_utf8, capsys):
+    path = not_utf8("bad.vtcl", 'machine bad{ rule main() = println("@"); }')
+    assert main(["run", path]) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_match_not_utf8(not_utf8, tri_gms, capsys):
+    path = not_utf8("bad.vtcl", "machine bad{ pattern p(X) = { graph1.Node(X); } } //@")
+    assert main(["match", path, "--model", tri_gms, "--pattern", "p"]) == 1
+    assert path in capsys.readouterr().err
+    gms = not_utf8("bad.gms", corpus.fixture_gms("triangle") + "# @\n")
+    assert main(["match", "--model", gms, "--pattern", "SimpleNode"]) == 1
+    assert gms in capsys.readouterr().err
+
+
+def test_diff_not_utf8(not_utf8, tri_gms, capsys):
+    gms = not_utf8("bad.gms", corpus.fixture_gms("triangle").replace("n1", "n@"))
+    assert main(["diff", tri_gms, gms]) == 2
+    assert gms in capsys.readouterr().err
+
+
 def test_run_self_calling_rule(tmp_path, capsys):
     src = tmp_path / "loop.vtcl"
     src.write_text("machine loop{ rule main() = seq { call main(); } }")

@@ -476,3 +476,49 @@ def test_if_requires_comparison():
           rule main() = if("x") skip;
         }""")
     assert "comparison" in str(err.value)
+
+
+TWIN_ONE = """
+machine one{
+  pattern P(X) = { graph1.Node(X); }
+  rule tally(in Label) = let C = 0 in seq{
+    forall X with find P(X) do update C = C + 1;
+    println(Label + C);
+  }
+  gtrule mark(out X) = {
+    precondition find P(X)
+    action{ call tally("one mark:"); }
+  }
+  rule count() = seq{
+    call tally("one:");
+    try choose X with apply mark(X) do call tally("one after mark:");
+  }
+}"""
+
+TWIN_TWO = """
+machine two{
+  pattern P(X) = { graph1.Edge(X); }
+  rule tally(in Label) = let C = 0 in seq{
+    forall X with find P(X) do update C = C + 1;
+    println(Label + C);
+  }
+  gtrule mark(out X) = {
+    precondition find P(X)
+    action{ call tally("two mark:"); }
+  }
+  rule main() = seq{
+    call tally("two:");
+    call one.count();
+    try choose X with apply mark(X) do call tally("two after mark:");
+    call tally("two:");
+  }
+}"""
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_members_with_the_same_name_resolve_in_their_own_machine(matcher):
+    space = load_fixture("chain4")  # 4 nodes, 3 edges
+    program = link([machine(TWIN_ONE), machine(TWIN_TWO)], space.registry)
+    report = VM(program, space, matcher=matcher).run("two")
+    assert report.log == ["two:3", "one:4", "one mark:4", "one after mark:4",
+                          "two mark:3", "two after mark:3", "two:3"]

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvm import corpus
-from gtvm.errors import LinkError, ParseError
+from gtvm import rules as ir
+from gtvm.errors import GtvmError, LinkError, ParseError
 from gtvm.patterns import CountC, NegC
-from gtvm.vtcl import link, parse, pretty
+from gtvm.vtcl import link, parse, pretty, tokenize
 
 
 def test_parse_library():
@@ -78,11 +81,36 @@ def test_corpus_links(registry):
     assert len(program.machines) == 23
 
 
+def _reachable(program, rule_name):
+    """Every statement of a linked rule and of the rules it calls."""
+    seen, todo = {rule_name}, [program.rules[rule_name].body]
+    while todo:
+        s = todo.pop()
+        yield s
+        if isinstance(s, ir.Call) and s.ref not in seen:
+            seen.add(s.ref)
+            todo.append(program.rules[s.ref].body)
+        todo.extend(getattr(s, "stmts", ()))
+        todo.extend(child for child in (getattr(s, f, None) for f in
+                                        ("body", "then", "els", "inner", "do"))
+                    if child is not None)
+
+
 def test_link_resolves_external_finds(registry):
     program = link([corpus.load_machine("graphPatterns"),
                     corpus.load_machine("countMatchesASM")], registry)
-    assert ("countMatchesASM", "pattern",
-            "graphPatterns.SimpleNode") in program.resolutions
+    refs = {s.source.ref for s in _reachable(program, "countMatchesASM.main")
+            if isinstance(s, (ir.Choose, ir.Forall))}
+    assert "graphPatterns.SimpleNode" in refs
+    assert refs <= set(program.patterns)
+
+
+def test_linked_statement_types_are_qualified(registry):
+    program = link([corpus.load_machine("helloWorldASM")], registry)
+    types = {s.type for s in _reachable(program, "helloWorldASM.main")
+             if isinstance(s, (ir.NewEntity, ir.NewRelation))}
+    assert types and all(registry.is_registered(t) for t in types)
+    assert "nemf.packages.helloworld.Greeting" in types
 
 
 def test_link_without_library_names_missing_machine(registry):
@@ -185,3 +213,54 @@ def test_mixed_operators_round_trip(text):
     m = parse("machine m{ rule main() = let a = 1, b = 2, c = 3, d = 4, e = 5, "
               "f = 6, g = 7, N = 8 in println(" + text + "); }")
     assert parse(pretty(m)) == m
+
+
+def test_token_positions_after_multiline_comment_and_string():
+    source = 'a /* one\n two\n */ b "x\\"y\nz" c\n  d'
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == [
+        ("ident", "a", 1, 1),
+        ("ident", "b", 3, 5),
+        ("string", 'x"y\nz', 3, 7),
+        ("ident", "c", 4, 4),
+        ("ident", "d", 5, 3),
+        ("eof", "", 5, 4),
+    ]
+
+
+@pytest.mark.parametrize("source, position", [
+    ("println(\u00b2);", (1, 9)),
+    ("println(1\u0663);", (1, 10)),
+    ("x\n  /* open", (2, 3)),
+    ('x\n "open', (2, 2)),
+])
+def test_tokenize_errors_have_positions(source, position):
+    with pytest.raises(ParseError) as err:
+        tokenize(source)
+    assert (err.value.line, err.value.col) == position
+
+
+def test_non_ascii_digit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("machine m{ rule main() = println(\u00b2); }")
+    assert "unexpected character" in str(err.value)
+
+
+_MUTATION_CHARS = st.sampled_from(list('{}();,."#=+!@/*\\ \n_aZ09') +
+                                  ["\u00b2", "\u0663", "\u00e9", "\u2162", "\x00"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(corpus.CORPUS_MACHINES), data=st.data())
+def test_mutated_corpus_text_raises_only_gtvm_errors(name, data):
+    text = corpus.corpus_source(name)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        c = "" if op == "delete" else data.draw(_MUTATION_CHARS)
+        text = text[:i] + c + text[i + (op != "insert"):]
+    machines = [] if name == "graphPatterns" else [corpus.load_machine("graphPatterns")]
+    try:
+        machines.append(parse(text))
+        link(machines, corpus.metamodels())
+    except GtvmError:
+        pass
