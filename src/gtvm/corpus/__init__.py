@@ -147,10 +147,6 @@ class TaskResult:
         return {name: value for name, value in self.report.results
                 if isinstance(value, int)}
 
-    def string_results(self) -> dict[str, object]:
-        return {name: value for name, value in self.report.results
-                if not isinstance(value, int)}
-
 
 def run_task(task: str, variant: str, fixture: str | ModelSpace | None = None,
              matcher: str = "inc", echo: bool = False,

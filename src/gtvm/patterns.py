@@ -438,6 +438,13 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
     checks, negs, and counts are inserted as soon as their bound-variable
     requirements are met. ``shuffle`` (a random.Random) randomizes positive
     picks for plan-independence testing.
+
+    Connected first: once any variable is bound, a positive constraint that
+    shares no variable with the bound set (an entity scan, a relation with
+    no bound end, a ``find`` with no bound argument) ranks after every one
+    that does, so no plan takes a Cartesian product while a connected
+    constraint is ready. A disconnected body still schedules, its parts one
+    after the other.
     """
     constraints = list(body_constraints)
     positive = [c for c in constraints if isinstance(c, (EntityC, RelationC, FindC))]
@@ -457,23 +464,28 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
         return need <= have
 
     def cost(c: Constraint, have: set[str]) -> tuple:
+        # (apart, tier, size); apart: shares no variable with a non-empty
+        # bound set, so picking it would take a Cartesian product (a
+        # constraint without variables, such as `find p()`, is a filter)
+        cvars = constraint_vars(c)
+        apart = bool(have) and bool(cvars) and have.isdisjoint(cvars)
         size = size_hint(c) if size_hint else 0
         if isinstance(c, RelationC):
             if c.rel in have:
-                return (0, 0)
+                return (apart, 0, 0)
             if c.src in have or c.trg in have:
-                return (1, 0)
-            return (3, size) if c.type is not None else (5, size)
+                return (apart, 1, 0)
+            return (apart, 3, size) if c.type is not None else (apart, 5, size)
         if isinstance(c, EntityC):
             if c.var in have:
-                return (0, 0)
-            return (2, size)
+                return (apart, 0, 0)
+            return (apart, 2, size)
         if isinstance(c, FindC):
             if all(a in have for a in c.args):
-                return (0, 0)
+                return (apart, 0, 0)
             if any(a in have for a in c.args):
-                return (2, size)
-            return (4, size)
+                return (apart, 2, size)
+            return (apart, 4, size)
         raise AssertionError(c)
 
     plan: list[Constraint] = []
@@ -506,12 +518,3 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
         names = [type(c).__name__ for c in deferred]
         raise PatternError(f"constraints cannot be scheduled: {names}")
     return plan
-
-
-def builtin_library(registry: TypeRegistry | None = None) -> dict[str, Pattern]:
-    """The shared graph-pattern library (graphPatterns), validated against
-    ``registry`` (a fresh metamodel registry when omitted)."""
-    from .corpus import library_program, metamodels  # local import, avoids a cycle
-    program = library_program(registry if registry is not None else metamodels())
-    return {name: p for name, p in program.patterns.items()
-            if name.startswith("graphPatterns.")}

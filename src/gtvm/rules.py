@@ -226,12 +226,6 @@ class Machine:
     gtrules: tuple[GtRuleDef, ...]
     rules: tuple[AsmRule, ...]
 
-    def rule(self, name: str) -> Optional[AsmRule]:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        return None
-
 
 # --- linked program -----------------------------------------------------------
 

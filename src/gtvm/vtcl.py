@@ -31,11 +31,10 @@ class NegInlineC:
 # --- lexer -------------------------------------------------------------------
 
 # One alternative per token kind, tried in this order at each position.
-# "/*/" is a whole comment: the closing "*/" may share the opening star.
 # Integers are ASCII digits only; an identifier starts with a letter or "_",
 # which ``tokenize`` checks, since \w also takes other digits and numerals.
 _TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*/ | /\*.*?\*/)
+    (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<int>[0-9]+)
   | (?P<ident>\w+)

@@ -2,6 +2,16 @@ import pytest
 
 from gtvm import corpus
 from gtvm.corpus.fixtures import load_fixture
+from gtvm.patterns import Pattern
+
+
+def builtin_library(registry=None) -> dict[str, Pattern]:
+    """The shared graph-pattern library (graphPatterns), validated against
+    ``registry`` (a fresh metamodel registry when omitted)."""
+    program = corpus.library_program(registry if registry is not None
+                                     else corpus.metamodels())
+    return {name: p for name, p in program.patterns.items()
+            if name.startswith("graphPatterns.")}
 
 
 @pytest.fixture

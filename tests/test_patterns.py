@@ -1,11 +1,12 @@
 import pytest
 
+from conftest import builtin_library
 from gtvm import corpus
 from gtvm.errors import LinkError, PatternError
 from gtvm.patterns import (Body, CheckC, CountC, EntityC, FindC, NegC,
-                           Pattern, RelationC, arg_equalities, builtin_library,
-                           consistency_test, schedule, tuple_getter, validate,
-                           validate_patterns)
+                           Pattern, RelationC, arg_equalities,
+                           consistency_test, constraint_vars, schedule,
+                           tuple_getter, validate, validate_patterns)
 from gtvm.vtcl import link, parse
 
 G1 = "nemf.packages.graph1."
@@ -175,8 +176,104 @@ def test_schedule_binds_before_reading():
             assert "Edge" in seen  # the shared neg variable is already bound
         seen.update(a for a in getattr(c, "args", ()))
         if isinstance(c, (EntityC, RelationC)):
-            from gtvm.patterns import constraint_vars
             seen.update(constraint_vars(c))
+
+
+NODE, GRAPH = G1 + "Node", G1 + "Graph"
+SRC = G1 + "Edge.src"
+
+
+def connected_first(plan, bound):
+    """True when no positive constraint of ``plan`` that shares no variable
+    with a non-empty bound set was picked while one that shares some was
+    still to come."""
+    have = set(bound)
+    for i, c in enumerate(plan):
+        if isinstance(c, (EntityC, RelationC, FindC)) and have and \
+                have.isdisjoint(constraint_vars(c)):
+            if any(isinstance(d, (EntityC, RelationC, FindC))
+                   and not have.isdisjoint(constraint_vars(d))
+                   for d in plan[i + 1:]):
+                return False
+        have.update(constraint_vars(c))
+    return True
+
+
+# the body of edgeFromToInternal: two node scans and two calls joined by Edge
+EDGE_BODY = (EntityC(NODE, "From"), EntityC(NODE, "To"),
+             FindC("src", ("Edge", "From", "SR")),
+             FindC("trg", ("Edge", "To", "TR")))
+
+
+@pytest.mark.parametrize("size_hint", [None, lambda c: 1000 if isinstance(
+    c, FindC) else 1], ids=["no-hint", "cheap-scans"])
+def test_schedule_takes_connected_constraints_first(size_hint):
+    plan = schedule(EDGE_BODY, ("Edge", "From", "To"), frozenset(), size_hint)
+    assert plan == [EDGE_BODY[0], EDGE_BODY[2], EDGE_BODY[3], EDGE_BODY[1]]
+    # a relation with no bound end waits for the relation that has one
+    body = (EntityC(NODE, "X"), RelationC(SRC, "R2", "E2", "Y"),
+            RelationC(SRC, "R1", "E1", "X"), RelationC(SRC, "R3", "E1", "Y"))
+    plan = schedule(body, ("X", "Y"), frozenset(), size_hint)
+    assert plan == [body[0], body[2], body[3], body[1]]
+    # a call without arguments is a filter: it does not wait for the others
+    body = (EntityC(NODE, "X"), RelationC(SRC, "R", "E", "X"), FindC("p", ()))
+    plan = schedule(body, ("X",), frozenset({"X"}), size_hint)
+    assert plan == [body[0], body[2], body[1]]
+    for bound in [frozenset(), frozenset({"To"}), frozenset({"Edge"})]:
+        plan = schedule(EDGE_BODY, ("Edge", "From", "To"), bound, size_hint)
+        assert sorted(map(repr, plan)) == sorted(map(repr, EDGE_BODY))
+        assert connected_first(plan, bound)
+
+
+@pytest.mark.parametrize("size_hint", [None, lambda c: 5], ids=["no-hint", "hint"])
+def test_schedule_keeps_a_disconnected_body(size_hint):
+    body = (EntityC(NODE, "A"), EntityC(GRAPH, "B"))
+    assert schedule(body, ("A", "B"), frozenset(), size_hint) == list(body)
+    assert schedule(body, ("A", "B"), frozenset({"B"}), size_hint) == [body[1], body[0]]
+    # each part is taken whole before the next one starts
+    body = (EntityC(NODE, "A"), EntityC(GRAPH, "B"),
+            RelationC(SRC, "R", "E", "A"), RelationC(SRC, "S", "F", "B"))
+    plan = schedule(body, ("A", "B"), frozenset(), size_hint)
+    assert plan == [body[0], body[2], body[1], body[3]]
+
+
+@pytest.mark.parametrize("size_hint", [None, lambda c: 3], ids=["no-hint", "hint"])
+def test_schedule_places_neg_count_and_check_as_soon_as_ready(size_hint):
+    from gtvm import expr as ex
+    first = CheckC(ex.BinOp("==", ex.ValueOf(ex.Var("X")), ex.Lit("n1")))
+    neg = NegC("p", ("X", "Z"))          # Z is existential inside the neg
+    count = CountC("q", ("X", "W"), "N")
+    on_count = CheckC(ex.BinOp("==", ex.Var("N"), ex.Lit(2)))
+    rel, node = RelationC(SRC, "R", "X", "Y"), EntityC(NODE, "X")
+    body = (first, rel, neg, count, on_count, node)
+    plan = schedule(body, ("X", "N"), frozenset(), size_hint)
+    assert plan == [node, first, neg, count, on_count, rel]
+    plan = schedule(body, ("X", "N"), frozenset({"X"}), size_hint)
+    assert plan == [first, neg, count, on_count, node, rel]
+    with pytest.raises(PatternError):
+        schedule((EntityC(NODE, "X"), NegC("p", ("Y",))), ("X", "Y"), frozenset())
+
+
+def test_ls_plans_of_the_migration_patterns_take_the_call_first():
+    # a graph1 model: the graph2/graph3 node scans cost 0, and are still
+    # taken only once nothing connected is ready
+    from gtvm.corpus.fixtures import load_fixture
+    from gtvm.matcher_ls import LocalSearchMatcher
+    space = load_fixture("random", n=8, e=16, seed=1)
+    ls = LocalSearchMatcher(space, corpus.library_program(space.registry).patterns)
+
+    def plan(name, bound):
+        p = ls.patterns[f"graphPatterns.{name}"]
+        return [(type(c).__name__, getattr(c, "var", None) or getattr(c, "pattern", None)
+                 or c.rel) for c in ls._plan(p, 0, p.bodies[0], frozenset(bound))]
+
+    assert plan("oldAndNewEdgeFromTo", ()) == [
+        ("EntityC", "NewFrom"), ("RelationC", "Tr1"), ("EntityC", "From"),
+        ("FindC", "graphPatterns.edgeFromTo"), ("EntityC", "To"),
+        ("RelationC", "Tr2"), ("EntityC", "NewTo")]
+    assert plan("OldAndNewSourceOfEdge", ("Edge",)) == [
+        ("FindC", "graphPatterns.srcAndRelForEdge"), ("RelationC", "Traceability"),
+        ("EntityC", "Node2")]
 
 
 def test_disjunction_union(library):

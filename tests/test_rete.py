@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -7,7 +8,8 @@ from gtvm import corpus
 from gtvm.corpus.fixtures import G1, Graph1Builder, load_fixture
 from gtvm.errors import MatcherError
 from gtvm.matcher_ls import LocalSearchMatcher
-from gtvm.rete import ReteEngine
+from gtvm.patterns import EntityC, FindC, RelationC, constraint_vars
+from gtvm.rete import JoinNode, ReteEngine
 
 
 def engines(space):
@@ -57,6 +59,75 @@ def test_initial_memory_equals_local_search(triangle):
     ls, rete = engines(triangle)
     for name in inc_names(ls):
         assert rete.register(name).match_tuples() == ls.match_set(name), name
+
+
+def body_chains(rete):
+    """Every compiled body as (pattern, body, nodes from the seed on).
+
+    The chains are read forward from the seed through each node's outputs;
+    each production takes its bodies' chains in body order.
+    """
+    out = []
+    taken: dict[str, int] = {}
+    for head in rete._seed.outputs:
+        chain, feed = [], head
+        while not isinstance(feed, partial):
+            chain.append(feed.__self__)
+            (feed,) = chain[-1].outputs
+        pattern = feed.func.__self__.pattern
+        index = taken[pattern.name] = taken.get(pattern.name, -1) + 1
+        out.append((pattern, pattern.bodies[index], chain))
+    return out
+
+
+def disconnected(body) -> bool:
+    """True when the positive constraints fall into parts that share no
+    variable."""
+    parts: list[set] = []
+    for c in body.constraints:
+        if isinstance(c, (EntityC, RelationC, FindC)):
+            cvars = set(constraint_vars(c))
+            joined = [p for p in parts if not p.isdisjoint(cvars)]
+            for p in joined:
+                parts.remove(p)
+                cvars |= p
+            parts.append(cvars)
+    return len(parts) > 1
+
+
+def product_joins(rete):
+    """(pattern name, disconnected?) of every join after the first one of a
+    body whose join key is empty: a Cartesian product."""
+    found = []
+    for pattern, body, chain in body_chains(rete):
+        joins = [i for i, node in enumerate(chain) if isinstance(node, JoinNode)]
+        for i in joins[1:]:
+            left = chain[i - 1]
+            if chain[i].left_key(tuple(range(len(left.schema)))) == ():
+                found.append((pattern.name, disconnected(body)))
+    return found
+
+
+def test_no_join_is_a_cartesian_product_of_a_connected_body():
+    from gtvm.vtcl import link, parse
+    space = load_fixture("random", n=12, e=24, seed=1)
+    machine = parse("""
+    import nemf.packages;
+    machine m{
+      pattern pair(A,B) = { graph1.Node(A); graph1.Graph(B); }
+    }""")
+    program = link([corpus.load_machine("graphPatterns"), machine], space.registry)
+    rete = ReteEngine(space, program.patterns)
+    names = [n for n, p in program.patterns.items()
+             if n.startswith("graphPatterns.") and not p.requires_ls]
+    for name in names:
+        rete.register(name)
+    compiled = {pattern.name for pattern, _, _ in body_chains(rete)}
+    assert compiled == set(names)
+    assert product_joins(rete) == []
+    # a disconnected body can only be a product, and the walk sees it
+    rete.register("m.pair")
+    assert product_joins(rete) == [("m.pair", True)]
 
 
 def test_self_loop_appears_incrementally(triangle):

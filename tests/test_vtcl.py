@@ -63,7 +63,7 @@ def test_comments_are_skipped():
        comment */ rule main() = skip; // trailing
     }
     """)
-    assert m.rule("main") is not None
+    assert [r.name for r in m.rules] == ["main"]
 
 
 @pytest.mark.parametrize("name", corpus.CORPUS_MACHINES)
@@ -225,6 +225,16 @@ def test_token_positions_after_multiline_comment_and_string():
         ("ident", "d", 5, 3),
         ("eof", "", 5, 4),
     ]
+
+
+def test_block_comment_closes_after_its_opening_star():
+    # as in C: the "*/" that closes a comment cannot share the opening star
+    assert [t.text for t in tokenize("a /*/ note */ b")] == ["a", "b", ""]
+    assert [t.text for t in tokenize("a /**/ b /***/ c")] == ["a", "b", "c", ""]
+    with pytest.raises(ParseError) as err:
+        tokenize("a\n /*/ b")
+    assert "unterminated block comment" in str(err.value)
+    assert (err.value.line, err.value.col) == (2, 2)
 
 
 @pytest.mark.parametrize("source, position", [
