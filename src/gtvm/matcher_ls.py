@@ -6,6 +6,15 @@ patterns are evaluated by least-fixpoint tabling over their call cycle
 (semi-naive for bodies with a single in-cycle call), so evaluation terminates
 on cyclic graphs. Match order is deterministic: sorted by bound values.
 
+A plan step extends the binding in one place. Each positive constraint, and
+a ``#`` count, yields candidate rows aligned with the variables it binds:
+``(e,)`` or ``(e, ancestor)`` for an entity, ``(relation, source, target)``
+for a relation, the callee's answer tuples for a ``find`` and ``(n,)`` for a
+count. Bound variables narrow the rows where an index serves them. One unify
+step checks bound variables for equality, binds fresh ones (element values
+pairwise distinct unless the pattern is shareable) and undoes them on
+backtracking. Checks and ``neg`` calls only filter.
+
 Answers are memoized per ``space.version``; the first query after a change
 drops them all. A pattern's unbound answer set, once held (searched, or
 tabled for a recursive pattern), also answers every bound call to it through
@@ -192,17 +201,15 @@ class LocalSearchMatcher:
             hit = self._memo.get(memo_key)
             if hit is not None:
                 return hit
-        params = p.params
-        seed = {params[i]: v for i, v in zip(positions, key)}
+        seed = {p.params[i]: v for i, v in zip(positions, key)}
         out: set[tuple] = set()
         for bidx, body in enumerate(p.bodies):
-            for env in self._eval_body(p, bidx, body, seed, None):
-                out.add(tuple(env[x] for x in params))
+            out.update(self._eval_body(p, bidx, body, seed, None))
         if memo:
             if positions:
                 self._memo[memo_key] = out
             else:
-                self._held[p.name] = AnswerSet(out, len(params))
+                self._held[p.name] = AnswerSet(out, len(p.params))
         return out
 
     def _call_matches(self, callee: Pattern, args: tuple[str, ...], env: dict,
@@ -224,20 +231,16 @@ class LocalSearchMatcher:
         return sub if consistent is None else filter(consistent, sub)
 
     def _eval_body(self, p: Pattern, bidx: int, body: Body, seed: dict,
-                   scc_ctx) -> Iterator[dict]:
-        info = body.info
+                   scc_ctx) -> Iterator[tuple]:
+        """The parameter tuples of the body's matches that extend ``seed``."""
         plan = self._plan(p, bidx, body, frozenset(seed))
         space = self.space
         env = dict(seed)
-        injective = not p.shareable
-        used: set = set()
-        if injective:
-            vals = [env[v] for v in info.element_vars if v in env]
-            if len(vals) != len(set(vals)):
-                return
-            used.update(vals)
-
-        elem = info.element_vars
+        elem = frozenset() if p.shareable else body.info.element_vars
+        vals = [val for var, val in seed.items() if var in elem]
+        used = set(vals)
+        if len(used) < len(vals):
+            return
 
         def bindings(i: int) -> Iterator[None]:
             if i == len(plan):
@@ -254,128 +257,69 @@ class LocalSearchMatcher:
                     return
                 yield from bindings(i + 1)
                 return
-            if isinstance(c, CountC):
-                callee = self.patterns[c.pattern]
-                n = sum(1 for _ in self._call_matches(callee, c.args, env, scc_ctx))
-                if c.out in env:
-                    if env[c.out] == n:
-                        yield from bindings(i + 1)
-                else:
-                    env[c.out] = n
-                    yield from bindings(i + 1)
-                    del env[c.out]
-                return
-            if isinstance(c, FindC):
-                callee = self.patterns[c.pattern]
-                for t in self._call_matches(callee, c.args, env, scc_ctx):
-                    fresh: list[str] = []
-                    ok = True
-                    for j, a in enumerate(c.args):
-                        if a in env:
-                            continue
-                        v = t[j]
-                        if injective and a in elem and v in used:
-                            ok = False
-                        else:
-                            env[a] = v
-                            fresh.append(a)
-                            if a in elem:
-                                used.add(v)
-                        if not ok:
+            # unify: bound variables must agree with the row, fresh ones
+            # take its values (distinct element values unless shareable)
+            names, rows = self._rows(c, env, scc_ctx)
+            for row in rows:
+                fresh = []
+                for var, val in zip(names, row):
+                    if var in env:
+                        if env[var] != val:
                             break
-                    if ok:
-                        yield from bindings(i + 1)
-                    for a in fresh:
-                        if a in elem:
-                            used.discard(env[a])
-                        del env[a]
-                return
-            if isinstance(c, EntityC):
-                yield from self._eval_entity(c, env, used, injective, elem, i, bindings)
-                return
-            if isinstance(c, RelationC):
-                yield from self._eval_relation(c, env, used, injective, elem, i, bindings)
-                return
-            raise AssertionError(c)
+                    elif var in elem and val in used:
+                        break
+                    else:
+                        env[var] = val
+                        fresh.append(var)
+                        if var in elem:
+                            used.add(val)
+                else:
+                    yield from bindings(i + 1)
+                for var in fresh:
+                    val = env.pop(var)
+                    if var in elem:
+                        used.discard(val)
 
+        params = p.params
         for _ in bindings(0):
-            yield env
+            yield tuple([env[x] for x in params])
 
-    def _bind(self, var, val, env, used, injective, elem) -> bool:
-        if injective and var in elem and val in used:
-            return False
-        env[var] = val
-        if var in elem:
-            used.add(val)
-        return True
-
-    def _unbind(self, var, env, used, elem):
-        if var in elem:
-            used.discard(env[var])
-        del env[var]
-
-    def _eval_entity(self, c: EntityC, env, used, injective, elem, i, bindings):
+    def _rows(self, c, env: dict,
+              scc_ctx) -> tuple[tuple[str, ...], Iterable[tuple]]:
+        """The variables a positive constraint or a count binds, and its
+        candidate rows aligned with them. Bound variables narrow the rows
+        where an index serves them; the unify step checks the rest."""
         space = self.space
-        if c.var in env:
-            candidates = [env[c.var]] if (space.is_live(env[c.var]) and
-                                          space.conforms(env[c.var], c.type)) else []
-        else:
-            candidates = space.elements_of_type(c.type)
-        for v in candidates:
-            fresh_var = c.var not in env
-            if fresh_var and not self._bind(c.var, v, env, used, injective, elem):
-                continue
+        if isinstance(c, EntityC):
+            if c.var in env:
+                e = env[c.var]
+                es = (e,) if space.is_live(e) and space.conforms(e, c.type) else ()
+            else:
+                es = space.elements_of_type(c.type)
             # `in <namespace>` is containment under the root: vacuously true
             if c.in_var is None:
-                yield from bindings(i + 1)
-            elif c.in_var in env:
-                if space.contains(env[c.in_var], v):
-                    yield from bindings(i + 1)
+                return (c.var,), zip(es)
+            return (c.var, c.in_var), [(e, anc) for e in es
+                                       for anc in space.ancestors(e)]
+        if isinstance(c, RelationC):
+            typed = c.type is not None
+            if c.rel in env:
+                rid = env[c.rel]
+                rids = (rid,) if space.is_live(rid) and space.kind(rid) == RELATION else ()
+            elif c.src in env:
+                rids = space.relations_from(env[c.src])
+            elif c.trg in env:
+                rids = space.relations_to(env[c.trg])
             else:
-                for anc in space.ancestors(v):
-                    if self._bind(c.in_var, anc, env, used, injective, elem):
-                        yield from bindings(i + 1)
-                        self._unbind(c.in_var, env, used, elem)
-            if fresh_var:
-                self._unbind(c.var, env, used, elem)
-
-    def _eval_relation(self, c: RelationC, env, used, injective, elem, i, bindings):
-        space = self.space
-        if c.rel in env:
-            rid = env[c.rel]
-            candidates = [rid] if (space.is_live(rid) and
-                                   space.kind(rid) == RELATION and
-                                   (c.type is None or space.conforms(rid, c.type))) else []
-        elif c.src in env:
-            src = env[c.src]
-            candidates = [r for r in sorted(space.relations_from(src))
-                          if c.type is None or space.conforms(r, c.type)]
-        elif c.trg in env:
-            trg = env[c.trg]
-            candidates = [r for r in sorted(space.relations_to(trg))
-                          if c.type is None or space.conforms(r, c.type)]
-        elif c.type is not None:
-            candidates = space.elements_of_type(c.type)
-        else:
-            candidates = space.iter_relations()
-        for rid in candidates:
-            el = space.element(rid)
-            bound_here: list[str] = []
-            ok = True
-            for var, val in ((c.rel, rid), (c.src, el.source), (c.trg, el.target)):
-                if var in env:
-                    if env[var] != val:
-                        ok = False
-                        break
-                else:
-                    if not self._bind(var, val, env, used, injective, elem):
-                        ok = False
-                        break
-                    bound_here.append(var)
-            if ok:
-                yield from bindings(i + 1)
-            for var in reversed(bound_here):
-                self._unbind(var, env, used, elem)
+                rids = space.elements_of_type(c.type) if typed else space.iter_relations()
+                typed = False
+            return (c.rel, c.src, c.trg), [
+                (el.id, el.source, el.target) for el in map(space.element, rids)
+                if not typed or space.conforms(el.id, c.type)]
+        matches = self._call_matches(self.patterns[c.pattern], c.args, env, scc_ctx)
+        if isinstance(c, CountC):
+            return (c.out,), ((sum(1 for _ in matches),),)
+        return c.args, matches
 
     # -- recursion ------------------------------------------------------------
 
@@ -397,8 +341,7 @@ class LocalSearchMatcher:
             for bidx, body in enumerate(m.bodies):
                 if scc_calls(body):
                     continue
-                for env in self._eval_body(m, bidx, body, {}, None):
-                    deltas[m.name].tuples.add(tuple(env[x] for x in m.params))
+                deltas[m.name].tuples.update(self._eval_body(m, bidx, body, {}, None))
         for n in names:
             tabs[n].add(deltas[n].tuples)
 
@@ -417,10 +360,9 @@ class LocalSearchMatcher:
                         ctx[target] = deltas[target]
                     else:
                         ctx = tabs  # naive round for multi-call bodies
-                    for env in self._eval_body(m, bidx, body, {}, ctx):
-                        t = tuple(env[x] for x in m.params)
-                        if t not in tabs[m.name].tuples:
-                            new[m.name].tuples.add(t)
+                    new[m.name].tuples.update(
+                        t for t in self._eval_body(m, bidx, body, {}, ctx)
+                        if t not in tabs[m.name].tuples)
             deltas = new
             for n in names:
                 tabs[n].add(new[n].tuples)

@@ -116,7 +116,6 @@ class BodyInfo:
         self.positive: set[str] = set()       # vars with a positive binder
         self.int_vars: set[str] = set()       # count outputs / int-valued find args
         self.element_vars: set[str] = set()   # vars subject to injectivity
-        self.shared_neg_args: dict[int, tuple[int, ...]] = {}  # constraint idx -> bound positions
 
 
 def _analyze_body(pattern: Pattern, body: Body,
@@ -143,15 +142,6 @@ def _analyze_body(pattern: Pattern, body: Body,
         elif isinstance(c, CountC):
             info.positive.add(c.out)
             info.int_vars.add(c.out)
-
-    for idx, c in enumerate(body.constraints):
-        if isinstance(c, (NegC, CountC)):
-            # args without a positive binder are existential inside this one
-            # constraint; the same name in another neg/count is a separate
-            # quantifier, as in the library's isolatedNode
-            shared = tuple(i for i, a in enumerate(c.args)
-                           if a in info.positive or a in pattern.params)
-            info.shared_neg_args[idx] = shared
 
     for c in body.constraints:
         if isinstance(c, CheckC):
@@ -313,7 +303,6 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
                 changed = True
 
     for p in patterns.values():
-        p.scc_id = scc_of[p.name]
         p.scc_members = tuple(sorted(sccs[scc_of[p.name]])) if p.recursive else (p.name,)
 
 
@@ -457,7 +446,8 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
         if isinstance(c, CheckC):
             return ex.expr_vars(c.expr) <= have
         # neg/count: every arg that has a positive binder (or is a param)
-        # must be bound; the rest are existential inside the sub-query
+        # must be bound; the rest are existential inside the sub-query, one
+        # quantifier per neg/count, as in the library's isolatedNode
         need = {a for a in c.args if a in positive_vars or a in params}
         if isinstance(c, CountC):
             need.discard(c.out)
@@ -492,16 +482,21 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
     have = set(bound)
 
     def pull_deferred():
+        # until nothing more is placed: a count placed here binds the output
+        # that a check written before it reads
         nonlocal deferred
-        rest = []
-        for c in deferred:
-            if ready(c, have):
-                plan.append(c)
-                if isinstance(c, CountC):
-                    have.add(c.out)
-            else:
-                rest.append(c)
-        deferred = rest
+        placed = True
+        while placed:
+            rest = []
+            for c in deferred:
+                if ready(c, have):
+                    plan.append(c)
+                    if isinstance(c, CountC):
+                        have.add(c.out)
+                else:
+                    rest.append(c)
+            placed = len(rest) < len(deferred)
+            deferred = rest
 
     pull_deferred()
     remaining = list(positive)

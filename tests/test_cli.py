@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gtvm import corpus, snapshot
@@ -192,6 +194,41 @@ def test_fixture_subcommand(tmp_path, capsys):
     out = tmp_path / "x.gms"
     assert main(["fixture", "selfloop", "--out", str(out)]) == 0
     assert out.read_text() == corpus.fixture_gms("selfloop")
+
+
+TWO_OUT = """
+import nemf.packages;
+machine twoOut{
+  shareable pattern edgeOf(X, E) = {
+    find graphPatterns.srcAndRelForEdge(E, X, R);
+  }
+  pattern twoOut(X) = {
+    check(N == 2);
+    graph1.Node(X);
+    find edgeOf(X, E) # N;
+  }
+  rule main() = forall X with find twoOut(X) do println(name(X));
+}
+"""
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_run_check_written_before_its_count(matcher, tmp_path, capsys):
+    gms, src = tmp_path / "g.gms", tmp_path / "twoOut.vtcl"
+    src.write_text(TWO_OUT)
+    assert main(["fixture", "random", "--seed", "3", "--out", str(gms)]) == 0
+    capsys.readouterr()
+    code = main(["run", "graphPatterns", str(src), "--model", str(gms),
+                 "--matcher", matcher])
+    assert code == 0
+    got = sorted(capsys.readouterr().out.split())
+    space = snapshot.load_file(gms, corpus.metamodels())
+    g1 = "nemf.packages.graph1."
+    sources = {(e, space.target(r)) for e in space.elements_of_type(g1 + "Edge")
+               for r in space.relations_from(e) if space.conforms(r, g1 + "Edge.src")}
+    outs = Counter(x for _, x in sources)
+    want = sorted(space.name(x) for x, k in outs.items() if k == 2)
+    assert want and got == want
 
 
 def test_corpus_invocations_end_to_end(tmp_path, capsys):

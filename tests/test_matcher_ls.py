@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from gtvm.errors import SpaceError
 from gtvm.matcher_ls import LocalSearchMatcher
 from gtvm.oracle import (BruteForce, edge_pairs, transitive_connected,
                          two_hop_missing)
+from gtvm.vtcl import link, parse
 
 
 def matcher_for(space):
@@ -280,3 +282,67 @@ def test_containment_constraint_transitive():
     space.delete(n)
     assert handle.match_tuples() == ls.match_set("q.textsUnder")
     assert handle.count() == 2
+
+
+ROW_SHAPES = """
+import nemf.packages;
+import nemf.ecore.datatypes;
+machine rows{
+  pattern selfRelation(R,X) = {
+    relation(R,X,X);
+  }
+  shareable pattern edgeEnds(E,X,Y) = {
+    find graphPatterns.edgeFromToInternal(E,X,Y);
+  }
+  pattern loopThenStep(E,X,Y) = {
+    find edgeEnds(E,X,X);
+    find graphPatterns.edgeFromTo(X,Y);
+  }
+  shareable pattern loopThenStepShared(E,X,Y) = {
+    find edgeEnds(E,X,X);
+    find graphPatterns.edgeFromTo(X,Y);
+  }
+  pattern textIn(T,N) = {
+    EString(T) in N;
+  }
+}
+"""
+
+
+def row_shape_models():
+    space = load_fixture("selfloop")
+    node = space.elements_of_type("nemf.packages.graph1.Node")[0]
+    space.new_relation(None, node, node)  # a relation from an element to itself
+    yield space
+    for seed in range(3):
+        yield load_fixture("random", n=5, e=8, seed=seed)
+
+
+@pytest.mark.parametrize("plans", ["default", "shuffle"])
+@pytest.mark.parametrize("name", ["selfRelation", "loopThenStep",
+                                  "loopThenStepShared", "textIn"])
+def test_every_row_shape_agrees_with_the_oracle(name, plans):
+    """relation(R,X,X), find edgeEnds(E,X,X) from an injective and a
+    shareable caller, and `in N`, under every subset of bound parameters."""
+    name = "rows." + name
+    matched = False
+    for k, space in enumerate(row_shape_models()):
+        program = link([corpus.load_machine("graphPatterns"), parse(ROW_SHAPES)],
+                       space.registry)
+        ls = LocalSearchMatcher(space, program.patterns)
+        if plans == "shuffle":
+            ls.shuffle = random.Random(k)
+        brute = BruteForce(space, program.patterns)
+        params = program.patterns[name].params
+        full = brute.match_set(name)
+        matched = matched or bool(full)
+        others = space.iter_elements()[:2]
+        for r in range(len(params) + 1):
+            for bound in itertools.combinations(range(len(params)), r):
+                keys = {tuple(t[i] for i in bound) for t in full}
+                keys.update((v,) * r for v in others)
+                for key in keys:
+                    binding = dict(zip((params[i] for i in bound), key))
+                    assert ls.match_set(name, binding) == \
+                        brute.match_set(name, binding), (k, binding)
+    assert matched

@@ -254,6 +254,23 @@ def test_schedule_places_neg_count_and_check_as_soon_as_ready(size_hint):
         schedule((EntityC(NODE, "X"), NegC("p", ("Y",))), ("X", "Y"), frozenset())
 
 
+@pytest.mark.parametrize("size_hint", [None, lambda c: 3], ids=["no-hint", "hint"])
+def test_schedule_places_a_check_written_before_the_count_it_reads(size_hint):
+    from gtvm import expr as ex
+    on_count = CheckC(ex.BinOp("==", ex.Var("N"), ex.Lit(2)))
+    node, count = EntityC(NODE, "X"), CountC("edgeOf", ("X", "E"), "N")
+    body = (on_count, node, count)     # twoOut(X): check(N == 2); Node(X); # N
+    plan = schedule(body, ("X",), frozenset(), size_hint)
+    assert plan == [node, count, on_count]
+    plan = schedule(body, ("X",), frozenset({"X"}), size_hint)
+    assert plan == [count, on_count, node]
+    # the check follows its count at once, ahead of the next positive pick
+    rel = RelationC(SRC, "R", "X", "Y")
+    body = (on_count, rel, node, count)
+    plan = schedule(body, ("X",), frozenset({"X"}), size_hint)
+    assert plan == [count, on_count, node, rel]
+
+
 def test_ls_plans_of_the_migration_patterns_take_the_call_first():
     # a graph1 model: the graph2/graph3 node scans cost 0, and are still
     # taken only once nothing connected is ready
