@@ -10,7 +10,6 @@ callee's own match set, so a shareable callee may alias internally.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
@@ -156,8 +155,8 @@ def _analyze_body(pattern: Pattern, body: Body,
 def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -> None:
     """Validate a closed set of patterns: arities, kinds, scoping, recursion.
 
-    Sets the derived ``requires_ls``/``recursive``/``int_params`` flags and
-    attaches per-body :class:`BodyInfo` (as ``body.info``).
+    Sets the derived ``requires_ls``/``recursive``/``scc_members``/``int_params``
+    and attaches per-body :class:`BodyInfo` (as ``body.info``).
     """
     # call arities first: the int-parameter fixpoint indexes callee params
     for p in patterns.values():
@@ -212,98 +211,36 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
                     raise PatternError(f"{p.name}: parameter {param} missing from a body")
             body.info = _analyze_body(p, body, patterns)
 
-    # call graph: recursion, stratification, local-search propagation
-    refs: dict[str, set[str]] = {}
-    neg_refs: dict[str, set[str]] = {}
-    for p in patterns.values():
-        refs[p.name] = set()
-        neg_refs[p.name] = set()
+    # call graph: reach[p] holds every pattern p's calls lead to; p is
+    # recursive when it reaches itself, and its cycle is what reaches it back
+    calls = {p.name: {c.pattern for body in p.bodies for c in body.constraints
+                      if isinstance(c, (FindC, NegC, CountC))}
+             for p in patterns.values()}
+    reach: dict[str, set[str]] = {}
+    for name, direct in calls.items():
+        seen, stack = set(direct), list(direct)
+        while stack:
+            for q in calls[stack.pop()] - seen:
+                seen.add(q)
+                stack.append(q)
+        reach[name] = seen
+    for name in sorted(patterns):
+        p = patterns[name]
+        p.recursive = name in reach[name]
+        p.scc_members = (tuple(sorted(q for q in reach[name] if name in reach[q]))
+                         if p.recursive else (name,))
+        p.requires_ls = any(patterns[q].localsearch or q in reach[q]
+                            for q in reach[name] | {name})
+        if not p.recursive:
+            continue
         for body in p.bodies:
             for c in body.constraints:
-                if isinstance(c, FindC):
-                    refs[p.name].add(c.pattern)
-                elif isinstance(c, (NegC, CountC)):
-                    refs[p.name].add(c.pattern)
-                    neg_refs[p.name].add(c.pattern)
-
-    index = {}
-    low = {}
-    on_stack = {}
-    stack = []
-    counter = itertools.count()
-    sccs: list[list[str]] = []
-    scc_of: dict[str, int] = {}
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(sorted(refs[root])))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in patterns:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(refs[w]))))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    cid = len(sccs)
-                    sccs.append(comp)
-                    for w in comp:
-                        scc_of[w] = cid
-
-    for name in sorted(patterns):
-        if name not in index:
-            strongconnect(name)
-
-    for cid, comp in enumerate(sccs):
-        cyclic = len(comp) > 1 or comp[0] in refs[comp[0]]
-        if not cyclic:
-            continue
-        for name in comp:
-            patterns[name].recursive = True
-            for target in neg_refs[name]:
-                if scc_of.get(target) == cid:
+                if isinstance(c, (NegC, CountC)) and c.pattern in p.scc_members:
                     raise PatternError(
-                        f"{name}: neg/count into the same recursion cycle ({target})")
-        if not any(patterns[n].localsearch for n in comp):
-            raise PatternError(
-                f"recursive pattern {comp[0]} requires local search (@localsearch)")
-
-    # requires_ls flows along call edges (condensation is acyclic, so iterate)
-    for p in patterns.values():
-        p.requires_ls = p.localsearch or p.recursive
-    changed = True
-    while changed:
-        changed = False
-        for p in patterns.values():
-            if not p.requires_ls and any(
-                    patterns[t].requires_ls for t in refs[p.name] if t in patterns):
-                p.requires_ls = True
-                changed = True
-
-    for p in patterns.values():
-        p.scc_members = tuple(sorted(sccs[scc_of[p.name]])) if p.recursive else (p.name,)
+                        f"{name}: neg/count into the same recursion cycle ({c.pattern})")
+        if not any(patterns[q].localsearch for q in p.scc_members):
+            raise PatternError(f"recursive pattern {p.scc_members[0]} requires "
+                               f"local search (@localsearch)")
 
 
 def validate(pattern: Pattern, registry: TypeRegistry,
@@ -317,16 +254,13 @@ def validate(pattern: Pattern, registry: TypeRegistry,
 # --- flattening (used by GT-rule diffing) ----------------------------------
 
 
-class FlattenError(PatternError):
-    pass
-
-
 def flatten_body(patterns: Mapping[str, Pattern], body: Body,
                  subst: dict[str, str], fresh: Callable[[str], str]) -> list[Constraint]:
     """Inline non-recursive find calls into primitive constraints.
 
     Variables present in ``subst`` are renamed accordingly; other variables
-    get fresh hygienic names. Neg/count constraints keep their call form.
+    get fresh hygienic names. Neg/count constraints keep their call form. A
+    ``find`` into a recursive or disjunctive pattern is a PatternError.
     """
     def sub(v: str) -> str:
         if v not in subst:
@@ -358,13 +292,11 @@ def flatten_body(patterns: Mapping[str, Pattern], body: Body,
         elif isinstance(c, CheckC):
             out.append(CheckC(sub_expr(c.expr)))
         elif isinstance(c, FindC):
-            callee = patterns.get(c.pattern)
-            if callee is None:
-                raise FlattenError(f"unknown pattern {c.pattern}")
+            callee = patterns[c.pattern]
             if callee.recursive:
-                raise FlattenError(f"cannot flatten recursive pattern {c.pattern}")
+                raise PatternError(f"cannot flatten recursive pattern {c.pattern}")
             if len(callee.bodies) != 1:
-                raise FlattenError(f"cannot flatten disjunctive pattern {c.pattern}")
+                raise PatternError(f"cannot flatten disjunctive pattern {c.pattern}")
             inner = {param: sub(arg) for param, arg in zip(callee.params, c.args)}
             out.extend(flatten_body(patterns, callee.bodies[0], inner, fresh))
     return out

@@ -3,8 +3,10 @@
 A machine bundles patterns, graph-transformation rules, and imperative
 control rules (seq / let / update / if / try / choose / forall / iterate /
 call / println plus element manipulation statements). GT rules are applied
-by constraint-level diffing of the flattened pre- and postcondition bodies,
-computed once at link time.
+by an edit script computed once at link time from the flattened
+postcondition: what it binds beyond the precondition is created, a kept
+relation is retargeted to both of its ends, and a negated kept element is
+deleted.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from . import expr as ex
 from .errors import DivergenceError, ExecError, LinkError
 from .matcher_ls import LocalSearchMatcher, in_order, least
 from .modelspace import ROOT_ID, ModelSpace
-from .patterns import (CheckC, CountC, EntityC, FlattenError, NegC,
-                       Pattern, RelationC, arg_equalities, consistency_test,
-                       flatten_body, tuple_getter)
+from .patterns import (CheckC, CountC, EntityC, NegC, Pattern, RelationC,
+                       consistency_test, tuple_getter)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -293,7 +294,6 @@ class CompiledGt:
     machine: str
     params: tuple[Param, ...]
     pre_pattern: str          # global name of the matchable precondition
-    pre_params: tuple[str, ...]
     script: Optional[DiffScript]
     action: Optional[Stmt]    # linked, like the bodies in LinkedProgram.rules
     scope_names: tuple[str, ...]
@@ -303,36 +303,10 @@ def _unique(seq):
     return tuple(dict.fromkeys(seq))
 
 
-def compile_gt_diff(rule_name: str, patterns: dict[str, Pattern],
-                    pre_pattern: Pattern, pre_params: tuple[str, ...],
-                    post_flat: list, post_signature: tuple[str, ...]) -> DiffScript:
+def compile_gt_diff(rule_name: str, pre_params: tuple[str, ...],
+                    post_flat: list) -> DiffScript:
     """Turn flattened postcondition constraints into an executable edit script."""
     bound = set(pre_params)
-
-    # best-effort flattening of the precondition for correspondence
-    pre_flat: list | None
-    try:
-        counter = [0]
-
-        def fresh(v):
-            counter[0] += 1
-            return f"${v}.{counter[0]}"
-
-        subst = {v: v for v in pre_pattern.params}
-        if len(pre_pattern.bodies) != 1:
-            raise FlattenError("disjunctive precondition")
-        pre_flat = flatten_body(patterns, pre_pattern.bodies[0], subst, fresh)
-    except FlattenError:
-        pre_flat = None
-
-    pre_rel: dict[str, RelationC] = {}
-    pre_ent_types: dict[str, set[str]] = {}
-    if pre_flat is not None:
-        for c in pre_flat:
-            if isinstance(c, RelationC) and c.rel in bound:
-                pre_rel.setdefault(c.rel, c)
-            elif isinstance(c, EntityC) and c.var in bound:
-                pre_ent_types.setdefault(c.var, set()).add(c.type)
 
     ent_types: dict[str, str] = {}
     ent_parent: dict[str, Optional[str]] = {}
@@ -365,15 +339,8 @@ def compile_gt_diff(rule_name: str, patterns: dict[str, Pattern],
         elif isinstance(c, RelationC):
             positive_post.update((c.rel, c.src, c.trg))
             if c.rel in bound:
-                prev = pre_rel.get(c.rel)
-                if prev is None:
-                    retargets.append(Retarget(c.rel, "source", c.src))
-                    retargets.append(Retarget(c.rel, "target", c.trg))
-                else:
-                    if prev.src != c.src:
-                        retargets.append(Retarget(c.rel, "source", c.src))
-                    if prev.trg != c.trg:
-                        retargets.append(Retarget(c.rel, "target", c.trg))
+                retargets.append(Retarget(c.rel, "source", c.src))
+                retargets.append(Retarget(c.rel, "target", c.trg))
             else:
                 rel_creates.append(RelationCreate(c.rel, c.type, c.src, c.trg))
 
@@ -438,7 +405,7 @@ def apply_diff(script: DiffScript, vm: "VM", binding: dict) -> None:
     for rt in script.retargets:
         rid = binding[rt.rel]
         current = space.source(rid) if rt.end == "source" else space.target(rid)
-        if current != binding[rt.new]:
+        if current != binding[rt.new]:  # an end that keeps its value is left untouched
             if rt.end == "source":
                 space.set_source(rid, binding[rt.new])
             else:
@@ -548,13 +515,21 @@ class VM:
         values = tuple(binding.values())
         return [t for t in tuples if bound(t) == values]
 
-    def query_all(self, pattern_name: str, binding: dict | None = None) -> list[dict]:
+    def query_all(self, pattern_name: str, binding: dict | None = None,
+                  args: tuple[str, ...] = ()) -> list[dict]:
+        """Every match in order, keeping those that give each repeated
+        variable of ``args`` (as in ``query_first``) a single value."""
         p = self.program.patterns[pattern_name]
         if self.backend == "inc" and not p.requires_ls:
             handle = self._rete_engine().register(pattern_name)
-            tuples = self._agreeing(p, binding, handle.match_tuples())
-            return [dict(zip(p.params, t)) for t in in_order(tuples)]
-        return self.ls.match_all(pattern_name, binding)
+            tuples = in_order(self._agreeing(p, binding, handle.match_tuples()))
+            matches = [dict(zip(p.params, t)) for t in tuples]
+        else:
+            matches = self.ls.match_all(pattern_name, binding)
+        consistent = consistency_test(args)
+        if consistent is None:
+            return matches
+        return [m for m in matches if consistent(tuple(m.values()))]
 
     def query_first(self, pattern_name: str, binding: dict | None = None,
                     args: tuple[str, ...] = ()) -> dict | None:
@@ -736,11 +711,7 @@ def _exec(vm: VM, frame: Frame, stmt) -> None:
             _exec(vm, enter(match), stmt.do)
         elif isinstance(stmt, Forall):
             pattern, binding, args, enter = _source(vm, frame, stmt)
-            params = pattern.params
-            eqs = arg_equalities(args)
-            snapshot = [m for m in vm.query_all(pattern.name, binding)
-                        if all(m[params[i]] == m[params[j]] for i, j in eqs)]
-            for match in snapshot:
+            for match in vm.query_all(pattern.name, binding, args):
                 if _live_match(vm, pattern, match):  # else an earlier step removed it
                     _exec(vm, enter(match), stmt.do)
         elif isinstance(stmt, Iterate):

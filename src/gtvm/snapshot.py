@@ -19,23 +19,15 @@ from .errors import SnapshotError
 from .modelspace import ENTITY, RELATION, ROOT_ID, ModelSpace, TypeRegistry
 
 
+_ESCAPED = re.compile(r"\\(.)", re.S)
+
+
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
 def _unquote(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPED.sub(lambda m: "\n" if m[1] == "n" else m[1], s)
 
 
 def save(space: ModelSpace) -> str:
@@ -134,8 +126,9 @@ def load(text: str, registry: TypeRegistry) -> ModelSpace:
         what, eid, types_s, src, trg, parent, name_s, value_s, value_i = m.groups()
         types = [t for t in types_s.split(",") if t]
         name = _unquote(name_s) if name_s is not None else None
-        value = _unquote(value_s) if value_s is not None else (int(value_i) if value_i is not None else None)
         try:
+            value = (_unquote(value_s) if value_s is not None
+                     else int(value_i) if value_i is not None else None)
             if what == "entity":
                 if src is not None:
                     raise SnapshotError("entity line with endpoints", lineno)

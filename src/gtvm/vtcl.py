@@ -537,7 +537,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return ex.Lit(int(tok.text))
+            try:
+                return ex.Lit(int(tok.text))
+            except ValueError:  # more digits than int() converts
+                self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
         if tok.kind == "string":
             self.next()
             return ex.Lit(tok.text)
@@ -827,8 +830,7 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
         for g in m.gtrules:
             gt_name = f"{m.name}.{g.name}"
             pre_name, post = gt_parts[gt_name]
-            pre_pattern = patterns[pre_name]
-            pre_params = pre_pattern.params
+            pre_params = patterns[pre_name].params
             script = None
             signature: tuple[str, ...] = ()
             if post is not None:
@@ -841,10 +843,12 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
                 subst = (dict(zip(callee.params, args)) if kind == "find"
                          else {q: q for q in callee.params})
                 signature = tuple(dict.fromkeys(args if kind == "find" else callee.params))
-                flat = flatten_body(patterns, callee.bodies[0], subst,
-                                    _fresh_namer(g.name))
-                script = ir.compile_gt_diff(gt_name, patterns, pre_pattern,
-                                            pre_params, flat, signature)
+                try:
+                    flat = flatten_body(patterns, callee.bodies[0], subst,
+                                        _fresh_namer(g.name))
+                except PatternError as e:
+                    raise LinkError(f"{gt_name}: {e}") from None
+                script = ir.compile_gt_diff(gt_name, pre_params, flat)
             scope = tuple(dict.fromkeys(pre_params + signature))
             for q in g.params:
                 if q.mode == "in" and q.name not in pre_params:
@@ -856,7 +860,7 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
             action = (None if g.action is None
                       else _link_stmt(machines, m, g.action, registry))
             gtrules[gt_name] = ir.CompiledGt(gt_name, m.name, g.params, pre_name,
-                                             pre_params, script, action, scope)
+                                             script, action, scope)
 
     rules = {f"{m.name}.{r.name}": ir.AsmRule(r.name, r.params,
                                               _link_stmt(machines, m, r.body, registry))

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.cli import main
 from gtvm.corpus.fixtures import load_fixture
@@ -125,6 +126,22 @@ def test_run_deep_nesting(tmp_path, capsys):
                    + " rule main() = call down(0); }")
     assert main(["run", str(src)]) == 2
     assert "nested deeper than" in capsys.readouterr().err
+
+
+def test_run_oversized_integers(tmp_path, capsys):
+    src = tmp_path / "big.vtcl"
+    src.write_text(f"machine big{{ rule main() = println({LONG_DIGITS}); }}")
+    gms = tmp_path / "big.gms"
+    gms.write_text(f"entity 1 : nemf.packages.graph1.Graph value={LONG_DIGITS}\n")
+    if not INT_DIGITS_LIMITED:
+        assert main(["run", str(src)]) == 0
+        assert LONG_DIGITS in capsys.readouterr().out
+        assert main(["run", "helloWorldASM", "--model", str(gms)]) == 0
+        return
+    assert main(["run", str(src)]) == 1
+    assert "1:36: integer literal of 5000 digits" in capsys.readouterr().err
+    assert main(["run", "helloWorldASM", "--model", str(gms)]) == 1
+    assert "line 1:" in capsys.readouterr().err
 
 
 def test_match_dangling(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import builtin_library
@@ -83,6 +85,27 @@ def test_neg_into_recursion_cycle_rejected(registry):
     with pytest.raises(PatternError) as err:
         validate_patterns({"p": p}, registry)
     assert "cycle" in str(err.value)
+
+
+def test_mutual_recursion_with_one_localsearch_member(registry):
+    node = EntityC(G1 + "Node", "X")
+    a = Pattern("a", ("X",), (Body((node,)), Body((node, FindC("b", ("X",))))),
+                localsearch=True)
+    b = Pattern("b", ("X",), (Body((node, FindC("a", ("X",)))),))
+    caller = Pattern("caller", ("X",), (Body((FindC("b", ("X",)),)),))
+    validate_patterns({"caller": caller, "b": b, "a": a}, registry)
+    assert a.recursive and b.recursive
+    assert a.scc_members == b.scc_members == ("a", "b")
+    assert a.requires_ls and b.requires_ls
+    assert caller.requires_ls and not caller.recursive
+    assert caller.scc_members == ("caller",)
+
+    b_neg = Pattern("b", ("X",), (Body((node, FindC("a", ("X",)), NegC("a", ("X",)))),))
+    with pytest.raises(PatternError, match=r"^b: neg/count into the same recursion cycle \(a\)"):
+        validate_patterns({"a": a, "b": b_neg}, registry)
+
+    with pytest.raises(PatternError, match="^recursive pattern a requires local search"):
+        validate_patterns({"b": b, "a": replace(a, localsearch=False)}, registry)
 
 
 def test_unknown_find_target_rejected(registry):

@@ -4,6 +4,7 @@ from gtvm import corpus
 from gtvm.corpus.fixtures import G1, load_fixture
 from gtvm.errors import DivergenceError, ExecError, LinkError
 from gtvm.matcher_ls import LocalSearchMatcher
+from gtvm.modelspace import EndpointRetargeted
 from gtvm.rules import MAX_CALL_DEPTH, MAX_EXEC_DEPTH, VM
 from gtvm.vtcl import link, parse
 
@@ -337,6 +338,43 @@ def test_gt_conflicting_creation_types_rejected():
           }
         }""")], space.registry)
     assert "conflicting" in str(err.value)
+
+
+@pytest.mark.parametrize("post, why", [
+    ("post(A,B,G) = { find graphPatterns.transitiveConnected(A,B,G); }", "recursive"),
+    ("post(E) = { find graphPatterns.danglingEdge(E); }", "disjunctive"),
+])
+def test_unflattenable_postcondition_is_a_link_error_naming_the_rule(post, why):
+    space = load_fixture("empty")
+    with pytest.raises(LinkError) as err:
+        link([corpus.load_machine("graphPatterns"), machine(f"""
+        machine m{{
+          rule main() = skip;
+          gtrule bad() = {{
+            precondition pattern pre(G) = {{
+              graph1.Graph(G);
+            }}
+            postcondition pattern {post}
+          }}
+        }}""")], space.registry)
+    assert str(err.value).startswith("m.bad: cannot flatten " + why)
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_gt_retarget_leaves_an_unchanged_end_untouched(matcher):
+    # the edit script retargets both ends of SourceRel and TargetRel; their
+    # source (the edge) keeps its value, so only the targets move
+    space = load_fixture("chain4")  # 3 edges
+    program = corpus.load_program(["graphPatterns", "reverseEdgesGT"], space.registry)
+    script = program.gtrules["reverseEdgesGT.reverseEdgesGT"].script
+    assert sorted(rt.end for rt in script.retargets) == ["source", "source",
+                                                         "target", "target"]
+    events = []
+    space.subscribe(events.append)
+    VM(program, space, matcher=matcher).run("reverseEdgesGT")
+    moved = [e for e in events if isinstance(e, EndpointRetargeted)]
+    assert len(moved) == 2 * 3
+    assert all(e.end == "target" for e in moved)
 
 
 def test_gt_out_param_binding():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.corpus.fixtures import BUILDERS, load_fixture
 from gtvm.errors import SnapshotError
@@ -23,9 +26,22 @@ def test_random_fixture_round_trip():
     assert reloaded.state() == space.state()
 
 
+SHIPPED = ("triangle", "chain4", "selfloop", "dangling", "isolated", "delete")
+
+
 def test_shipped_fixture_files_match_builders():
-    for name in ("triangle", "chain4", "selfloop", "dangling", "isolated", "delete"):
+    for name in SHIPPED:
         assert corpus.fixture_gms(name) == snapshot.save(load_fixture(name))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_fixture_files_round_trip(name):
+    text = corpus.fixture_gms(name)
+    assert snapshot.save(snapshot.load(text, corpus.metamodels())) == text
+
+
+def test_unquote_maps_escapes():
+    assert snapshot._unquote('a\\nb\\"c\\\\d\\qe\\') == 'a\nb"c\\dqe\\'
 
 
 def test_type_directives_extend_registry():
@@ -78,6 +94,40 @@ def test_load_errors(bad, what):
     with pytest.raises(SnapshotError) as err:
         snapshot.load(bad + "\n", corpus.metamodels())
     assert what.split()[0] in str(err.value)
+
+
+def test_oversized_integer_value_is_a_snapshot_error():
+    text = f"entity 1 : {G1}Graph\nentity 2 : {G1}Node in 1 value={LONG_DIGITS}\n"
+    if not INT_DIGITS_LIMITED:
+        assert snapshot.load(text, corpus.metamodels()).value(2) == int(LONG_DIGITS)
+        return
+    with pytest.raises(SnapshotError) as err:
+        snapshot.load(text, corpus.metamodels())
+    assert err.value.line == 2
+
+
+# single characters, digit runs, and integer fields to end a line with
+_GMS_FRAGMENTS = (
+    st.sampled_from(list('0123456789 \n\t"\\=,.:()->#') + ["\u00e9", "\u0663", "\x00"])
+    | st.sampled_from(["9" * 40, LONG_DIGITS, ' name="', ' value="'])
+    | st.sampled_from([f" value={LONG_DIGITS}", f" value=-{LONG_DIGITS}", f" in {LONG_DIGITS}"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(SHIPPED), data=st.data())
+def test_mutated_snapshot_text_raises_only_snapshot_errors(name, data):
+    lines = corpus.fixture_gms(name).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        i = data.draw(st.integers(0, len(line)) | st.just(len(line)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        c = "" if op == "delete" else data.draw(_GMS_FRAGMENTS)
+        lines[k] = line[:i] + c + line[i + (op != "insert"):]
+    try:
+        snapshot.load("\n".join(lines) + "\n", corpus.metamodels())
+    except SnapshotError:
+        pass
 
 
 def test_duplicate_id_rejected():

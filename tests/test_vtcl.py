@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
 from gtvm import corpus
 from gtvm import rules as ir
 from gtvm.errors import GtvmError, LinkError, ParseError
@@ -253,6 +254,17 @@ def test_non_ascii_digit_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse("machine m{ rule main() = println(\u00b2); }")
     assert "unexpected character" in str(err.value)
+
+
+def test_oversized_integer_literal_is_a_parse_error():
+    source = f"machine m{{ rule main() =\n  println({LONG_DIGITS}); }}"
+    if not INT_DIGITS_LIMITED:
+        assert parse(source).rules[0].body.expr.value == int(LONG_DIGITS)
+        return
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (2, 11)
+    assert "5000 digits" in str(err.value)
 
 
 _MUTATION_CHARS = st.sampled_from(list('{}();,."#=+!@/*\\ \n_aZ09') +
