@@ -8,11 +8,15 @@ as the literal string "undef" when concatenated.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import ExecError
 
 UNDEF = None
+# str() converts integers of at most this many digits (Python 3.10.7 on;
+# 0 is no limit), so an integer sum stays within it
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,19 @@ def expr_vars(e: Expr) -> set[str]:
     return set()
 
 
-def _as_text(v) -> str:
-    if v is UNDEF:
-        return "undef"
-    return str(v)
+def as_text(v) -> str:
+    """``v`` as ``println`` and string ``+`` render it."""
+    return "undef" if v is UNDEF else str(v)
+
+
+def _int_sum(a: int, b: int) -> int:
+    n = a + b
+    # 10**d has more than 3*d bits, so the power is only built for a sum
+    # that may reach it
+    if (_MAX_DIGITS and n.bit_length() > 3 * _MAX_DIGITS
+            and abs(n) >= 10 ** _MAX_DIGITS):
+        raise ExecError(f"integer sum has more than {_MAX_DIGITS} digits")
+    return n
 
 
 def eval_expr(e: Expr, lookup, space):
@@ -82,10 +95,10 @@ def eval_expr(e: Expr, lookup, space):
             return lv != rv
         if e.op == "+":
             if isinstance(lv, int) and isinstance(rv, int):
-                return lv + rv
+                return _int_sum(lv, rv)
             if isinstance(lv, str) or isinstance(rv, str):
-                return _as_text(lv) + _as_text(rv)
-            raise ExecError(f"cannot add {_as_text(lv)} and {_as_text(rv)}")
+                return as_text(lv) + as_text(rv)
+            raise ExecError(f"cannot add {as_text(lv)} and {as_text(rv)}")
         raise ExecError(f"unknown operator {e.op!r}")
     raise ExecError(f"cannot evaluate {e!r}")
 
@@ -102,7 +115,7 @@ def holds(e: Expr, lookup, space) -> bool:
 def _element_arg(e: Expr, lookup, space, fn: str) -> int:
     v = eval_expr(e, lookup, space)
     if not isinstance(v, int) or not space.is_live(v):
-        raise ExecError(f"{fn}() needs a live element, got {_as_text(v)}")
+        raise ExecError(f"{fn}() needs a live element, got {as_text(v)}")
     return v
 
 

@@ -236,7 +236,7 @@ class LocalSearchMatcher:
         plan = self._plan(p, bidx, body, frozenset(seed))
         space = self.space
         env = dict(seed)
-        elem = frozenset() if p.shareable else body.info.element_vars
+        elem = frozenset() if p.shareable else body.element_vars
         vals = [val for var, val in seed.items() if var in elem]
         used = set(vals)
         if len(used) < len(vals):

@@ -150,7 +150,8 @@ class BruteForce:
                                   f"positive binder; cannot enumerate")
         constraints = list(body.constraints)
         injective = not p.shareable
-        element_vars = body.info.element_vars if hasattr(body, "info") else set(enum_vars)
+        element_vars = (set(enum_vars) if body.element_vars is None
+                        else body.element_vars)
 
         out: set[tuple] = set()
         env: dict[str, object] = {}

@@ -79,6 +79,8 @@ def constraint_vars(c: Constraint) -> tuple[str, ...]:
 @dataclass
 class Body:
     constraints: tuple[Constraint, ...]
+    # the variables injectivity applies to; set by validate_patterns
+    element_vars: Optional[frozenset[str]] = field(default=None, compare=False)
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
@@ -108,55 +110,39 @@ class Pattern:
         self.bodies = tuple(self.bodies)
 
 
-class BodyInfo:
-    """Per-body variable classification, computed during validation."""
-
-    def __init__(self):
-        self.positive: set[str] = set()       # vars with a positive binder
-        self.int_vars: set[str] = set()       # count outputs / int-valued find args
-        self.element_vars: set[str] = set()   # vars subject to injectivity
-
-
-def _analyze_body(pattern: Pattern, body: Body,
-                  patterns: Mapping[str, Pattern]) -> BodyInfo:
-    info = BodyInfo()
+def _element_vars(pattern: Pattern, body: Body,
+                  patterns: Mapping[str, Pattern]) -> frozenset[str]:
+    """The variables of ``body`` that injectivity applies to: those a
+    positive constraint binds to an element (not to an integer). Raises
+    when a ``check`` reads a variable with no positive binder."""
+    positive: set[str] = set()
+    int_vars: set[str] = set()
     for c in body.constraints:
-        if isinstance(c, EntityC):
-            info.positive.add(c.var)
-            info.element_vars.add(c.var)
-            if c.in_var is not None:
-                info.positive.add(c.in_var)
-                info.element_vars.add(c.in_var)
-        elif isinstance(c, RelationC):
-            info.positive.update((c.rel, c.src, c.trg))
-            info.element_vars.update((c.rel, c.src, c.trg))
-        elif isinstance(c, FindC):
-            callee = patterns.get(c.pattern)
-            for i, a in enumerate(c.args):
-                info.positive.add(a)
-                if callee is not None and callee.params[i] in callee.int_params:
-                    info.int_vars.add(a)
-                else:
-                    info.element_vars.add(a)
+        if isinstance(c, FindC):
+            callee = patterns[c.pattern]
+            positive.update(c.args)
+            int_vars.update(a for a, param in zip(c.args, callee.params)
+                            if param in callee.int_params)
         elif isinstance(c, CountC):
-            info.positive.add(c.out)
-            info.int_vars.add(c.out)
+            positive.add(c.out)
+            int_vars.add(c.out)
+        elif isinstance(c, (EntityC, RelationC)):
+            positive.update(constraint_vars(c))
 
     for c in body.constraints:
         if isinstance(c, CheckC):
             for v in ex.expr_vars(c.expr):
-                if v not in info.positive and v not in pattern.params:
+                if v not in positive and v not in pattern.params:
                     raise PatternError(
                         f"{pattern.name}: check() uses {v} which has no positive binder")
-    info.element_vars -= info.int_vars
-    return info
+    return frozenset(positive - int_vars)
 
 
 def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -> None:
     """Validate a closed set of patterns: arities, kinds, scoping, recursion.
 
     Sets the derived ``requires_ls``/``recursive``/``scc_members``/``int_params``
-    and attaches per-body :class:`BodyInfo` (as ``body.info``).
+    and each body's ``element_vars``.
     """
     # call arities first: the int-parameter fixpoint indexes callee params
     for p in patterns.values():
@@ -209,7 +195,7 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
             for param in p.params:
                 if param not in body_vars:
                     raise PatternError(f"{p.name}: parameter {param} missing from a body")
-            body.info = _analyze_body(p, body, patterns)
+            body.element_vars = _element_vars(p, body, patterns)
 
     # call graph: reach[p] holds every pattern p's calls lead to; p is
     # recursive when it reaches itself, and its cycle is what reaches it back

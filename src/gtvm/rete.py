@@ -1,21 +1,23 @@
 """Incremental (Rete-style) pattern matcher.
 
 Non-recursive patterns compile into a dataflow network fed by model-space
-change events. One alpha node per type holds the conforming elements (the
-``None`` alpha every relation), and a containment alpha the (entity,
-ancestor) pairs; every membership event reaches the alphas of its types'
-supertypes with a sign of +1 or -1. Beta nodes hash-join those memories or
-count the matches of a called pattern (``neg``/``#``), check nodes filter,
-and each body's last node feeds, through its projection onto the
-parameters, one production memory per registered pattern. Called patterns
-compile to their own production, shared across callers. After each event
-is processed the production memories equal the local-search match sets by
-construction.
+change events. The model space is the only copy of the model: one alpha node
+per type (the ``None`` alpha for every relation) and a containment alpha
+for the (entity, ancestor) pairs hold no memory, read their tuples from the
+space's indexes when a node is built, and pass on the rows the engine
+computes from each change event and the space, once per alpha with a sign
+of +1 or -1. Beta nodes hash-join those rows or count the matches of a
+called pattern (``neg``/``#``), check nodes filter, and each body's last
+node feeds, through its projection onto the parameters, one production
+memory per registered pattern. Called patterns compile to their own
+production, shared across callers. After each event is processed the
+production memories equal the local-search match sets by construction.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional
 
 from . import expr as ex
@@ -60,78 +62,32 @@ def _row(el) -> tuple:
 
 class TypeAlpha(Node):
     """The elements that conform to one type; ``None`` stands for every
-    relation, typed or not.
-
-    ``counts`` holds, per element, how many of its types conform to the
-    alpha's type; ``tuples`` holds its row, kept current across retargets.
-    """
+    relation, typed or not. It holds no memory: the model space's type index
+    answers ``all_tuples``, and the engine emits each change."""
 
     def __init__(self, engine, type_name: Optional[str]):
-        space = engine.space
-        supers = space.registry.supers
-        relation = type_name is None or space.registry.kind(type_name) != ENTITY
+        registry = engine.space.registry
+        relation = type_name is None or registry.kind(type_name) != ENTITY
         super().__init__(engine, ("$r", "$s", "$t") if relation else ("$e",))
         self.type = type_name
-        self.counts: dict[int, int] = {}
-        self.tuples: dict[int, tuple] = {}
-        eids = (space.iter_relations() if type_name is None
-                else space.elements_of_type(type_name))
-        for eid in eids:
-            el = space.element(eid)
-            self.counts[eid] = (1 if type_name is None else
-                                sum(type_name in supers(t) for t in el.types))
-            self.tuples[eid] = _row(el)
-
-    def adjust(self, eid: int, sign: int, row: tuple | None) -> None:
-        """One conforming type more (``sign`` +1) or fewer (-1) for ``eid``;
-        ``row`` is its tuple, read only when the element enters."""
-        old = self.counts.get(eid, 0)
-        new = old + sign
-        if new > 0:
-            self.counts[eid] = new
-            if old == 0:
-                self.tuples[eid] = row
-                self.emit(row, +1)
-        elif old > 0:
-            del self.counts[eid]
-            self.emit(self.tuples.pop(eid), -1)
-
-    def retarget(self, rid: int, end: str, new: int) -> None:
-        old_t = self.tuples.get(rid)
-        if old_t is None:
-            return
-        new_t = (rid, new, old_t[2]) if end == "source" else (rid, old_t[1], new)
-        self.tuples[rid] = new_t
-        self.emit(old_t, -1)
-        self.emit(new_t, +1)
 
     def all_tuples(self):
-        return list(self.tuples.values())
+        space = self.engine.space
+        eids = (space.iter_relations() if self.type is None
+                else space.elements_of_type(self.type))
+        return [_row(space.element(eid)) for eid in eids]
 
 
 class ContainmentAlpha(Node):
-    """(element, proper ancestor) pairs; fixed at creation, gone at deletion."""
+    """(entity, proper ancestor) pairs, read from the containment tree."""
 
     def __init__(self, engine):
         super().__init__(engine, ("$x", "$p"))
-        self.by_elem: dict[int, list[tuple]] = {}
-        space = engine.space
-        for eid in space.iter_elements():
-            if space.kind(eid) == ENTITY:
-                self.by_elem[eid] = [(eid, anc) for anc in space.ancestors(eid)]
-
-    def update(self, eid: int, sign: int) -> None:
-        """Enter (``sign`` +1) or drop (-1) the pairs of entity ``eid``."""
-        if sign > 0:
-            pairs = self.by_elem[eid] = [(eid, anc) for anc in
-                                         self.engine.space.ancestors(eid)]
-        else:
-            pairs = self.by_elem.pop(eid, ())
-        for t in pairs:
-            self.emit(t, sign)
 
     def all_tuples(self):
-        return [t for pairs in self.by_elem.values() for t in pairs]
+        space = self.engine.space
+        return [(eid, anc) for eid in space.iter_elements()
+                if space.kind(eid) == ENTITY for anc in space.ancestors(eid)]
 
 
 def _update_bucket(mem: dict[tuple, set], key: tuple, t: tuple, sign: int) -> None:
@@ -275,17 +231,16 @@ class CountNode(BetaNode):
 
 
 class CheckNode(Node):
-    """check() filter; rescans on value/name changes of the model."""
+    """check() filter; rescans on value/name changes of the model.
+
+    ``mem`` maps each left tuple to whether it passes.
+    """
 
     def __init__(self, engine, left: Node, expr: ex.Expr):
         super().__init__(engine, left.schema)
         self.expr = expr
-        self.mem: set[tuple] = set()
-        self.passing: set[tuple] = set()
-        for lt in left.all_tuples():
-            self.mem.add(lt)
-            if self._passes(lt):
-                self.passing.add(lt)
+        self.mem: dict[tuple, bool] = {lt: self._passes(lt)
+                                       for lt in left.all_tuples()}
         left.outputs.append(self.on_left)
         engine.check_nodes.append(self)
 
@@ -295,29 +250,22 @@ class CheckNode(Node):
 
     def on_left(self, t, sign):
         if sign > 0:
-            self.mem.add(t)
-            if self._passes(t):
-                self.passing.add(t)
-                self.emit(t, +1)
+            passes = self.mem[t] = self._passes(t)
         else:
-            self.mem.discard(t)
-            if t in self.passing:
-                self.passing.discard(t)
-                self.emit(t, -1)
+            passes = self.mem.pop(t, False)
+        if passes:
+            self.emit(t, sign)
 
     def rescan(self) -> None:
-        for t in list(self.mem):
+        mem = self.mem
+        for t, was in list(mem.items()):
             now = self._passes(t)
-            was = t in self.passing
-            if now and not was:
-                self.passing.add(t)
-                self.emit(t, +1)
-            elif was and not now:
-                self.passing.discard(t)
-                self.emit(t, -1)
+            if now != was:
+                mem[t] = now
+                self.emit(t, +1 if now else -1)
 
     def all_tuples(self):
-        return list(self.passing)
+        return [t for t, passes in self.mem.items() if passes]
 
 
 class InjectivityNode(Node):
@@ -406,10 +354,6 @@ class ProductionNode(Node):
         return list(self.counts)
 
 
-# membership events and the sign they give to the element's types
-_SIGNS = {ElementCreated: +1, ElementDeleted: -1, TypeAdded: +1, TypeRemoved: -1}
-
-
 class ReteEngine:
     """Network manager; one instance per (space, pattern set)."""
 
@@ -487,7 +431,7 @@ class ReteEngine:
                 raise AssertionError(c)
         if not pattern.shareable:
             positions = [i for i, var in enumerate(current.schema)
-                         if var in body.info.element_vars]
+                         if var in body.element_vars]
             if len(positions) > 1:
                 current = InjectivityNode(self, current, positions)
         try:
@@ -500,33 +444,50 @@ class ReteEngine:
     # -- event dispatch ----------------------------------------------------------
 
     def _on_change(self, ev) -> None:
-        sign = _SIGNS.get(type(ev))
-        if sign is not None:
-            # the alphas of the supertypes of each type the element gains or
-            # loses; a whole element also enters or leaves the untyped
-            # relation alpha or the containment alpha
+        space = self.space
+        if isinstance(ev, (ElementCreated, ElementDeleted)):
+            sign = +1 if isinstance(ev, ElementCreated) else -1
             eid = ev.subject
-            alphas = self._alphas
-            if isinstance(ev, (TypeAdded, TypeRemoved)):
-                types = (ev.type,)
-                row = _row(self.space.element(eid)) if sign > 0 else None
-            else:
-                types = ev.types
-                row = (eid,) if ev.kind == ENTITY else (eid, ev.source, ev.target)
-                if ev.kind == ENTITY:
-                    if self._containment is not None:
-                        self._containment.update(eid, sign)
-                elif None in alphas:
-                    alphas[None].adjust(eid, sign, row)
-            supers = self.space.registry.supers
-            for t in types:
-                for s in supers(t):
-                    alpha = alphas.get(s)
-                    if alpha is not None:
-                        alpha.adjust(eid, sign, row)
+            relation = ev.kind != ENTITY
+            row = (eid, ev.source, ev.target) if relation else (eid,)
+            self._emit_to(self._reached(ev.types, relation), row, sign)
+            if not relation and self._containment is not None:
+                # the parent chain is live at both events: delete disposes
+                # children before their parents
+                for anc in chain((ev.parent,), space.ancestors(ev.parent)):
+                    self._containment.emit((eid, anc), sign)
+        elif isinstance(ev, (TypeAdded, TypeRemoved)):
+            # the space already holds the change: the row enters or leaves
+            # the alphas that only ``ev.type`` reaches
+            el = space.element(ev.subject)
+            others = self._reached(t for t in el.types if t != ev.type)
+            self._emit_to([s for s in space.registry.supers(ev.type)
+                           if s not in others],
+                          _row(el), +1 if isinstance(ev, TypeAdded) else -1)
         elif isinstance(ev, EndpointRetargeted):
-            for alpha in self._alphas.values():
-                alpha.retarget(ev.subject, ev.end, ev.new)
+            el = space.element(ev.subject)
+            new = _row(el)
+            old = ((el.id, ev.old, el.target) if ev.end == "source"
+                   else (el.id, el.source, ev.old))
+            keys = self._reached(el.types, relation=True)
+            self._emit_to(keys, old, -1)
+            self._emit_to(keys, new, +1)
         elif isinstance(ev, (ValueSet, Renamed)):
             for node in self.check_nodes:
                 node.rescan()
+
+    def _reached(self, types, relation: bool = False) -> dict:
+        """The alpha keys an element of ``types`` conforms to, each once, as
+        the keys of a dict; ``relation`` adds the untyped relation alpha."""
+        supers = self.space.registry.supers
+        keys = {None: None} if relation else {}
+        for t in types:
+            for s in supers(t):
+                keys[s] = None
+        return keys
+
+    def _emit_to(self, keys, row: tuple, sign: int) -> None:
+        for key in keys:
+            alpha = self._alphas.get(key)
+            if alpha is not None:
+                alpha.emit(row, sign)

@@ -586,10 +586,6 @@ def execute_machine(program: LinkedProgram, machine_name: str, space: ModelSpace
     return VM(program, space, matcher=matcher, **vm_options).run(machine_name)
 
 
-def _as_text(v) -> str:
-    return "undef" if v is None else str(v)
-
-
 def _eval(vm: VM, frame: Frame, e: ex.Expr):
     return ex.eval_expr(e, frame.lookup, vm.space)
 
@@ -597,7 +593,7 @@ def _eval(vm: VM, frame: Frame, e: ex.Expr):
 def _element(vm: VM, frame: Frame, e: ex.Expr, what: str) -> int:
     v = _eval(vm, frame, e)
     if not isinstance(v, int) or not vm.space.is_live(v):
-        raise ExecError(f"{what} needs a live element, got {_as_text(v)}")
+        raise ExecError(f"{what} needs a live element, got {ex.as_text(v)}")
     return v
 
 
@@ -728,7 +724,7 @@ def _exec(vm: VM, frame: Frame, stmt) -> None:
         elif isinstance(stmt, Call):
             _call_rule(vm, vm.program.rules[stmt.ref], stmt.args, frame)
         elif isinstance(stmt, Println):
-            text = _as_text(_eval(vm, frame, stmt.expr))
+            text = ex.as_text(_eval(vm, frame, stmt.expr))
             vm.report.log.append(text)
             if vm.echo:
                 print(text)

@@ -91,11 +91,11 @@ def save(space: ModelSpace) -> str:
 
 _TYPE_RE = re.compile(r"^type\s+(\S+)\s+(entity|relation)(?:\s+extends\s+(\S+))?\s*$")
 _ELEM_RE = re.compile(
-    r"^(entity|relation)\s+(\d+)\s*:\s*([\w.,]*)"
-    r"(?:\s*\(\s*(\d+)\s*->\s*(\d+)\s*\))?"
-    r"(?:\s+in\s+(\d+))?"
+    r"^(entity|relation)\s+([0-9]+)\s*:\s*([\w.,]*)"
+    r"(?:\s*\(\s*([0-9]+)\s*->\s*([0-9]+)\s*\))?"
+    r"(?:\s+in\s+([0-9]+))?"
     r'(?:\s+name="((?:[^"\\]|\\.)*)")?'
-    r'(?:\s+value=(?:"((?:[^"\\]|\\.)*)"|(-?\d+)))?\s*$'
+    r'(?:\s+value=(?:"((?:[^"\\]|\\.)*)"|(-?[0-9]+)))?\s*$'
 )
 
 

@@ -6,10 +6,12 @@ from gtvm import corpus
 from gtvm.corpus.fixtures import load_fixture
 from gtvm.patterns import Pattern
 
-# integer text of 5000 digits, and whether int() of it raises ValueError here
-# (from Python 3.10.7 on, int() converts at most 4300 digits by default)
+# how many digits int() and str() convert here (from Python 3.10.7 on, 4300
+# by default; 0 is no limit), integer text of 5000 digits, and whether int()
+# of it raises ValueError
+INT_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG_DIGITS = "7" * 5000
-INT_DIGITS_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+INT_DIGITS_LIMITED = 0 < INT_MAX_DIGITS < 5000
 
 
 def builtin_library(registry=None) -> dict[str, Pattern]:

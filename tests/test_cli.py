@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
+from conftest import INT_DIGITS_LIMITED, INT_MAX_DIGITS, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.cli import main
 from gtvm.corpus.fixtures import load_fixture
@@ -142,6 +142,22 @@ def test_run_oversized_integers(tmp_path, capsys):
     assert "1:36: integer literal of 5000 digits" in capsys.readouterr().err
     assert main(["run", "helloWorldASM", "--model", str(gms)]) == 1
     assert "line 1:" in capsys.readouterr().err
+
+
+def test_run_integer_sum_too_long_to_print(tmp_path, capsys):
+    """An integer sum with more digits than str() converts is a runtime
+    error, not a traceback from println."""
+    digits = "9" * (INT_MAX_DIGITS or 4300)
+    src = tmp_path / "sum.vtcl"
+    src.write_text(f"machine sum{{ rule main() = let X = {digits} in "
+                   f"println(X + X); }}")
+    if not INT_MAX_DIGITS:
+        assert main(["run", str(src)]) == 0
+        assert "1" + "9" * (len(digits) - 1) + "8" in capsys.readouterr().out
+        return
+    assert main(["run", str(src)]) == 2
+    assert f"runtime error: integer sum has more than {INT_MAX_DIGITS} digits" \
+        in capsys.readouterr().err
 
 
 def test_match_dangling(tmp_path, capsys):

@@ -282,6 +282,15 @@ def test_containment_constraint_transitive():
     space.delete(n)
     assert handle.match_tuples() == ls.match_set("q.textsUnder")
     assert handle.count() == 2
+    # a text two levels under the graph enters, and deleting the graph
+    # drops every pair of its subtree
+    node = space.new_entity("nemf.packages.graph1.Node", g)
+    assert handle.match_tuples() == ls.match_set("q.textsUnder")
+    space.new_entity("nemf.ecore.datatypes.EString", node)
+    assert handle.match_tuples() == ls.match_set("q.textsUnder")
+    assert handle.count() == 3
+    space.delete(g)
+    assert handle.match_tuples() == ls.match_set("q.textsUnder") == set()
 
 
 ROW_SHAPES = """

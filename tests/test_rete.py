@@ -324,6 +324,7 @@ machine m{
   pattern r(R, X, Y) = { t.R(R, X, Y); }
   pattern rNotR1(R, X, Y) = { t.R(R, X, Y); neg find r1(R, X, Y); }
   pattern r1(R, X, Y) = { t.R1(R, X, Y); }
+  pattern rInto(Y) = { t.R(R, X, Y); }
   pattern anyRel(R, X, Y) = { relation(R, X, Y); }
   pattern sAtBoth(R, X) = { t.R(R, X, Y); t.S(X); t.S(Y); }
 }"""
@@ -343,8 +344,9 @@ def shared_super_space():
 
 @pytest.mark.parametrize("kind", ["entity", "relation"])
 def test_two_types_with_a_common_supertype(kind):
-    """The supertype alpha counts the element's conforming types: it keeps
-    the element while either type stays, and drops it with the last."""
+    """The supertype alpha keeps the element while either type stays and
+    drops it with the last; a retarget while both types stay moves its row
+    once."""
     from gtvm.vtcl import link, parse
     space = shared_super_space()
     program = link([parse(SHARED_SUPER)], space.registry)
@@ -352,23 +354,30 @@ def test_two_types_with_a_common_supertype(kind):
     rete = ReteEngine(space, program.patterns)
     handles = {n: rete.register(n) for n in program.patterns}
     x, y = space.new_entity("t.A"), space.new_entity("t.B")
+    # a second relation into y: rInto(y) rests on two body tuples, so a row
+    # sent twice to the t.R alpha would drop y while one relation stays
+    space.new_relation("t.R1", x, y)
     if kind == "entity":
         subject, first, second = space.new_entity("t.A"), "t.A", "t.B"
+        moves = []
     else:
         subject, first, second = space.new_relation("t.R1", x, y), "t.R1", "t.R2"
-    steps = [(space.add_type, second), (space.remove_type, first),
+        moves = [(space.set_source, y), (space.set_target, x),
+                 (space.set_source, x), (space.set_target, y)]
+    steps = [(space.add_type, second), *moves, (space.remove_type, first),
              (space.remove_type, second), (space.add_type, first),
-             (space.add_type, second), (space.delete, None)]  # deleted with both
+             (space.add_type, second), *moves,
+             (space.delete, None)]  # deleted with both
 
     def check(step):
         for n, h in handles.items():
             assert h.match_tuples() == ls.match_set(n), (step, n)
 
     check("start")
-    for op, type_name in steps:
-        if type_name is None:
+    for op, arg in steps:
+        if arg is None:
             op(subject)
         else:
-            op(subject, type_name)
-        check((op.__name__, type_name))
+            op(subject, arg)
+        check((op.__name__, arg))
     assert not any(subject in t for h in handles.values() for t in h.match_tuples())

@@ -89,11 +89,14 @@ def test_untyped_relation_line():
     ("relation 1 : nemf.packages.graph1.Edge.src (7 -> 8)", "not live"),
     ("entity 1 : no.Such.Type", "unknown type"),
     ("type a.B thing", "bad type directive"),
+    # ids and integers are ASCII digits only, as in .vtcl
+    ("entity \u0661 : nemf.packages.graph1.Graph value=\u0663\u0664", "bad directive"),
 ])
 def test_load_errors(bad, what):
     with pytest.raises(SnapshotError) as err:
         snapshot.load(bad + "\n", corpus.metamodels())
     assert what.split()[0] in str(err.value)
+    assert err.value.line == 1
 
 
 def test_oversized_integer_value_is_a_snapshot_error():
