@@ -20,10 +20,14 @@ drops them all. A pattern's unbound answer set, once held (searched, or
 tabled for a recursive pattern), also answers every bound call to it through
 a hash index keyed by the bound parameter positions, built on first use.
 A bound call whose pattern has no unbound set held is searched with its
-binding pushed down, and its answers are memoized by binding; no unbound set
-is ever built only to serve a bound call. The tabling bases (table and delta
-of each cycle member) are indexed the same way, and an index of a growing
-table takes each added tuple, so none serves a stale set.
+binding pushed down, and its answers are memoized by binding. Below an
+enumeration (an unbound solve or a tabling fixpoint on the stack), the
+second bound search of a pattern in one version solves that pattern unbound
+instead, and its index answers that call and every later one: an
+enumeration calls a pattern with many keys, while a top-level bound query
+never builds an unbound set. The tabling bases (table and delta of each
+cycle member) are indexed the same way, and an index of a growing table
+takes each added tuple, so none serves a stale set.
 """
 
 from __future__ import annotations
@@ -110,6 +114,10 @@ class LocalSearchMatcher:
         self._version = -1
         self._held: dict[str, AnswerSet] = {}
         self._memo: dict[tuple, set[tuple]] = {}
+        # patterns that had a bound search at self._version, and how many
+        # enumerations (unbound solves, tabling) are under way
+        self._searched: set[str] = set()
+        self._enumerating = 0
         # call arguments -> their repeated-variable test (None: no repeat)
         self._arg_tests: dict[tuple[str, ...], Callable[[tuple], bool] | None] = {}
         self.shuffle = None  # test hook: random.Random for plan randomization
@@ -123,8 +131,9 @@ class LocalSearchMatcher:
         return [dict(zip(params, t)) for t in in_order(tuples)]
 
     def match_one(self, name: str, binding: dict | None = None) -> Optional[dict]:
-        all_ = self.match_all(name, binding)
-        return all_[0] if all_ else None
+        p = self._pattern(name)
+        first = least(self._query(p, binding))
+        return None if first is None else dict(zip(p.params, first))
 
     def count(self, name: str, binding: dict | None = None) -> int:
         return len(self._query(self._pattern(name), binding))
@@ -183,6 +192,7 @@ class LocalSearchMatcher:
         if self._version != self.space.version:
             self._held.clear()
             self._memo.clear()
+            self._searched.clear()
             self._version = self.space.version
 
     def _solve(self, p: Pattern, positions: tuple[int, ...],
@@ -201,10 +211,22 @@ class LocalSearchMatcher:
             hit = self._memo.get(memo_key)
             if hit is not None:
                 return hit
+            if self._enumerating and p.name in self._searched:
+                # an enumeration calls p bound with one more key: solve p
+                # unbound once and answer this call and the later ones from
+                # its index (a top-level bound query never gets here)
+                self._solve(p, (), ())
+                return self._held[p.name].lookup(positions, key)
+            self._searched.add(p.name)
         seed = {p.params[i]: v for i, v in zip(positions, key)}
         out: set[tuple] = set()
-        for bidx, body in enumerate(p.bodies):
-            out.update(self._eval_body(p, bidx, body, seed, None))
+        enumerating = 0 if positions else 1
+        self._enumerating += enumerating
+        try:
+            for bidx, body in enumerate(p.bodies):
+                out.update(self._eval_body(p, bidx, body, seed, None))
+        finally:
+            self._enumerating -= enumerating
         if memo:
             if positions:
                 self._memo[memo_key] = out
@@ -289,11 +311,15 @@ class LocalSearchMatcher:
         """The variables a positive constraint or a count binds, and its
         candidate rows aligned with them. Bound variables narrow the rows
         where an index serves them; the unify step checks the rest."""
+        # type tests read the fetched element's types against the subtype
+        # closure, resolved once per call (``ModelSpace.conforms`` would look
+        # up both again for every row)
         space = self.space
         if isinstance(c, EntityC):
             if c.var in env:
                 e = env[c.var]
-                es = (e,) if space.is_live(e) and space.conforms(e, c.type) else ()
+                es = (e,) if space.is_live(e) and not space.element(e).types.isdisjoint(
+                    space.registry.subtype_closure(c.type)) else ()
             else:
                 es = space.elements_of_type(c.type)
             # `in <namespace>` is containment under the root: vacuously true
@@ -313,9 +339,10 @@ class LocalSearchMatcher:
             else:
                 rids = space.elements_of_type(c.type) if typed else space.iter_relations()
                 typed = False
+            subtypes = space.registry.subtype_closure(c.type) if typed else None
             return (c.rel, c.src, c.trg), [
                 (el.id, el.source, el.target) for el in map(space.element, rids)
-                if not typed or space.conforms(el.id, c.type)]
+                if subtypes is None or not el.types.isdisjoint(subtypes)]
         matches = self._call_matches(self.patterns[c.pattern], c.args, env, scc_ctx)
         if isinstance(c, CountC):
             return (c.out,), ((sum(1 for _ in matches),),)
@@ -325,7 +352,16 @@ class LocalSearchMatcher:
 
     def _table(self, p: Pattern) -> AnswerSet:
         """Tabulate ``p``'s call cycle; every member's table is then held."""
-        members = [self.patterns[n] for n in p.scc_members]
+        self._enumerating += 1
+        try:
+            tabs = self._fixpoint([self.patterns[n] for n in p.scc_members])
+        finally:
+            self._enumerating -= 1
+        self._held.update(tabs)
+        return tabs[p.name]
+
+    def _fixpoint(self, members: list[Pattern]) -> dict[str, AnswerSet]:
+        """The least fixpoint of a call cycle's ``members``, by name."""
         names = {m.name for m in members}
 
         def empty() -> dict[str, AnswerSet]:
@@ -366,5 +402,4 @@ class LocalSearchMatcher:
             deltas = new
             for n in names:
                 tabs[n].add(new[n].tuples)
-        self._held.update(tabs)
-        return tabs[p.name]
+        return tabs

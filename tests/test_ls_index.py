@@ -3,11 +3,15 @@
 Once a pattern's unbound answer set is held (searched, or tabled for a
 recursive pattern), every bound call to it in the same ``space.version`` is
 answered through a hash index keyed by the bound parameter positions; the
-tabling bases are indexed the same way. These tests check that the indexed
-answers equal the unbound set filtered by the binding, that no index
-outlives a change of the space, and the plan cost of a partly bound call.
+tabling bases are indexed the same way. Below an enumeration, the second
+bound search of a pattern in one version solves it unbound, so that set is
+held from then on. These tests check that the indexed answers equal the
+unbound set filtered by the binding, that no index outlives a change of the
+space, when a bound call builds an unbound set, and the plan cost of a
+partly bound call.
 """
 
+import collections
 import itertools
 
 import pytest
@@ -112,6 +116,58 @@ def test_bound_call_builds_no_unbound_set():
     node = space.elements_of_type(G1 + "Node")[0]
     ls.match_set(name, {"From": node})
     assert name not in ls._held
+
+
+EFT = "graphPatterns.edgeFromTo"
+CIRCLE = "graphPatterns.circleOfThreeNode"
+
+
+def memo_entries(ls, name):
+    return sum(1 for key in ls._memo if key[0] == name)
+
+
+def test_top_level_bound_call_materializes_nothing():
+    space = load_fixture("random", n=20, e=40, seed=1)
+    ls = matcher_for(space)
+    brute = BruteForce(space, ls.patterns)
+    sources = collections.Counter(
+        f for _, f, _ in brute.match_set("graphPatterns.srcAndRelForEdge"))
+    x = next(n for n, k in sources.items() if k >= 2)
+    # edgeFromTo(From=x) calls trgAndRelForEdge bound once per out-edge of x;
+    # no enumeration is under way, so every call is searched by its key
+    assert ls.match_set(EFT, {"From": x}) == filtered(brute.match_set(EFT), (0,), (x,))
+    assert memo_entries(ls, "graphPatterns.trgAndRelForEdge") >= 2
+    assert not ls._held, sorted(ls._held)
+
+
+def test_enumeration_materializes_what_it_calls_bound_again():
+    space = load_fixture("random", n=20, e=40, seed=1)
+    ls = matcher_for(space)
+    assert ls.match_set(CIRCLE) == BruteForce(space, ls.patterns).match_set(CIRCLE)
+    for name in ("edgeFromTo", "srcAndRelForEdge", "trgAndRelForEdge"):
+        name = "graphPatterns." + name
+        assert name in ls._held, name
+        assert memo_entries(ls, name) <= 1, name  # the first search only
+
+
+def test_materialization_starts_over_after_a_change():
+    space = load_fixture("random", n=20, e=40, seed=1)
+    ls = matcher_for(space)
+    ls.match_set(CIRCLE)
+    graph = space.elements_of_type(G1 + "Graph")[0]
+    nodes = space.elements_of_type(G1 + "Node")
+    added = add_edge(space, graph, nodes[0], nodes[1])
+    # the first read after the change, a top-level bound one, is searched
+    want = filtered(BruteForce(space, ls.patterns).match_set(EFT), (0,), (nodes[0],))
+    assert ls.match_set(EFT, {"From": nodes[0]}) == want
+    assert EFT not in ls._held and (EFT, (0,), (nodes[0],)) in ls._memo
+    # and after another change, an enumeration decides from this version's
+    # searches only: it does what it does on a fresh matcher
+    space.delete(added)
+    cold = matcher_for(space)
+    assert ls.match_set(CIRCLE) == cold.match_set(CIRCLE)
+    assert ls._memo.keys() == cold._memo.keys()
+    assert ls._held.keys() == cold._held.keys()
 
 
 def add_edge(space, graph, src, trg):
