@@ -39,6 +39,16 @@ def _load_model(path: str | None, registry):
     return snapshot.load_file(path, registry)
 
 
+def _save(space, path: str) -> int:
+    """Write ``space`` as a snapshot to ``path``: 0, or 1 with the error printed."""
+    try:
+        snapshot.save_file(space, path)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_run(args) -> int:
     try:
         machines = [_load_machine_arg(f) for f in args.machines]
@@ -61,9 +71,7 @@ def cmd_run(args) -> int:
     if args.log:
         print(f"-- {entry}: {len(report.log)} log line(s), "
               f"{len(report.results)} result(s)")
-    if args.out:
-        snapshot.save_file(space, args.out)
-    return 0
+    return _save(space, args.out) if args.out else 0
 
 
 def cmd_match(args) -> int:
@@ -77,9 +85,11 @@ def cmd_match(args) -> int:
         if pattern_name not in program.patterns:
             qualified = [p for p in program.patterns
                          if p.endswith("." + pattern_name)]
-            if len(qualified) != 1:
-                print(f"error: unknown pattern {pattern_name}", file=sys.stderr)
-                return 1
+            if len(qualified) > 1:
+                raise GtvmError(f"ambiguous pattern {pattern_name}: "
+                                + ", ".join(sorted(qualified)))
+            if not qualified:
+                raise GtvmError(f"unknown pattern {pattern_name}")
             pattern_name = qualified[0]
         budget = step_budget_from_env()
     except (GtvmError, OSError) as e:
@@ -138,12 +148,9 @@ def cmd_fixture(args) -> int:
     except GtvmError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    text = snapshot.save(space)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        return _save(space, args.out)
+    sys.stdout.write(snapshot.save(space))
     return 0
 
 

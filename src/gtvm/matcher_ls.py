@@ -32,7 +32,7 @@ takes each added tuple, so none serves a stale set.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from . import expr as ex
 from .errors import PatternError, SpaceError
@@ -64,6 +64,20 @@ def least(tuples) -> tuple | None:
         return min(tuples, default=None)
     except TypeError:
         return min(tuples, key=order_key, default=None)
+
+
+def checked_binding(space: ModelSpace, p: Pattern, binding: dict | None) -> dict:
+    """A copy of ``binding``, which must bind parameters of ``p`` only, each
+    element parameter to a live element of ``space``."""
+    if not binding:
+        return {}
+    for var, val in binding.items():
+        if var not in p.params:
+            raise PatternError(f"{p.name}: {var} is not a parameter")
+        if var not in p.int_params:
+            if not isinstance(val, int) or not space.is_live(val):
+                raise SpaceError(f"{p.name}: binding for {var} is not a live element")
+    return dict(binding)
 
 
 class AnswerSet:
@@ -120,7 +134,7 @@ class LocalSearchMatcher:
         self._enumerating = 0
         # call arguments -> their repeated-variable test (None: no repeat)
         self._arg_tests: dict[tuple[str, ...], Callable[[tuple], bool] | None] = {}
-        self.shuffle = None  # test hook: random.Random for plan randomization
+        self.shuffle = None  # test hook: a random.Random that randomizes plans
 
     # -- public -------------------------------------------------------------
 
@@ -129,11 +143,6 @@ class LocalSearchMatcher:
         tuples = self._query(p, binding)
         params = p.params
         return [dict(zip(params, t)) for t in in_order(tuples)]
-
-    def match_one(self, name: str, binding: dict | None = None) -> Optional[dict]:
-        p = self._pattern(name)
-        first = least(self._query(p, binding))
-        return None if first is None else dict(zip(p.params, first))
 
     def count(self, name: str, binding: dict | None = None) -> int:
         return len(self._query(self._pattern(name), binding))
@@ -150,20 +159,9 @@ class LocalSearchMatcher:
             raise PatternError(f"unknown pattern {name}") from None
 
     def _query(self, p: Pattern, binding: dict | None) -> Collection[tuple]:
-        b = self._checked_binding(p, binding)
+        b = checked_binding(self.space, p, binding)
         positions = tuple(sorted(p.params.index(v) for v in b))
         return self._solve(p, positions, tuple(b[p.params[i]] for i in positions))
-
-    def _checked_binding(self, p: Pattern, binding: dict | None) -> dict:
-        if not binding:
-            return {}
-        for var, val in binding.items():
-            if var not in p.params:
-                raise PatternError(f"{p.name}: {var} is not a parameter")
-            if var not in p.int_params:
-                if not isinstance(val, int) or not self.space.is_live(val):
-                    raise SpaceError(f"{p.name}: binding for {var} is not a live element")
-        return dict(binding)
 
     def _plan(self, p: Pattern, bidx: int, body: Body, bound: frozenset):
         if self.shuffle is not None:
@@ -205,8 +203,7 @@ class LocalSearchMatcher:
         if held is not None:
             return held.lookup(positions, key)
 
-        memo = self.shuffle is None
-        if memo and positions:
+        if positions:
             memo_key = (p.name, positions, key)
             hit = self._memo.get(memo_key)
             if hit is not None:
@@ -227,11 +224,10 @@ class LocalSearchMatcher:
                 out.update(self._eval_body(p, bidx, body, seed, None))
         finally:
             self._enumerating -= enumerating
-        if memo:
-            if positions:
-                self._memo[memo_key] = out
-            else:
-                self._held[p.name] = AnswerSet(out, len(p.params))
+        if positions:
+            self._memo[memo_key] = out
+        else:
+            self._held[p.name] = AnswerSet(out, len(p.params))
         return out
 
     def _call_matches(self, callee: Pattern, args: tuple[str, ...], env: dict,

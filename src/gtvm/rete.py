@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, KeysView, Optional
 
 from . import expr as ex
 from .errors import MatcherError
@@ -326,15 +326,9 @@ class ProductionNode(Node):
                 self.log.append((t, sign))
             self.emit(t, sign)
 
-    def match_tuples(self) -> set[tuple]:
-        return set(self.counts)
-
-    def live_tuples(self):
-        """The match tuples without a copy; valid until the next change."""
+    def match_tuples(self) -> KeysView[tuple]:
+        """The match tuples, a live view: valid until the next change."""
         return self.counts.keys()
-
-    def count(self) -> int:
-        return len(self.counts)
 
     def cursor(self) -> int:
         """A position in the delta log, which starts here if it has not yet."""

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from . import expr as ex
 from .errors import DivergenceError, ExecError, LinkError
-from .matcher_ls import LocalSearchMatcher, in_order, least
+from .matcher_ls import LocalSearchMatcher, checked_binding, in_order, least
 from .modelspace import ROOT_ID, ModelSpace
 from .patterns import (CheckC, CountC, EntityC, NegC, Pattern, RelationC,
                        consistency_test, tuple_getter)
@@ -506,50 +506,39 @@ class VM:
             self._rete = ReteEngine(self.space, self.program.patterns)
         return self._rete
 
-    def _agreeing(self, p: Pattern, binding: dict | None, tuples):
-        """The production-memory ``tuples`` of ``p`` that agree with ``binding``."""
-        if not binding:
-            return tuples
-        self.ls._checked_binding(p, binding)
-        bound = tuple_getter(p.params.index(k) for k in binding)
-        values = tuple(binding.values())
-        return [t for t in tuples if bound(t) == values]
+    def _tuples(self, p: Pattern, binding: dict | None,
+                args: tuple[str, ...]) -> Collection[tuple]:
+        """The match tuples of ``p``, in no order, that agree with ``binding``
+        and give each repeated variable of ``args`` (call arguments aligned
+        with the parameters) a single value. The one read of either backend:
+        the production memory (``inc``) or the match set (``ls``)."""
+        if self.backend == "inc" and not p.requires_ls:
+            tuples = self._rete_engine().register(p.name).match_tuples()
+            if binding:
+                checked_binding(self.space, p, binding)
+                bound = tuple_getter(p.params.index(k) for k in binding)
+                values = tuple(binding.values())
+                tuples = [t for t in tuples if bound(t) == values]
+        else:
+            tuples = self.ls.match_set(p.name, binding)
+        consistent = consistency_test(args)
+        return tuples if consistent is None else [t for t in tuples if consistent(t)]
 
     def query_all(self, pattern_name: str, binding: dict | None = None,
                   args: tuple[str, ...] = ()) -> list[dict]:
         """Every match in order, keeping those that give each repeated
         variable of ``args`` (as in ``query_first``) a single value."""
         p = self.program.patterns[pattern_name]
-        if self.backend == "inc" and not p.requires_ls:
-            handle = self._rete_engine().register(pattern_name)
-            tuples = in_order(self._agreeing(p, binding, handle.match_tuples()))
-            matches = [dict(zip(p.params, t)) for t in tuples]
-        else:
-            matches = self.ls.match_all(pattern_name, binding)
-        consistent = consistency_test(args)
-        if consistent is None:
-            return matches
-        return [m for m in matches if consistent(tuple(m.values()))]
+        return [dict(zip(p.params, t)) for t in in_order(self._tuples(p, binding, args))]
 
     def query_first(self, pattern_name: str, binding: dict | None = None,
                     args: tuple[str, ...] = ()) -> dict | None:
         """The match ``query_all`` lists first among those that give each
         repeated variable of ``args`` (call arguments aligned with the
-        parameters) a single value; None when there is none.
-
-        One scan of the production memory (``inc``) or of the match set
-        (``ls``): no sort, and one dict for the result.
-        """
+        parameters) a single value; None when there is none. One scan and
+        no sort, and one dict for the result."""
         p = self.program.patterns[pattern_name]
-        if self.backend == "inc" and not p.requires_ls:
-            handle = self._rete_engine().register(pattern_name)
-            tuples = self._agreeing(p, binding, handle.live_tuples())
-        else:
-            tuples = self.ls.match_set(pattern_name, binding)
-        consistent = consistency_test(args)
-        if consistent is not None:
-            tuples = [t for t in tuples if consistent(t)]
-        first = least(tuples)
+        first = least(self._tuples(p, binding, args))
         return None if first is None else dict(zip(p.params, first))
 
     # -- top level -----------------------------------------------------------

@@ -192,6 +192,29 @@ def test_match_unknown_pattern(tri_gms, capsys):
     assert main(["match", "--model", tri_gms, "--pattern", "nothing"]) == 1
 
 
+def test_match_ambiguous_pattern(capsys):
+    code = main(["match", "helloWorldASM", "helloWorldGT",
+                 "--pattern", "TextAndNameForGreeting"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: ambiguous pattern TextAndNameForGreeting: "
+        "helloWorldASM.TextAndNameForGreeting, helloWorldGT.TextAndNameForGreeting")
+
+
+def test_run_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.gms"
+    assert main(["run", "helloWorldASM", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_fixture_unwritable_out(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "t.gms" if where == "missing-dir" else tmp_path
+    assert main(["fixture", "triangle", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_diff_identical(tri_gms, capsys):
     assert main(["diff", tri_gms, tri_gms]) == 0
     assert "identical" in capsys.readouterr().out

@@ -13,6 +13,7 @@ partly bound call.
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -55,6 +56,17 @@ def chain(n: int):
     return space
 
 
+def oracle_set(space, brute, name):
+    """The match set of ``name`` by an oracle: the closure for the two
+    transitive patterns, brute force for the rest."""
+    if name not in (TC, TEM):
+        return brute.match_set(name)
+    graph = space.elements_of_type(G1 + "Graph")[0]
+    pairs = edge_pairs(space)
+    closure = {(a, b, graph) for a, b in transitive_connected(pairs)}
+    return closure if name == TC else {t for t in closure if t[:2] not in pairs}
+
+
 def filtered(tuples, positions, key):
     return frozenset(t for t in tuples if tuple(t[i] for i in positions) == key)
 
@@ -80,14 +92,22 @@ def fixture(kind, seed):
     return load_fixture("random", n=20, e=40, seed=seed)
 
 
-@pytest.mark.parametrize("kind,seed", FIXTURES)
-def test_bound_calls_equal_the_filtered_unbound_set(kind, seed):
+@pytest.mark.parametrize(
+    "kind,seed,shuffle", [(k, s, False) for k, s in FIXTURES] + [(k, s, True) for k, s in FIXTURES],
+    ids=[f"{k}-{s}" for k, s in FIXTURES] + [f"{k}-{s}-shuffle" for k, s in FIXTURES])
+def test_bound_calls_equal_the_filtered_unbound_set(kind, seed, shuffle):
+    """Shuffled plans take the same memo and materialization path."""
     space = fixture(kind, seed)
+    rng = random.Random(seed) if shuffle else None
     warm = matcher_for(space)
+    warm.shuffle = rng
+    brute = BruteForce(space, warm.patterns)
     for name in library(warm):
         p = warm.patterns[name]
         everything = warm.match_set(name)  # held from here on: the index path
+        assert everything == oracle_set(space, brute, name), name
         cold = matcher_for(space)  # no unbound set of `name` held: the search path
+        cold.shuffle = rng
         for r in range(1, len(p.params) + 1):
             for positions in itertools.combinations(range(len(p.params)), r):
                 for key in keys(space, everything, positions):
@@ -180,19 +200,10 @@ def add_edge(space, graph, src, trg):
 
 def check_against_oracles(space, ls):
     brute = BruteForce(space, ls.patterns)
-    graph = space.elements_of_type(G1 + "Graph")[0]
-    pairs = edge_pairs(space)
-    closure = {(a, b, graph) for a, b in transitive_connected(pairs)}
-    missing = {(a, b, g) for a, b, g in closure if (a, b) not in pairs}
     nodes = space.elements_of_type(G1 + "Node")
     for name in library(ls):
         p = ls.patterns[name]
-        if name == TC:
-            full = closure
-        elif name == TEM:
-            full = missing
-        else:
-            full = brute.match_set(name)
+        full = oracle_set(space, brute, name)
         assert ls.match_set(name) == full, name
         for param in p.params:
             for node in nodes[:4]:

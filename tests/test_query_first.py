@@ -6,8 +6,8 @@ import random
 import pytest
 
 from gtvm import corpus
-from gtvm.corpus.fixtures import load_fixture
-from gtvm.errors import MatcherError
+from gtvm.corpus.fixtures import G1, load_fixture
+from gtvm.errors import MatcherError, PatternError, SpaceError
 from gtvm.matcher_ls import in_order, least, order_key
 from gtvm.rules import VM
 
@@ -82,6 +82,30 @@ def test_query_first_repeated_arguments_filter(triangle):
     assert vm.query_first(name) is not None
     assert vm.query_first(name, args=("E", "E", "R")) is None
     assert vm.query_first(name, args=("E", "N", "N")) is None
+
+
+@pytest.mark.parametrize("query", ["query_all", "query_first"])
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_bindings_checked_alike(matcher, query):
+    """Both backends, through both queries, reject a binding of a name that
+    is no parameter and of an element parameter to a dead element or a
+    string, and take an integer for a ``#`` count parameter."""
+    space = load_fixture("selfloop")
+    program = corpus.load_program(["graphPatterns", "countMatchesMC"], space.registry)
+    read = getattr(VM(program, space, matcher=matcher), query)
+    node = "graphPatterns.SimpleNode"
+    with pytest.raises(PatternError):
+        read(node, {"Nope": space.elements_of_type(G1 + "Node")[0]})
+    with pytest.raises(SpaceError):
+        read(node, {"Node": "n1"})
+    loops = "countMatchesMC.countLoopingEdgesPattern"  # (N), N = 2 here
+    found = read(loops, {"N": 2})
+    assert found == ([{"N": 2}] if query == "query_all" else {"N": 2})
+    assert not read(loops, {"N": 3})
+    dead = space.elements_of_type(G1 + "Node")[0]
+    space.delete(dead)
+    with pytest.raises(SpaceError):
+        read(node, {"Node": dead})
 
 
 ORDER_CASES = {
