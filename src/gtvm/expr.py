@@ -81,11 +81,9 @@ def eval_expr(e: Expr, lookup, space):
     if isinstance(e, Var):
         return lookup(e.name)
     if isinstance(e, ValueOf):
-        eid = _element_arg(e.arg, lookup, space, "value")
-        return space.value(eid)
+        return space.value(live_element(e.arg, lookup, space, "value()"))
     if isinstance(e, NameOf):
-        eid = _element_arg(e.arg, lookup, space, "name")
-        return space.name(eid)
+        return space.name(live_element(e.arg, lookup, space, "name()"))
     if isinstance(e, BinOp):
         lv = eval_expr(e.left, lookup, space)
         rv = eval_expr(e.right, lookup, space)
@@ -112,10 +110,18 @@ def holds(e: Expr, lookup, space) -> bool:
         return False
 
 
-def _element_arg(e: Expr, lookup, space, fn: str) -> int:
+def is_element(v, space) -> bool:
+    """Whether ``v`` is a live element id of ``space``. ``True``, a
+    comparison result, is an ``int`` equal to 1, yet no element."""
+    return type(v) is int and space.is_live(v)
+
+
+def live_element(e: Expr, lookup, space, what: str) -> int:
+    """The value of ``e``, which must be a live element; ``what`` names the
+    reader in the error."""
     v = eval_expr(e, lookup, space)
-    if not isinstance(v, int) or not space.is_live(v):
-        raise ExecError(f"{fn}() needs a live element, got {as_text(v)}")
+    if not is_element(v, space):
+        raise ExecError(f"{what} needs a live element, got {as_text(v)}")
     return v
 
 

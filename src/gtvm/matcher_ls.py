@@ -74,9 +74,8 @@ def checked_binding(space: ModelSpace, p: Pattern, binding: dict | None) -> dict
     for var, val in binding.items():
         if var not in p.params:
             raise PatternError(f"{p.name}: {var} is not a parameter")
-        if var not in p.int_params:
-            if not isinstance(val, int) or not space.is_live(val):
-                raise SpaceError(f"{p.name}: binding for {var} is not a live element")
+        if var not in p.int_params and not ex.is_element(val, space):
+            raise SpaceError(f"{p.name}: binding for {var} is not a live element")
     return dict(binding)
 
 
@@ -132,8 +131,6 @@ class LocalSearchMatcher:
         # enumerations (unbound solves, tabling) are under way
         self._searched: set[str] = set()
         self._enumerating = 0
-        # call arguments -> their repeated-variable test (None: no repeat)
-        self._arg_tests: dict[tuple[str, ...], Callable[[tuple], bool] | None] = {}
         self.shuffle = None  # test hook: a random.Random that randomizes plans
 
     # -- public -------------------------------------------------------------
@@ -242,10 +239,7 @@ class LocalSearchMatcher:
             sub = scc_ctx[callee.name].lookup(positions, key)
         else:
             sub = self._solve(callee, positions, key)
-        try:
-            consistent = self._arg_tests[args]
-        except KeyError:
-            consistent = self._arg_tests[args] = consistency_test(args)
+        consistent = consistency_test(args)
         return sub if consistent is None else filter(consistent, sub)
 
     def _eval_body(self, p: Pattern, bidx: int, body: Body, seed: dict,

@@ -278,10 +278,6 @@ class ModelSpace:
         subtypes = self.registry.subtype_closure(type_name)
         return not self.element(eid).types.isdisjoint(subtypes)
 
-    def children(self, eid: int) -> set[int]:
-        self.element(eid)
-        return set(self._children.get(eid, ()))
-
     def ancestors(self, eid: int) -> Iterator[int]:
         """Proper containment ancestors of ``eid``, nearest first."""
         cur = self.element(eid).parent
@@ -292,10 +288,9 @@ class ModelSpace:
     def contains(self, ancestor: int, descendant: int) -> bool:
         return any(a == ancestor for a in self.ancestors(descendant))
 
-    def elements_of_type(self, type_name: str, include_subtypes: bool = True) -> list[int]:
+    def elements_of_type(self, type_name: str) -> list[int]:
+        """The elements that conform to ``type_name``, ascending."""
         self.registry.info(type_name)
-        if not include_subtypes:
-            return sorted(self._by_type.get(type_name, ()))
         out: set[int] = set()
         for t in self.registry.subtype_closure(type_name):
             out |= self._by_type.get(t, set())
@@ -466,7 +461,7 @@ class ModelSpace:
         self._emit(TypeRemoved(eid, type_name))
 
     def set_value(self, eid: int, value) -> None:
-        if value is not None and not isinstance(value, (int, str)):
+        if value is not None and type(value) not in (int, str):  # bool included
             raise SpaceError(f"values are strings or integers, got {type(value).__name__}")
         el = self.element(eid)
         old = el.value

@@ -201,16 +201,15 @@ class BruteForce:
 # --- reachability oracles ----------------------------------------------------
 
 
-def edge_pairs(space: ModelSpace, edge_type: str = "nemf.packages.graph1.Edge",
-               src_type: str = "nemf.packages.graph1.Edge.src",
-               trg_type: str = "nemf.packages.graph1.Edge.trg") -> set[tuple[int, int]]:
-    """(source node, target node) pairs read structurally off edge entities."""
+def edge_pairs(space: ModelSpace) -> set[tuple[int, int]]:
+    """(source node, target node) pairs read structurally off graph1 edge
+    entities."""
     pairs = set()
-    for e in space.elements_of_type(edge_type):
+    for e in space.elements_of_type("nemf.packages.graph1.Edge"):
         srcs = [space.target(r) for r in space.relations_from(e)
-                if space.conforms(r, src_type)]
+                if space.conforms(r, "nemf.packages.graph1.Edge.src")]
         trgs = [space.target(r) for r in space.relations_from(e)
-                if space.conforms(r, trg_type)]
+                if space.conforms(r, "nemf.packages.graph1.Edge.trg")]
         for s in srcs:
             for t in trgs:
                 pairs.add((s, t))
@@ -327,7 +326,7 @@ def strict_equal(a: ModelSpace, b: ModelSpace) -> list[str]:
     return diffs
 
 
-def _signature_refine(space: ModelSpace, compare_containment: bool) -> dict[int, int]:
+def _signature_refine(space: ModelSpace) -> dict[int, int]:
     """Stable WL-style colors for live elements (root keeps color 0)."""
     colors: dict[int, int] = {ROOT_ID: 0}
     base: dict[int, tuple] = {}
@@ -339,9 +338,7 @@ def _signature_refine(space: ModelSpace, compare_containment: bool) -> dict[int,
         nxt: dict[int, int] = {ROOT_ID: 0}
         for eid in base:
             el = space.element(eid)
-            sig = [base[eid]]
-            if compare_containment:
-                sig.append(("parent", colors.get(el.parent, 0)))
+            sig = [base[eid], ("parent", colors.get(el.parent, 0))]
             if el.kind == RELATION:
                 sig.append(("ends", colors[el.source], colors[el.target]))
             sig.append(("out", tuple(sorted(colors[r] for r in space.relations_from(eid)))))
@@ -353,14 +350,14 @@ def _signature_refine(space: ModelSpace, compare_containment: bool) -> dict[int,
     return colors
 
 
-def isomorphic(a: ModelSpace, b: ModelSpace, compare_containment: bool = True) -> bool:
+def isomorphic(a: ModelSpace, b: ModelSpace) -> bool:
     """Structural equality up to id and name renaming: kinds, type sets,
-    values, relation endpoints, and (optionally) containment."""
+    values, relation endpoints and containment."""
     ea, eb = a.iter_elements(), b.iter_elements()
     if len(ea) != len(eb):
         return False
-    ca = _signature_refine(a, compare_containment)
-    cb = _signature_refine(b, compare_containment)
+    ca = _signature_refine(a)
+    cb = _signature_refine(b)
     groups_a: dict[int, list[int]] = {}
     groups_b: dict[int, list[int]] = {}
     for eid in ea:
@@ -378,12 +375,11 @@ def isomorphic(a: ModelSpace, b: ModelSpace, compare_containment: bool = True) -
         xa, yb = a.element(x), b.element(y)
         if xa.kind != yb.kind or sorted(xa.types) != sorted(yb.types) or xa.value != yb.value:
             return False
-        if compare_containment:
-            pa, pb = xa.parent, yb.parent
-            if (pa is None) != (pb is None):
-                return False
-            if pa is not None and pa in mapping and mapping[pa] != pb:
-                return False
+        pa, pb = xa.parent, yb.parent
+        if (pa is None) != (pb is None):
+            return False
+        if pa is not None and pa in mapping and mapping[pa] != pb:
+            return False
         if xa.kind == RELATION:
             for mine, theirs in ((xa.source, yb.source), (xa.target, yb.target)):
                 if mine in mapping and mapping[mine] != theirs:
@@ -392,7 +388,7 @@ def isomorphic(a: ModelSpace, b: ModelSpace, compare_containment: bool = True) -
 
     def extend(i: int) -> bool:
         if i == len(order):
-            return _check_full(a, b, mapping, compare_containment)
+            return _check_full(a, b, mapping)
         x = order[i]
         for y in groups_b.get(ca[x], ()):
             if y in used or not feasible(x, y):
@@ -408,7 +404,7 @@ def isomorphic(a: ModelSpace, b: ModelSpace, compare_containment: bool = True) -
     return extend(0)
 
 
-def _check_full(a, b, mapping, compare_containment) -> bool:
+def _check_full(a, b, mapping) -> bool:
     for x, y in mapping.items():
         if x == ROOT_ID:
             continue
@@ -416,11 +412,10 @@ def _check_full(a, b, mapping, compare_containment) -> bool:
         if xa.kind == RELATION:
             if mapping[xa.source] != yb.source or mapping[xa.target] != yb.target:
                 return False
-        if compare_containment:
-            pa = mapping.get(xa.parent, ROOT_ID if xa.parent == ROOT_ID else None)
-            if xa.parent is None:
-                if yb.parent is not None:
-                    return False
-            elif pa != yb.parent:
+        pa = mapping.get(xa.parent, ROOT_ID if xa.parent == ROOT_ID else None)
+        if xa.parent is None:
+            if yb.parent is not None:
                 return False
+        elif pa != yb.parent:
+            return False
     return True

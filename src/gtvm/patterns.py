@@ -10,6 +10,7 @@ callee's own match set, so a shareable callee may alias internally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
@@ -321,9 +322,11 @@ def arg_equalities(args: Iterable[str]) -> tuple[tuple[int, int], ...]:
     return tuple(eqs)
 
 
-def consistency_test(args: Iterable[str]) -> Callable[[tuple], bool] | None:
+@functools.cache
+def consistency_test(args: tuple[str, ...]) -> Callable[[tuple], bool] | None:
     """Predicate on tuples aligned with ``args`` that holds when repeated
-    argument variables have equal values; None when no variable repeats."""
+    argument variables have equal values; None when no variable repeats.
+    Built once per argument tuple."""
     eqs = arg_equalities(args)
     if not eqs:
         return None

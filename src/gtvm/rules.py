@@ -4,9 +4,9 @@ A machine bundles patterns, graph-transformation rules, and imperative
 control rules (seq / let / update / if / try / choose / forall / iterate /
 call / println plus element manipulation statements). GT rules are applied
 by an edit script computed once at link time from the flattened
-postcondition: what it binds beyond the precondition is created, a kept
-relation is retargeted to both of its ends, and a negated kept element is
-deleted.
+postcondition, and made of its constraints: what it binds beyond the
+precondition is created, each end of a kept relation that differs is moved,
+and a negated kept element is deleted.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ def step_budget_from_env() -> int:
 
 
 # --- statement IR -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContainerRef:
-    kind: str  # 'root' or 'var'
-    name: str  # namespace path or variable name
 
 
 @dataclass(frozen=True)
@@ -134,9 +128,12 @@ class Skip:
 
 @dataclass(frozen=True)
 class NewEntity:
+    """``new(T(X))``, ``new(T(X) in P)`` or ``new(T(X) in <namespace>)``:
+    contained in the element of ``in_var``, else in the model root."""
     type: str
     var: str
-    container: Optional[ContainerRef] = None
+    in_var: Optional[str] = None
+    in_root: bool = False
 
 
 @dataclass(frozen=True)
@@ -246,46 +243,15 @@ class LinkedProgram:
 # --- GT rule compilation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnsureType:
-    var: str
-    type: str
-
-
-@dataclass(frozen=True)
-class EntityCreate:
-    var: str
-    type: str
-    parent_var: Optional[str]  # None -> model root
-
-
-@dataclass(frozen=True)
-class RelationCreate:
-    var: str
-    type: Optional[str]
-    src: str
-    trg: str
-
-
-@dataclass(frozen=True)
-class Retarget:
-    rel: str
-    end: str  # 'source' | 'target'
-    new: str
-
-
-@dataclass(frozen=True)
-class DeleteVar:
-    var: str
-
-
 @dataclass
 class DiffScript:
-    ensures: tuple[EnsureType, ...]
-    entity_creates: tuple[EntityCreate, ...]
-    relation_creates: tuple[RelationCreate, ...]
-    retargets: tuple[Retarget, ...]
-    deletes: tuple[DeleteVar, ...]
+    """A GT rule's edit script, made of its flattened postcondition's own
+    constraints, applied in field order."""
+    ensures: tuple[EntityC, ...]          # a bound entity gets the type it lacks
+    entity_creates: tuple[EntityC, ...]   # parents first; in_var None: the root
+    relation_creates: tuple[RelationC, ...]
+    retargets: tuple[RelationC, ...]      # a bound relation: each end that differs moves
+    deletes: tuple[str, ...]              # bound variables the postcondition only negates
 
 
 @dataclass
@@ -310,9 +276,9 @@ def compile_gt_diff(rule_name: str, pre_params: tuple[str, ...],
 
     ent_types: dict[str, str] = {}
     ent_parent: dict[str, Optional[str]] = {}
-    ensures: list[EnsureType] = []
-    rel_creates: list[RelationCreate] = []
-    retargets: list[Retarget] = []
+    ensures: list[EntityC] = []
+    rel_creates: list[RelationC] = []
+    retargets: list[RelationC] = []
     positive_post: set[str] = set()
 
     for c in post_flat:
@@ -323,7 +289,7 @@ def compile_gt_diff(rule_name: str, pre_params: tuple[str, ...],
             if c.in_var is not None:
                 positive_post.add(c.in_var)
             if c.var in bound:
-                ensures.append(EnsureType(c.var, c.type))
+                ensures.append(c)
                 continue
             prev = ent_types.get(c.var)
             if prev is not None and prev != c.type:
@@ -338,11 +304,7 @@ def compile_gt_diff(rule_name: str, pre_params: tuple[str, ...],
                 ent_parent.setdefault(c.var, "?")  # heuristic below
         elif isinstance(c, RelationC):
             positive_post.update((c.rel, c.src, c.trg))
-            if c.rel in bound:
-                retargets.append(Retarget(c.rel, "source", c.src))
-                retargets.append(Retarget(c.rel, "target", c.trg))
-            else:
-                rel_creates.append(RelationCreate(c.rel, c.type, c.src, c.trg))
+            (retargets if c.rel in bound else rel_creates).append(c)
 
     # containment heuristic: first created/kept relation targeting the entity
     for var, parent in list(ent_parent.items()):
@@ -358,61 +320,48 @@ def compile_gt_diff(rule_name: str, pre_params: tuple[str, ...],
 
     # creation order: containment parents first
     pending = dict(ent_types)
-    ordered: list[EntityCreate] = []
+    ordered: dict[str, EntityC] = {}
     while pending:
         progressed = False
         for var in list(pending):
-            parent = ent_parent.get(var)
-            if parent is None or parent in bound or parent not in ent_types or any(
-                    e.var == parent for e in ordered):
-                ordered.append(EntityCreate(var, pending.pop(var), parent))
+            parent = ent_parent[var]
+            if parent not in pending:  # the root, bound, or created already
+                ordered[var] = EntityC(pending.pop(var), var, parent)
                 progressed = True
         if not progressed:
             raise LinkError(f"{rule_name}: cyclic containment among created entities")
 
-    created = set(ent_types) | {r.var for r in rel_creates}
-    for r in rel_creates:
+    created = set(ent_types) | {r.rel for r in rel_creates}
+    for r in rel_creates + retargets:
         for endpoint in (r.src, r.trg):
             if endpoint not in bound and endpoint not in created:
-                raise LinkError(f"{rule_name}: relation {r.var} uses unbound "
+                raise LinkError(f"{rule_name}: relation {r.rel} uses unbound "
                                 f"endpoint {endpoint}")
-    for rt in retargets:
-        if rt.new not in bound and rt.new not in created:
-            raise LinkError(f"{rule_name}: retarget of {rt.rel} uses unbound {rt.new}")
 
-    deletes: list[DeleteVar] = []
-    for c in post_flat:
-        if isinstance(c, NegC):
-            for a in c.args:
-                if a in bound and a not in positive_post:
-                    if not any(d.var == a for d in deletes):
-                        deletes.append(DeleteVar(a))
-
-    return DiffScript(_unique(ensures), tuple(ordered), tuple(rel_creates),
-                      _unique(retargets), tuple(deletes))
+    deletes = _unique(a for c in post_flat if isinstance(c, NegC) for a in c.args
+                      if a in bound and a not in positive_post)
+    return DiffScript(_unique(ensures), tuple(ordered.values()), tuple(rel_creates),
+                      _unique(retargets), deletes)
 
 
-def apply_diff(script: DiffScript, vm: "VM", binding: dict) -> None:
-    space = vm.space
-    for e in script.ensures:
-        if not space.conforms(binding[e.var], e.type):
-            space.add_type(binding[e.var], e.type)
-    for e in script.entity_creates:
-        parent = ROOT_ID if e.parent_var is None else binding[e.parent_var]
-        binding[e.var] = space.new_entity(e.type, parent)
-    for r in script.relation_creates:
-        binding[r.var] = space.new_relation(r.type, binding[r.src], binding[r.trg])
-    for rt in script.retargets:
-        rid = binding[rt.rel]
-        current = space.source(rid) if rt.end == "source" else space.target(rid)
-        if current != binding[rt.new]:  # an end that keeps its value is left untouched
-            if rt.end == "source":
-                space.set_source(rid, binding[rt.new])
-            else:
-                space.set_target(rid, binding[rt.new])
-    for d in script.deletes:
-        if space.is_live(binding[d.var]):
-            space.delete(binding[d.var])
+def apply_diff(script: DiffScript, space: ModelSpace, binding: dict) -> None:
+    for c in script.ensures:
+        if not space.conforms(binding[c.var], c.type):
+            space.add_type(binding[c.var], c.type)
+    for c in script.entity_creates:
+        parent = ROOT_ID if c.in_var is None else binding[c.in_var]
+        binding[c.var] = space.new_entity(c.type, parent)
+    for c in script.relation_creates:
+        binding[c.rel] = space.new_relation(c.type, binding[c.src], binding[c.trg])
+    for c in script.retargets:  # an end that keeps its value is left untouched
+        rid = binding[c.rel]
+        if space.source(rid) != binding[c.src]:
+            space.set_source(rid, binding[c.src])
+        if space.target(rid) != binding[c.trg]:
+            space.set_target(rid, binding[c.trg])
+    for var in script.deletes:
+        if space.is_live(binding[var]):
+            space.delete(binding[var])
 
 
 # --- execution ----------------------------------------------------------------
@@ -579,13 +528,6 @@ def _eval(vm: VM, frame: Frame, e: ex.Expr):
     return ex.eval_expr(e, frame.lookup, vm.space)
 
 
-def _element(vm: VM, frame: Frame, e: ex.Expr, what: str) -> int:
-    v = _eval(vm, frame, e)
-    if not isinstance(v, int) or not vm.space.is_live(v):
-        raise ExecError(f"{what} needs a live element, got {ex.as_text(v)}")
-    return v
-
-
 def _live_match(vm: VM, pattern: Pattern, match: dict) -> bool:
     return all(param in pattern.int_params or vm.space.is_live(match[param])
                for param in pattern.params)
@@ -611,7 +553,7 @@ def _call_rule(vm: VM, rule: AsmRule, args, caller: Frame):
 def _apply_gt_match(vm: VM, gt: CompiledGt, match: dict) -> dict:
     binding = dict(match)
     if gt.script is not None:
-        apply_diff(gt.script, vm, binding)
+        apply_diff(gt.script, vm.space, binding)
     if gt.action is not None:
         frame = Frame()
         for name in gt.scope_names:
@@ -720,12 +662,12 @@ def _exec(vm: VM, frame: Frame, stmt) -> None:
         elif isinstance(stmt, Skip):
             pass
         elif isinstance(stmt, NewEntity):
-            if stmt.container is None or stmt.container.kind == "root":
+            if stmt.in_var is None:
                 parent = ROOT_ID
             else:
-                parent = frame.lookup(stmt.container.name)
-                if not isinstance(parent, int):
-                    raise ExecError(f"container {stmt.container.name} is not an element")
+                parent = frame.lookup(stmt.in_var)
+                if type(parent) is not int:  # a bool is no element
+                    raise ExecError(f"container {stmt.in_var} is not an element")
             frame.assign(stmt.var, space.new_entity(stmt.type, parent))
         elif isinstance(stmt, NewRelation):
             src = frame.lookup(stmt.src)
@@ -736,18 +678,18 @@ def _exec(vm: VM, frame: Frame, stmt) -> None:
         elif isinstance(stmt, DeleteInstanceOf):
             space.remove_type(frame.lookup(stmt.var), stmt.type)
         elif isinstance(stmt, DeleteStmt):
-            space.delete(_element(vm, frame, stmt.expr, "delete"))
+            space.delete(ex.live_element(stmt.expr, frame.lookup, space, "delete"))
         elif isinstance(stmt, SetValueStmt):
-            space.set_value(_element(vm, frame, stmt.target, "setValue"),
+            space.set_value(ex.live_element(stmt.target, frame.lookup, space, "setValue"),
                             _eval(vm, frame, stmt.value))
         elif isinstance(stmt, SetToStmt):
-            space.set_target(_element(vm, frame, stmt.rel, "setTo"),
-                             _element(vm, frame, stmt.target, "setTo"))
+            space.set_target(ex.live_element(stmt.rel, frame.lookup, space, "setTo"),
+                             ex.live_element(stmt.target, frame.lookup, space, "setTo"))
         elif isinstance(stmt, RenameStmt):
             name = _eval(vm, frame, stmt.name)
             if not isinstance(name, str):
                 raise ExecError("rename needs a string name")
-            space.rename(_element(vm, frame, stmt.target, "rename"), name)
+            space.rename(ex.live_element(stmt.target, frame.lookup, space, "rename"), name)
         else:
             raise ExecError(f"cannot execute {stmt!r}")
     finally:

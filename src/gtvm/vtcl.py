@@ -10,6 +10,7 @@ control language. Anything outside the subset is a parse error.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 
@@ -260,31 +261,29 @@ class _Parser:
             self.expect(")")
             self.semi()
             return CheckC(e)
-        if self.at("relation"):
-            self.next()
-            args = self.arg_list()
-            if len(args) != 3:
-                self.error("relation(...) takes exactly 3 arguments")
-            self.semi()
-            return RelationC(None, *args)
+        c = self.typed()
+        self.semi()
+        return c
+
+    def typed(self) -> EntityC | RelationC:
+        """``relation(R,S,T)``, ``T(R,S,T)`` or ``T(X)`` with an optional
+        ``in P`` (``in`` a dotted namespace path: the model root)."""
         tok = self.peek()
-        type_name = self.dotted()
+        untyped = self.accept("relation")
+        type_name = None if untyped else self.dotted()
         args = self.arg_list()
-        if len(args) == 1:
-            in_var = None
-            in_root = False
-            if self.accept("in"):
-                path = self.dotted()
-                if "." in path:
-                    in_root = True
-                else:
-                    in_var = path
-            self.semi()
-            return EntityC(type_name, args[0], in_var, in_root)
         if len(args) == 3:
-            self.semi()
             return RelationC(type_name, *args)
-        self.error("type constraints take 1 (entity) or 3 (relation) arguments", tok)
+        if untyped:
+            self.error("relation(...) takes exactly 3 arguments", tok)
+        if len(args) != 1:
+            self.error("type constraints take 1 (entity) or 3 (relation) arguments", tok)
+        if not self.accept("in"):
+            return EntityC(type_name, args[0])
+        path = self.dotted()
+        if "." in path:
+            return EntityC(type_name, args[0], in_root=True)
+        return EntityC(type_name, args[0], path)
 
     # -- rules ---------------------------------------------------------------------
 
@@ -485,26 +484,12 @@ class _Parser:
         self.error("expected find or apply")
 
     def new_target(self):
-        if self.at("relation"):
-            self.next()
-            args = self.arg_list()
-            if len(args) != 3:
-                self.error("relation(...) takes exactly 3 arguments")
-            return ir.NewRelation(None, *args)
         if self.at("instanceOf"):
             return ir.NewInstanceOf(*self.instance_of())
-        type_name = self.dotted()
-        args = self.arg_list()
-        if len(args) == 1:
-            container = None
-            if self.accept("in"):
-                path = self.dotted()
-                kind = "root" if "." in path else "var"
-                container = ir.ContainerRef(kind, path)
-            return ir.NewEntity(type_name, args[0], container)
-        if len(args) == 3:
-            return ir.NewRelation(type_name, *args)
-        self.error("new(...) takes 1 (entity) or 3 (relation) arguments")
+        c = self.typed()
+        if isinstance(c, RelationC):
+            return ir.NewRelation(c.type, c.rel, c.src, c.trg)
+        return ir.NewEntity(c.type, c.var, c.in_var, c.in_root)
 
     # -- expressions ----------------------------------------------------------------------
 
@@ -568,17 +553,22 @@ def parse(source: str) -> ir.Machine:
 # --- pretty printer ---------------------------------------------------------------
 
 
-def _p_constraint(c, indent: str) -> str:
-    if isinstance(c, EntityC):
-        suffix = ""
-        if c.in_root:
-            suffix = " in nemf.resources"
-        elif c.in_var is not None:
-            suffix = f" in {c.in_var}"
-        return f"{indent}{c.type}({c.var}){suffix};"
+def _p_typed(c: EntityC | RelationC) -> str:
+    """``c`` as ``_Parser.typed`` reads it."""
     if isinstance(c, RelationC):
         head = c.type if c.type is not None else "relation"
-        return f"{indent}{head}({c.rel},{c.src},{c.trg});"
+        return f"{head}({c.rel},{c.src},{c.trg})"
+    suffix = ""
+    if c.in_root:
+        suffix = " in nemf.resources"
+    elif c.in_var is not None:
+        suffix = f" in {c.in_var}"
+    return f"{c.type}({c.var}){suffix}"
+
+
+def _p_constraint(c, indent: str) -> str:
+    if isinstance(c, (EntityC, RelationC)):
+        return f"{indent}{_p_typed(c)};"
     if isinstance(c, FindC):
         return f"{indent}find {c.pattern}({','.join(c.args)});"
     if isinstance(c, NegC):
@@ -646,13 +636,9 @@ def _p_stmt(s, indent: str) -> str:
     if isinstance(s, ir.Skip):
         return f"{indent}skip;"
     if isinstance(s, ir.NewEntity):
-        suffix = ""
-        if s.container is not None:
-            suffix = f" in {s.container.name}"
-        return f"{indent}new({s.type}({s.var}){suffix});"
+        return f"{indent}new({_p_typed(EntityC(s.type, s.var, s.in_var, s.in_root))});"
     if isinstance(s, ir.NewRelation):
-        head = s.type if s.type is not None else "relation"
-        return f"{indent}new({head}({s.var},{s.src},{s.trg}));"
+        return f"{indent}new({_p_typed(RelationC(s.type, s.var, s.src, s.trg))});"
     if isinstance(s, ir.NewInstanceOf):
         return f"{indent}new(instanceOf({s.var},{s.type}));"
     if isinstance(s, ir.DeleteInstanceOf):
@@ -732,52 +718,37 @@ def _link_pattern(machines: dict, machine: ir.Machine, p: Pattern,
     for body in p.bodies:
         constraints = []
         for c in body.constraints:
-            if isinstance(c, EntityC):
-                constraints.append(EntityC(
-                    registry.resolve(c.type, machine.imports), c.var,
-                    c.in_var, c.in_root))
-            elif isinstance(c, RelationC):
-                t = registry.resolve(c.type, machine.imports) if c.type else None
-                constraints.append(RelationC(t, c.rel, c.src, c.trg))
-            elif isinstance(c, FindC):
-                constraints.append(FindC(
-                    _resolve_ref(machines, machine, c.pattern, "pattern")[0], c.args))
-            elif isinstance(c, NegC):
-                constraints.append(NegC(
-                    _resolve_ref(machines, machine, c.pattern, "pattern")[0], c.args))
-            elif isinstance(c, CountC):
-                constraints.append(CountC(
-                    _resolve_ref(machines, machine, c.pattern, "pattern")[0],
-                    c.args, c.out))
+            if isinstance(c, (EntityC, RelationC)) and c.type is not None:
+                c = replace(c, type=registry.resolve(c.type, machine.imports))
+            elif isinstance(c, (FindC, NegC, CountC)):
+                c = replace(c, pattern=_resolve_ref(machines, machine, c.pattern,
+                                                    "pattern")[0])
             elif isinstance(c, NegInlineC):
                 inner_name = f"{global_name}$neg${c.pattern.name}"
-                inner = _link_pattern(machines, machine, c.pattern, inner_name,
-                                      registry, out)
-                out[inner_name] = inner
-                constraints.append(NegC(inner_name, c.pattern.params))
-            else:
-                constraints.append(c)
+                out[inner_name] = _link_pattern(machines, machine, c.pattern,
+                                                inner_name, registry, out)
+                c = NegC(inner_name, c.pattern.params)
+            constraints.append(c)
         bodies.append(Body(tuple(constraints)))
-    linked = Pattern(global_name, p.params, tuple(bodies),
-                     shareable=p.shareable, localsearch=p.localsearch)
-    return linked
+    return Pattern(global_name, p.params, tuple(bodies),
+                   shareable=p.shareable, localsearch=p.localsearch)
 
 
 def _fresh_namer(prefix: str):
-    counter = [0]
-
-    def fresh(v: str) -> str:
-        counter[0] += 1
-        return f"${prefix}${v}.{counter[0]}"
-
-    return fresh
+    counter = itertools.count(1)
+    return lambda v: f"${prefix}${v}.{next(counter)}"
 
 
 def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedProgram:
     """Resolve cross-machine references, validate patterns and rules, and
     precompute GT-rule edit scripts. Rule bodies and GT actions come out as
     statement trees whose references are global names and whose types are
-    fully qualified, so the VM resolves nothing at run time."""
+    fully qualified, so the VM resolves nothing at run time.
+
+    Each part of a GT rule ``m.g`` becomes a pattern, ``m.g$pre`` and
+    ``m.g$post``: an inline part is linked as written, and a ``find`` part
+    is a shareable wrapper whose parameters are the distinct arguments of
+    its one call."""
     machines: dict[str, ir.Machine] = {}
     for m in machines_list:
         if m.name in machines:
@@ -789,35 +760,18 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
         for p in m.patterns:
             gname = f"{m.name}.{p.name}"
             patterns[gname] = _link_pattern(machines, m, p, gname, registry, patterns)
-
-    # precondition/postcondition patterns
-    gt_parts: dict[str, tuple] = {}  # gt global name -> (pre_name, post data)
     for m in machines.values():
         for g in m.gtrules:
-            gt_name = f"{m.name}.{g.name}"
-            pre_name = f"{gt_name}$pre"
-            if isinstance(g.pre, ir.FindRef):
-                target, _ = _resolve_ref(machines, m, g.pre.ref, "pattern")
-                params = tuple(dict.fromkeys(g.pre.args))
-                wrapper = Pattern(pre_name, params,
-                                  (Body((FindC(target, g.pre.args),)),),
-                                  shareable=True)
-                patterns[pre_name] = wrapper
-            else:
-                patterns[pre_name] = _link_pattern(machines, m, g.pre, pre_name,
+            for suffix, part in (("$pre", g.pre), ("$post", g.post)):
+                name = f"{m.name}.{g.name}{suffix}"
+                if isinstance(part, ir.FindRef):
+                    target, _ = _resolve_ref(machines, m, part.ref, "pattern")
+                    patterns[name] = Pattern(name, tuple(dict.fromkeys(part.args)),
+                                             (Body((FindC(target, part.args),)),),
+                                             shareable=True)
+                elif part is not None:
+                    patterns[name] = _link_pattern(machines, m, part, name,
                                                    registry, patterns)
-            post = None
-            if g.post is not None:
-                if isinstance(g.post, ir.FindRef):
-                    target, _ = _resolve_ref(machines, m, g.post.ref, "pattern")
-                    post = ("find", target, g.post.args)
-                else:
-                    post_name = f"{gt_name}$post"
-                    linked = _link_pattern(machines, m, g.post, post_name,
-                                           registry, patterns)
-                    patterns[post_name] = linked
-                    post = ("inline", post_name, linked.params)
-            gt_parts[gt_name] = (pre_name, post)
 
     try:
         validate_patterns(patterns, registry)
@@ -829,27 +783,22 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
     for m in machines.values():
         for g in m.gtrules:
             gt_name = f"{m.name}.{g.name}"
-            pre_name, post = gt_parts[gt_name]
-            pre_params = patterns[pre_name].params
+            pre_params = patterns[gt_name + "$pre"].params
             script = None
-            signature: tuple[str, ...] = ()
-            if post is not None:
-                kind, target, args = post
-                callee = patterns[target]
-                if len(callee.bodies) != 1:
+            post_params: tuple[str, ...] = ()
+            if g.post is not None:
+                post = patterns[gt_name + "$post"]
+                if len(post.bodies) != 1:
                     raise LinkError(f"{gt_name}: disjunctive postcondition")
-                if kind == "find" and len(args) != len(callee.params):
-                    raise LinkError(f"{gt_name}: postcondition find arity mismatch")
-                subst = (dict(zip(callee.params, args)) if kind == "find"
-                         else {q: q for q in callee.params})
-                signature = tuple(dict.fromkeys(args if kind == "find" else callee.params))
+                post_params = post.params
                 try:
-                    flat = flatten_body(patterns, callee.bodies[0], subst,
+                    flat = flatten_body(patterns, post.bodies[0],
+                                        {q: q for q in post_params},
                                         _fresh_namer(g.name))
                 except PatternError as e:
                     raise LinkError(f"{gt_name}: {e}") from None
                 script = ir.compile_gt_diff(gt_name, pre_params, flat)
-            scope = tuple(dict.fromkeys(pre_params + signature))
+            scope = tuple(dict.fromkeys(pre_params + post_params))
             for q in g.params:
                 if q.mode == "in" and q.name not in pre_params:
                     raise LinkError(f"{gt_name}: in parameter {q.name} is not "
@@ -859,8 +808,8 @@ def link(machines_list: list[ir.Machine], registry: TypeRegistry) -> ir.LinkedPr
                                     f"bound by the rule")
             action = (None if g.action is None
                       else _link_stmt(machines, m, g.action, registry))
-            gtrules[gt_name] = ir.CompiledGt(gt_name, m.name, g.params, pre_name,
-                                             script, action, scope)
+            gtrules[gt_name] = ir.CompiledGt(gt_name, m.name, g.params,
+                                             gt_name + "$pre", script, action, scope)
 
     rules = {f"{m.name}.{r.name}": ir.AsmRule(r.name, r.params,
                                               _link_stmt(machines, m, r.body, registry))

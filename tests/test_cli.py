@@ -46,6 +46,38 @@ def test_run_parse_error(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("stmt", [
+    "println(name(1 == 1));",
+    "println(value(1 == 1));",
+    "delete(2 != 3);",
+    "setValue(1, 1 == 1);",
+    'rename(1 == 1, "g");',
+    "let P = 1 == 1, N = undef in new(graph1.Node(N) in P);",
+    "let G = 1 == 1 in choose with find graphPatterns.Graph(G) do delete(G);",
+], ids=["name", "value", "delete", "setValue", "rename", "container", "binding"])
+def test_run_comparison_is_no_element(stmt, tri_gms, tmp_path, monkeypatch, capsys):
+    # True == 1, yet a comparison result names no element (element 1 is the
+    # triangle's graph) and is no value: the run fails and leaves it alone
+    from gtvm import cli
+    spaces = []
+    real_load = cli._load_model
+
+    def load(path, registry):
+        spaces.append(real_load(path, registry))
+        return spaces[-1]
+    monkeypatch.setattr(cli, "_load_model", load)
+    src = tmp_path / "cmp.vtcl"
+    src.write_text(f"import nemf.packages; machine cmp{{ rule main() = {stmt} }}")
+    out = tmp_path / "out.gms"
+    assert main(["run", "graphPatterns", str(src), "--model", tri_gms,
+                 "--out", str(out)]) == 2
+    assert "runtime error" in capsys.readouterr().err
+    (space,) = spaces
+    assert space.is_live(1) and space.value(1) is None and space.name(1) == "e1"
+    assert len(space.elements_of_type("nemf.packages.graph1.Node")) == 3
+    assert not out.exists()
+
+
 def test_run_runtime_error(tmp_path, capsys):
     src = tmp_path / "diverge.vtcl"
     src.write_text("""

@@ -130,8 +130,6 @@ def test_conforms_supertypes(space):
     n2 = space.new_entity(G2 + "Node")
     assert space.conforms(n2, G2 + "GraphComponent")
     assert n2 in space.elements_of_type(G2 + "GraphComponent")
-    assert n2 not in space.elements_of_type(G2 + "GraphComponent",
-                                            include_subtypes=False)
 
 
 def test_queries_reflect_mutations(space):
