@@ -92,7 +92,7 @@ def eval_expr(e: Expr, lookup, space):
         if e.op == "!=":
             return lv != rv
         if e.op == "+":
-            if isinstance(lv, int) and isinstance(rv, int):
+            if type(lv) is int and type(rv) is int:  # a bool is no number
                 return _int_sum(lv, rv)
             if isinstance(lv, str) or isinstance(rv, str):
                 return as_text(lv) + as_text(rv)
@@ -116,13 +116,17 @@ def is_element(v, space) -> bool:
     return type(v) is int and space.is_live(v)
 
 
-def live_element(e: Expr, lookup, space, what: str) -> int:
-    """The value of ``e``, which must be a live element; ``what`` names the
-    reader in the error."""
-    v = eval_expr(e, lookup, space)
+def element_value(v, space, what: str) -> int:
+    """``v``, which must be a live element; ``what`` names the reader in
+    the error."""
     if not is_element(v, space):
         raise ExecError(f"{what} needs a live element, got {as_text(v)}")
     return v
+
+
+def live_element(e: Expr, lookup, space, what: str) -> int:
+    """The value of ``e``, which must be a live element."""
+    return element_value(eval_expr(e, lookup, space), space, what)
 
 
 def _comparison(e: Expr) -> bool:

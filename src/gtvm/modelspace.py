@@ -329,53 +329,64 @@ class ModelSpace:
 
     # -- mutation -----------------------------------------------------------
 
-    def _take_id(self, explicit: int | None) -> int:
-        if explicit is None:
+    def _check_types(self, kind: str, types: Iterable[str]) -> tuple[str, ...]:
+        """``types`` without repeats, each of which must be a ``kind`` type."""
+        types = tuple(dict.fromkeys(types))
+        for t in types:
+            if self.registry.kind(t) != kind:
+                raise SpaceError(f"type {t} is a {self.registry.kind(t)} type, element is a {kind}")
+        return types
+
+    def _add(self, kind: str, types: Iterable[str], parent: int | None,
+             source: int | None, target: int | None, eid: int | None,
+             name: str | None, value) -> Element:
+        """Check the parent or the endpoints against the live elements, take
+        the id, and store and index the element. Emits nothing and checks
+        no type: that is the caller's part."""
+        elements = self._elements
+        if kind == ENTITY:
+            if parent is None:
+                parent = ROOT_ID
+            pel = elements.get(parent)
+            if pel is None:
+                raise SpaceError(f"element {parent} is not live")
+            if pel.kind != ENTITY:
+                raise SpaceError(f"containment parent {parent} is not an entity")
+            source = target = None
+        else:
+            for end in (source, target):
+                if end not in elements:
+                    raise SpaceError(f"element {end} is not live")
+            parent = None
+        if eid is None:
             eid = self._next_id
             self._next_id += 1
-            return eid
-        if explicit <= 0:
-            raise SpaceError(f"explicit id must be positive, got {explicit}")
-        if explicit in self._elements:
-            raise SpaceError(f"id {explicit} already in use")
-        self._next_id = max(self._next_id, explicit + 1)
-        return explicit
-
-    def _index_add(self, el: Element) -> None:
+        elif eid <= 0:
+            raise SpaceError(f"explicit id must be positive, got {eid}")
+        elif eid in elements:
+            raise SpaceError(f"id {eid} already in use")
+        elif eid >= self._next_id:
+            self._next_id = eid + 1
+        el = elements[eid] = Element(eid, kind, set(types), name, value, parent, source, target)
         for t in el.types:
-            self._by_type.setdefault(t, set()).add(el.id)
-        if el.kind == RELATION:
-            self._relations.add(el.id)
-            self._out.setdefault(el.source, set()).add(el.id)
-            self._in.setdefault(el.target, set()).add(el.id)
-        if el.parent is not None:
-            self._children.setdefault(el.parent, set()).add(el.id)
+            self._by_type.setdefault(t, set()).add(eid)
+        if kind == ENTITY:
+            self._children.setdefault(parent, set()).add(eid)
+        else:
+            self._relations.add(eid)
+            self._out.setdefault(source, set()).add(eid)
+            self._in.setdefault(target, set()).add(eid)
+        return el
 
     def _create(self, kind: str, types: Iterable[str], parent: int | None,
                 source: int | None, target: int | None,
                 eid: int | None = None, name: str | None = None,
                 value=None) -> int:
-        types = tuple(dict.fromkeys(types))
-        for t in types:
-            if self.registry.kind(t) != kind:
-                raise SpaceError(f"type {t} is a {self.registry.kind(t)} type, element is a {kind}")
-        if kind == ENTITY:
-            if parent is None:
-                parent = ROOT_ID
-            pel = self.element(parent)
-            if pel.kind != ENTITY:
-                raise SpaceError(f"containment parent {parent} is not an entity")
-            source = target = None
-        else:
-            self.element(source)
-            self.element(target)
-            parent = None
-        new_id = self._take_id(eid)
-        el = Element(new_id, kind, set(types), name, value, parent, source, target)
-        self._elements[new_id] = el
-        self._index_add(el)
-        self._emit(ElementCreated(new_id, kind, types, parent, source, target, name, value))
-        return new_id
+        types = self._check_types(kind, types)
+        el = self._add(kind, types, parent, source, target, eid, name, value)
+        self._emit(ElementCreated(el.id, kind, types, el.parent, el.source, el.target,
+                                  name, value))
+        return el.id
 
     def new_entity(self, type_name: str, parent: int | None = None) -> int:
         if self.registry.kind(type_name) != ENTITY:

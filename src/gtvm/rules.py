@@ -665,18 +665,17 @@ def _exec(vm: VM, frame: Frame, stmt) -> None:
             if stmt.in_var is None:
                 parent = ROOT_ID
             else:
-                parent = frame.lookup(stmt.in_var)
-                if type(parent) is not int:  # a bool is no element
-                    raise ExecError(f"container {stmt.in_var} is not an element")
+                parent = ex.element_value(frame.lookup(stmt.in_var), space, "new")
             frame.assign(stmt.var, space.new_entity(stmt.type, parent))
         elif isinstance(stmt, NewRelation):
-            src = frame.lookup(stmt.src)
-            trg = frame.lookup(stmt.trg)
+            src = ex.element_value(frame.lookup(stmt.src), space, "new")
+            trg = ex.element_value(frame.lookup(stmt.trg), space, "new")
             frame.assign(stmt.var, space.new_relation(stmt.type, src, trg))
         elif isinstance(stmt, NewInstanceOf):
-            space.add_type(frame.lookup(stmt.var), stmt.type)
+            space.add_type(ex.element_value(frame.lookup(stmt.var), space, "new"), stmt.type)
         elif isinstance(stmt, DeleteInstanceOf):
-            space.remove_type(frame.lookup(stmt.var), stmt.type)
+            space.remove_type(ex.element_value(frame.lookup(stmt.var), space, "delete"),
+                              stmt.type)
         elif isinstance(stmt, DeleteStmt):
             space.delete(ex.live_element(stmt.expr, frame.lookup, space, "delete"))
         elif isinstance(stmt, SetValueStmt):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import SnapshotError
-from .modelspace import ENTITY, RELATION, ROOT_ID, ModelSpace, TypeRegistry
+from .modelspace import ENTITY, RELATION, ROOT_ID, Element, ModelSpace, TypeRegistry
 
 
 _ESCAPED = re.compile(r"\\(.)", re.S)
@@ -27,7 +27,21 @@ def _quote(s: str) -> str:
 
 
 def _unquote(s: str) -> str:
+    if "\\" not in s:
+        return s
     return _ESCAPED.sub(lambda m: "\n" if m[1] == "n" else m[1], s)
+
+
+def _element_line(el: Element, where: str) -> str:
+    """The directive of ``el``; ``where`` is its ``in`` part or its endpoints,
+    after a space, or empty."""
+    types = el.types
+    line = f"{el.kind} {el.id} : {','.join(types if len(types) < 2 else sorted(types))}{where}"
+    if el.name is not None:
+        line += f" name={_quote(el.name)}"
+    if el.value is not None:
+        line += f" value={_quote(el.value) if isinstance(el.value, str) else el.value}"
+    return line
 
 
 def save(space: ModelSpace) -> str:
@@ -51,41 +65,28 @@ def save(space: ModelSpace) -> str:
 
     entities = []
     relations = []
-    for eid in space.iter_elements():
-        (entities if space.kind(eid) == ENTITY else relations).append(eid)
+    elements = space._elements
+    for eid in sorted(elements)[1:]:  # the root, id 0, sorts first
+        el = elements[eid]
+        (entities if el.kind == ENTITY else relations).append(el)
 
     # parents before children
     emitted: set[int] = {ROOT_ID}
     pending = entities
     while pending:
         rest = []
-        for eid in pending:
-            el = space.element(eid)
+        for el in pending:
             if el.parent not in emitted:
-                rest.append(eid)
+                rest.append(el)
                 continue
-            parts = [f"entity {eid} : {','.join(sorted(el.types))}"]
-            if el.parent != ROOT_ID:
-                parts.append(f"in {el.parent}")
-            if el.name is not None:
-                parts.append(f"name={_quote(el.name)}")
-            if el.value is not None:
-                parts.append(f"value={_quote(el.value) if isinstance(el.value, str) else el.value}")
-            lines.append(" ".join(parts))
-            emitted.add(eid)
+            lines.append(_element_line(el, f" in {el.parent}" if el.parent != ROOT_ID else ""))
+            emitted.add(el.id)
         if len(rest) == len(pending):
-            raise SnapshotError(f"containment not grounded for {rest}")
+            raise SnapshotError(f"containment not grounded for {[el.id for el in rest]}")
         pending = rest
 
-    for rid in relations:
-        el = space.element(rid)
-        parts = [f"relation {rid} : {','.join(sorted(el.types))}",
-                 f"({el.source} -> {el.target})"]
-        if el.name is not None:
-            parts.append(f"name={_quote(el.name)}")
-        if el.value is not None:
-            parts.append(f"value={_quote(el.value) if isinstance(el.value, str) else el.value}")
-        lines.append(" ".join(parts))
+    for el in relations:
+        lines.append(_element_line(el, f" ({el.source} -> {el.target})"))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -103,9 +104,16 @@ def load(text: str, registry: TypeRegistry) -> ModelSpace:
     """Build a fresh space over ``registry`` from snapshot text.
 
     Type directives register additional (non-builtin) types; re-declaring an
-    identical existing type is allowed.
+    identical existing type is allowed. Every ``in`` parent and endpoint must
+    be an element of an earlier line. The space is built without change
+    events, as nothing can listen to it yet; its ``version`` ends at the
+    number of elements, as if each had been created in turn.
     """
     space = ModelSpace(registry)
+    add = space._add
+    # (kind, types field) -> its checked types; a type, once registered,
+    # keeps its kind, so a field checked once holds for every later line
+    checked: dict[tuple[str, str], tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,27 +132,31 @@ def load(text: str, registry: TypeRegistry) -> ModelSpace:
         if not m:
             raise SnapshotError(f"bad directive: {raw!r}", lineno)
         what, eid, types_s, src, trg, parent, name_s, value_s, value_i = m.groups()
-        types = [t for t in types_s.split(",") if t]
         name = _unquote(name_s) if name_s is not None else None
         try:
             value = (_unquote(value_s) if value_s is not None
                      else int(value_i) if value_i is not None else None)
-            if what == "entity":
+            if what == ENTITY:
                 if src is not None:
                     raise SnapshotError("entity line with endpoints", lineno)
-                if not types:
+            elif src is None or parent is not None:
+                raise SnapshotError("relation needs endpoints and no parent", lineno)
+            types = checked.get((what, types_s))
+            if types is None:
+                types = [t for t in types_s.split(",") if t]
+                if what == ENTITY and not types:
                     raise SnapshotError("entity needs at least one type", lineno)
-                space._create(ENTITY, types, int(parent) if parent else None,
-                              None, None, eid=int(eid), name=name, value=value)
+                types = checked[what, types_s] = space._check_types(what, types)
+            if what == ENTITY:
+                add(ENTITY, types, int(parent) if parent else None, None, None,
+                    int(eid), name, value)
             else:
-                if src is None or parent is not None:
-                    raise SnapshotError("relation needs endpoints and no parent", lineno)
-                space._create(RELATION, types, None, int(src), int(trg),
-                              eid=int(eid), name=name, value=value)
+                add(RELATION, types, None, int(src), int(trg), int(eid), name, value)
         except SnapshotError:
             raise
         except Exception as e:
             raise SnapshotError(str(e), lineno) from None
+    space.version = len(space._elements) - 1  # the root is no created element
     return space
 
 

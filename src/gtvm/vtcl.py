@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import expr as ex
 from . import rules as ir
@@ -35,7 +36,7 @@ class NegInlineC:
 # Integers are ASCII digits only; an identifier starts with a letter or "_",
 # which ``tokenize`` checks, since \w also takes other digits and numerals.
 _TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)
+    (?P<skip>(?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)+)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<int>[0-9]+)
   | (?P<ident>\w+)
@@ -45,8 +46,7 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPED = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident', 'int', 'string', 'punct', 'eof'
     text: str
     line: int
@@ -59,6 +59,7 @@ def _unescape(m: re.Match) -> str:
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
+    append = tokens.append
     line = 1
     line_start = 0  # index of the first character of ``line``
     pos = 0
@@ -66,8 +67,8 @@ def tokenize(source: str) -> list[Token]:
     match = _TOKEN.match
     while pos < n:
         m = match(source, pos)
-        col = pos - line_start + 1
         if m is None:
+            col = pos - line_start + 1
             if source.startswith("/*", pos):
                 raise ParseError("unterminated block comment", line, col)
             if source[pos] == '"':
@@ -75,17 +76,19 @@ def tokenize(source: str) -> list[Token]:
             raise ParseError(f"unexpected character {source[pos]!r}", line, col)
         kind = m.lastgroup
         text = m[0]
-        if kind == "string":
-            tokens.append(Token(kind, _ESCAPE.sub(_unescape, text[1:-1]), line, col))
+        if kind == "skip" or kind == "string":  # the kinds that may span lines
+            if kind == "string":
+                append(Token(kind, _ESCAPE.sub(_unescape, text[1:-1]), line,
+                             pos - line_start + 1))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
         elif kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        elif kind != "skip":
-            tokens.append(Token(kind, text, line, col))
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = pos + text.rindex("\n") + 1
+            raise ParseError(f"unexpected character {text[0]!r}", line, pos - line_start + 1)
+        else:
+            append(Token(kind, text, line, pos - line_start + 1))
         pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -104,6 +107,8 @@ class _Parser:
         self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # ``next`` never moves past the eof token
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
@@ -117,7 +122,7 @@ class _Parser:
         raise ParseError(msg, tok.line, tok.col)
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.text == text and tok.kind in ("ident", "punct")
 
     def accept(self, text: str) -> bool:

@@ -54,10 +54,15 @@ def test_run_parse_error(tmp_path, capsys):
     'rename(1 == 1, "g");',
     "let P = 1 == 1, N = undef in new(graph1.Node(N) in P);",
     "let G = 1 == 1 in choose with find graphPatterns.Graph(G) do delete(G);",
-], ids=["name", "value", "delete", "setValue", "rename", "container", "binding"])
+    "let S = 1 == 1, R = undef in new(relation(R, S, S));",
+    "let S = 1 == 1 in new(instanceOf(S, graph1.Node));",
+    "let S = 1 == 1 in delete(instanceOf(S, graph1.Graph));",
+], ids=["name", "value", "delete", "setValue", "rename", "container", "binding",
+        "new-relation", "new-instanceOf", "delete-instanceOf"])
 def test_run_comparison_is_no_element(stmt, tri_gms, tmp_path, monkeypatch, capsys):
     # True == 1, yet a comparison result names no element (element 1 is the
-    # triangle's graph) and is no value: the run fails and leaves it alone
+    # triangle's graph) and is no value: the run fails and leaves it alone,
+    # with its one type and its six relations (three nodes, three edges)
     from gtvm import cli
     spaces = []
     real_load = cli._load_model
@@ -75,7 +80,20 @@ def test_run_comparison_is_no_element(stmt, tri_gms, tmp_path, monkeypatch, caps
     (space,) = spaces
     assert space.is_live(1) and space.value(1) is None and space.name(1) == "e1"
     assert len(space.elements_of_type("nemf.packages.graph1.Node")) == 3
+    assert space.types(1) == {"nemf.packages.graph1.Graph"}
+    assert len(space.relations_with_endpoint(1)) == 6
     assert not out.exists()
+
+
+@pytest.mark.parametrize("expr", ["(1 == 1) + 1", "1 + (2 != 3)"])
+def test_run_comparison_is_no_number(expr, tmp_path, capsys):
+    # a comparison result added to an integer is an error, as undef + 1 is
+    src = tmp_path / "sum.vtcl"
+    src.write_text(f"machine sum{{ rule main() = println({expr}); }}")
+    assert main(["run", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert "runtime error" in captured.err and "cannot add" in captured.err
+    assert captured.out == ""
 
 
 def test_run_runtime_error(tmp_path, capsys):

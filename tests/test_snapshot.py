@@ -6,6 +6,8 @@ from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.corpus.fixtures import BUILDERS, load_fixture
 from gtvm.errors import SnapshotError
+from gtvm.matcher_ls import LocalSearchMatcher
+from gtvm.rete import ReteEngine
 
 G1 = "nemf.packages.graph1."
 
@@ -99,6 +101,49 @@ def test_load_errors(bad, what):
     assert err.value.line == 1
 
 
+GRAPH_AND_NODE = f"entity 1 : {G1}Graph\nentity 2 : {G1}Node in 1\n"
+
+
+@pytest.mark.parametrize("first, bad, what", [
+    (GRAPH_AND_NODE, f"entity 3 : {G1}Node in 4\nentity 4 : {G1}Node in 1", "not live"),
+    (GRAPH_AND_NODE, f"relation 3 : {G1}Edge.src (2 -> 4)\nentity 4 : {G1}Node in 1",
+     "not live"),
+    (f"entity 1 : {G1}Graph\nrelation 2 : {G1}Graph.nodes (1 -> 1)\n",
+     f"entity 3 : {G1}Node in 2", "not an entity"),
+    (GRAPH_AND_NODE, f"entity 3 : {G1}Graph.nodes in 1", "relation type"),
+    # the types field passed its check for an entity on line 2, not for a relation
+    (GRAPH_AND_NODE, f"relation 3 : {G1}Node (1 -> 2)", "entity type"),
+    (GRAPH_AND_NODE, f"entity 0 : {G1}Node in 1", "positive"),
+    (GRAPH_AND_NODE, f"entity 2 : {G1}Node in 1", "already in use"),
+    (GRAPH_AND_NODE, f"entity 3 : {G1}Node (1 -> 2)", "endpoints"),
+    (GRAPH_AND_NODE, f"relation 3 : {G1}Graph.nodes (1 -> 2) in 1", "no parent"),
+    (GRAPH_AND_NODE, "entity 3 : no.Such.Type in 1", "unknown type"),
+], ids=["later-parent", "later-endpoint", "relation-parent", "entity-relation-type",
+        "relation-entity-type", "id-0", "duplicate-id", "entity-endpoints",
+        "relation-in", "unknown-type"])
+def test_load_error_names_its_line(first, bad, what):
+    # a reference is checked against the lines above it: a forward
+    # reference fails on its own line, whatever the later lines hold
+    with pytest.raises(SnapshotError) as err:
+        snapshot.load(first + bad + "\n", corpus.metamodels())
+    assert err.value.line == 3
+    assert what in str(err.value)
+
+
+def test_type_directive_in_mid_file():
+    text = (f"entity 1 : {G1}Graph\n"
+            "type my.Thing entity\n"
+            "entity 2 : my.Thing in 1\n"
+            "entity 3 : my.Thing in 2\n")
+    space = snapshot.load(text, corpus.metamodels())
+    assert space.types(2) == space.types(3) == {"my.Thing"}
+    assert space.parent(3) == 2
+    assert snapshot.save(space) == ("type my.Thing entity\n"
+                                    f"entity 1 : {G1}Graph\n"
+                                    "entity 2 : my.Thing in 1\n"
+                                    "entity 3 : my.Thing in 2\n")
+
+
 def test_oversized_integer_value_is_a_snapshot_error():
     text = f"entity 1 : {G1}Graph\nentity 2 : {G1}Node in 1 value={LONG_DIGITS}\n"
     if not INT_DIGITS_LIMITED:
@@ -140,6 +185,41 @@ def test_duplicate_id_rejected():
         snapshot.load(text, corpus.metamodels())
 
 
+def _match_sets(space) -> dict:
+    """(pattern, matcher) -> match set, for every library pattern."""
+    patterns = corpus.library_program(space.registry).patterns
+    ls = LocalSearchMatcher(space, patterns)
+    rete = ReteEngine(space, patterns)
+    sets = {}
+    for name, pattern in patterns.items():
+        sets[name, "ls"] = ls.match_set(name)
+        if not pattern.requires_ls:
+            sets[name, "inc"] = set(rete.register(name).match_tuples())
+    return sets
+
+
+def assert_loads_alike(space):
+    """``load(save(space))`` is the space that creating its elements one by
+    one builds: the same elements and indexes (empty index sets, which
+    deletions leave, dropped), an id counter just past the largest id, one
+    version per element, and the same matches under both matchers."""
+    loaded = snapshot.load(snapshot.save(space), corpus.metamodels())
+    assert loaded.state() == space.state()
+    for index in ("_by_type", "_children", "_out", "_in"):
+        assert ({k: v for k, v in getattr(loaded, index).items() if v}
+                == {k: v for k, v in getattr(space, index).items() if v}), index
+    assert loaded._relations == space._relations
+    ids = space.state()
+    assert loaded._next_id == max(ids, default=0) + 1
+    assert loaded.version == len(ids)
+    assert _match_sets(loaded) == _match_sets(space)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_load_builds_the_created_space(seed):
+    assert_loads_alike(load_fixture("random", n=10 * seed, e=25 * seed, seed=seed))
+
+
 def test_round_trip_property_over_random_edits():
     import random
 
@@ -160,6 +240,7 @@ def test_round_trip_property_over_random_edits():
         reloaded = snapshot.load(text, corpus.metamodels())
         assert reloaded.state() == space.state()
         assert snapshot.save(reloaded) == text
+        assert_loads_alike(space)
 
     prop()
 
