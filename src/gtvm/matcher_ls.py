@@ -1,26 +1,31 @@
-"""Backtracking local-search pattern matcher.
+"""Local-search pattern matcher that runs compiled search plans set-at-a-time.
 
 Evaluates validated patterns on demand against the current space. Plans are
-chosen greedily per (pattern, bound-parameter set) and cached; recursive
-patterns are evaluated by least-fixpoint tabling over their call cycle
-(semi-naive for bodies with a single in-cycle call), so evaluation terminates
-on cyclic graphs. Match order is deterministic: sorted by bound values.
+chosen greedily per (pattern, body, bound-parameter set); recursive patterns
+are evaluated by least-fixpoint tabling over their call cycle (semi-naive for
+bodies with a single in-cycle call), so evaluation terminates on cyclic
+graphs. Match order is deterministic: sorted by bound values.
 
-A plan step extends the binding in one place. Each positive constraint, and
-a ``#`` count, yields candidate rows aligned with the variables it binds:
-``(e,)`` or ``(e, ancestor)`` for an entity, ``(relation, source, target)``
-for a relation, the callee's answer tuples for a ``find`` and ``(n,)`` for a
-count. Bound variables narrow the rows where an index serves them. One unify
-step checks bound variables for equality, binds fresh ones (element values
-pairwise distinct unless the pattern is shareable) and undoes them on
-backtracking. Checks and ``neg`` calls only filter.
+Each plan is compiled once into a step program, cached with it. A partial
+match is a row tuple whose columns the plan fixes: the bound parameters in
+parameter order, then each variable in the order a step binds it. The list
+of rows passes through the steps in turn. A positive constraint, and a ``#``
+count, extends each row with its candidates: ``(e,)`` or ``(e, ancestor)``
+for an entity, ``(relation, source, target)`` for a relation, the callee's
+answer tuples for a ``find`` and ``(n,)`` for a count. Bound variables narrow
+the candidates where an index serves them; the step compares the other bound
+positions with the row's columns, requires repeated fresh names to be equal,
+and keeps fresh element values distinct from the row's (unless the pattern is
+shareable). A candidate source that does not read the row (a type scan, an
+unbound ``find``) is read once per step. Checks and ``neg`` calls filter the
+list, and the last rows are projected onto the parameters.
 
 Answers are memoized per ``space.version``; the first query after a change
 drops them all. A pattern's unbound answer set, once held (searched, or
 tabled for a recursive pattern), also answers every bound call to it through
 a hash index keyed by the bound parameter positions, built on first use.
 A bound call whose pattern has no unbound set held is searched with its
-binding pushed down, and its answers are memoized by binding. Below an
+binding as the seed row, and its answers are memoized by binding. Below an
 enumeration (an unbound solve or a tabling fixpoint on the stack), the
 second bound search of a pattern in one version solves that pattern unbound
 instead, and its index answers that call and every later one: an
@@ -32,13 +37,14 @@ takes each added tuple, so none serves a stale set.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from . import expr as ex
 from .errors import PatternError, SpaceError
 from .modelspace import RELATION, ModelSpace
 from .patterns import (Body, CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, schedule, tuple_getter)
+                       RelationC, consistency_test, constraint_vars, schedule,
+                       tuple_getter)
 
 
 def order_key(values) -> tuple:
@@ -66,17 +72,20 @@ def least(tuples) -> tuple | None:
         return min(tuples, key=order_key, default=None)
 
 
-def checked_binding(space: ModelSpace, p: Pattern, binding: dict | None) -> dict:
-    """A copy of ``binding``, which must bind parameters of ``p`` only, each
-    element parameter to a live element of ``space``."""
+def binding_key(space: ModelSpace, p: Pattern,
+                binding: dict | None) -> tuple[tuple[int, ...], tuple]:
+    """The parameter positions ``binding`` binds, ascending, and their
+    values. ``binding`` must bind parameters of ``p`` only, each element
+    parameter to a live element of ``space``."""
     if not binding:
-        return {}
+        return (), ()
     for var, val in binding.items():
         if var not in p.params:
             raise PatternError(f"{p.name}: {var} is not a parameter")
         if var not in p.int_params and not ex.is_element(val, space):
             raise SpaceError(f"{p.name}: binding for {var} is not a live element")
-    return dict(binding)
+    positions = tuple(sorted(map(p.params.index, binding)))
+    return positions, tuple([binding[p.params[i]] for i in positions])
 
 
 class AnswerSet:
@@ -94,18 +103,25 @@ class AnswerSet:
 
     def lookup(self, positions: tuple[int, ...], key: tuple) -> Collection[tuple]:
         """The tuples whose values at ``positions`` (ascending) are ``key``."""
+        return self.reader(positions)(key)
+
+    def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection[tuple]]:
+        """``key -> lookup(positions, key)``; it reads the tuples that
+        ``add`` brings later too."""
+        tuples = self.tuples
         if not positions:
-            return self.tuples
+            return lambda key: tuples
         if len(positions) == self.arity:
-            return (key,) if key in self.tuples else ()
+            return lambda key: (key,) if key in tuples else ()
         entry = self._indexes.get(positions)
         if entry is None:
             getter = tuple_getter(positions)
             index: dict[tuple, list[tuple]] = {}
-            for t in self.tuples:
+            for t in tuples:
                 index.setdefault(getter(t), []).append(t)
             entry = self._indexes[positions] = (getter, index)
-        return entry[1].get(key, ())
+        index = entry[1]
+        return lambda key: index.get(key, ())
 
     def add(self, new: set[tuple]) -> None:
         """Add ``new``, none of whose tuples is held yet."""
@@ -113,6 +129,94 @@ class AnswerSet:
         for getter, index in self._indexes.values():
             for t in new:
                 index.setdefault(getter(t), []).append(t)
+
+
+# A step maps the list of partial rows to the next, given the matcher and
+# the tabling bases. Steps take the matcher as an argument, so the programs a
+# matcher keeps hold no reference back to it: a dropped matcher is freed at
+# once, answer sets included, without waiting for the cycle collector.
+Step = Callable[["LocalSearchMatcher", list, object], list]
+
+
+class Program(NamedTuple):
+    """A search plan and the steps compiled from it. ``project`` maps a last
+    row onto the parameters; ``seed_elems`` reads the seed's element values,
+    which must be distinct (None when there are fewer than two)."""
+    plan: list
+    steps: list[Step]
+    project: Callable[[tuple], tuple]
+    seed_elems: Callable[[tuple], tuple] | None
+
+
+def _extend_step(source: Callable, per_row: bool, checks: list[tuple[int, int]],
+                 eqs: list[tuple[int, int]], fresh: tuple[int, ...],
+                 used_cols: list[int], fresh_elems: list[int]) -> Step:
+    """The step that extends each row with the fresh values of its
+    candidates. ``source(m, ctx)`` gives the candidates, or with ``per_row``
+    the function from a row to its candidates. Candidate positions are
+    compared: ``checks`` pairs one with the row column its name is bound
+    to, ``eqs`` pairs two that repeat one fresh name. ``fresh`` holds the
+    positions of the new columns; the fresh element values among them
+    (``fresh_elems``) must differ from each other and from the row's
+    element values (``used_cols``)."""
+    cand_key = tuple_getter(i for i, _ in checks) if checks else None
+    row_key = tuple_getter(j for _, j in checks)
+    extract = tuple_getter(fresh)
+    tests = []
+    if eqs:
+        firsts = tuple_getter(i for i, _ in eqs)
+        repeats = tuple_getter(j for _, j in eqs)
+        tests.append(lambda c: firsts(c) == repeats(c))
+    new_elems = tuple_getter(fresh_elems)
+    if len(fresh_elems) == 2:
+        a, b = fresh_elems
+        tests.append(lambda c: c[a] != c[b])
+    elif len(fresh_elems) > 2:
+        n = len(fresh_elems)
+        tests.append(lambda c: len(set(new_elems(c))) == n)
+    static = (None if not tests else tests[0] if len(tests) == 1
+              else lambda c: all(t(c) for t in tests))
+    used = tuple_getter(used_cols) if used_cols and fresh_elems else None
+    one = fresh_elems[0] if len(fresh_elems) == 1 else None
+
+    if per_row and not (fresh or checks or tests):
+        # the constraint only tests the row: keep the rows it has a candidate for
+        return lambda m, rows, ctx: list(filter(source(m, ctx), rows))
+
+    def step(m, rows: list, ctx) -> list:
+        if per_row:
+            fetch = source(m, ctx)
+        else:
+            cands = source(m, ctx)
+            if static is not None:
+                cands = [c for c in cands if static(c)]
+            if cand_key is not None:
+                index: dict[tuple, list] = {}
+                for c in cands:
+                    index.setdefault(cand_key(c), []).append(c)
+        out = []
+        for row in rows:
+            if per_row:
+                cs = fetch(row)
+                if cand_key is not None:
+                    k = row_key(row)
+                    cs = [c for c in cs if cand_key(c) == k]
+                if static is not None:
+                    cs = [c for c in cs if static(c)]
+            elif cand_key is not None:
+                cs = index.get(row_key(row), ())
+            else:
+                cs = cands
+            if used is None:
+                out += [row + extract(c) for c in cs]
+            else:
+                u = set(used(row))
+                if one is not None:
+                    out += [row + extract(c) for c in cs if c[one] not in u]
+                else:
+                    out += [row + extract(c) for c in cs if u.isdisjoint(new_elems(c))]
+        return out
+    return step
 
 
 class LocalSearchMatcher:
@@ -156,20 +260,19 @@ class LocalSearchMatcher:
             raise PatternError(f"unknown pattern {name}") from None
 
     def _query(self, p: Pattern, binding: dict | None) -> Collection[tuple]:
-        b = checked_binding(self.space, p, binding)
-        positions = tuple(sorted(p.params.index(v) for v in b))
-        return self._solve(p, positions, tuple(b[p.params[i]] for i in positions))
+        return self._solve(p, *binding_key(self.space, p, binding))
 
-    def _plan(self, p: Pattern, bidx: int, body: Body, bound: frozenset):
+    def _program(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
+        """The plan of body ``bidx`` of ``p`` with the parameters at
+        ``positions`` bound, and its steps: compiled once, or on every call
+        while ``shuffle`` is set."""
         if self.shuffle is not None:
-            return schedule(body.constraints, p.params, bound, self._size_hint,
-                            shuffle=self.shuffle)
-        key = (p.name, bidx, bound)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = schedule(body.constraints, p.params, bound, self._size_hint)
-            self._plans[key] = plan
-        return plan
+            return self._compile(p, bidx, positions)
+        key = (p.name, bidx, positions)
+        prog = self._plans.get(key)
+        if prog is None:
+            prog = self._plans[key] = self._compile(p, bidx, positions)
+        return prog
 
     def _size_hint(self, c) -> int:
         if isinstance(c, EntityC):
@@ -212,13 +315,12 @@ class LocalSearchMatcher:
                 self._solve(p, (), ())
                 return self._held[p.name].lookup(positions, key)
             self._searched.add(p.name)
-        seed = {p.params[i]: v for i, v in zip(positions, key)}
         out: set[tuple] = set()
         enumerating = 0 if positions else 1
         self._enumerating += enumerating
         try:
-            for bidx, body in enumerate(p.bodies):
-                out.update(self._eval_body(p, bidx, body, seed, None))
+            for bidx in range(len(p.bodies)):
+                out.update(self._eval_body(p, bidx, positions, key, None))
         finally:
             self._enumerating -= enumerating
         if positions:
@@ -227,116 +329,210 @@ class LocalSearchMatcher:
             self._held[p.name] = AnswerSet(out, len(p.params))
         return out
 
-    def _call_matches(self, callee: Pattern, args: tuple[str, ...], env: dict,
-                      scc_ctx) -> Iterable[tuple]:
-        """Tuples of the callee's match set consistent with bound args and
-        with repeated argument variables."""
-        # callee parameters align with the arguments, so bound argument
-        # positions are the callee's bound parameter positions
-        positions = tuple([j for j, a in enumerate(args) if a in env])
-        key = tuple([env[args[j]] for j in positions])
-        if scc_ctx is not None and callee.name in scc_ctx:
-            sub = scc_ctx[callee.name].lookup(positions, key)
-        else:
-            sub = self._solve(callee, positions, key)
-        consistent = consistency_test(args)
-        return sub if consistent is None else filter(consistent, sub)
+    def _eval_body(self, p: Pattern, bidx: int, positions: tuple[int, ...],
+                   key: tuple, ctx) -> Iterable[tuple]:
+        """The parameter tuples of the matches of body ``bidx`` of ``p``
+        whose values at ``positions`` are ``key``. ``ctx`` maps the members
+        of a call cycle under tabling to the bases their calls read."""
+        prog = self._program(p, bidx, positions)
+        if prog.seed_elems is not None:
+            vals = prog.seed_elems(key)
+            if len(set(vals)) < len(vals):
+                return ()
+        rows = [key]
+        for step in prog.steps:
+            rows = step(self, rows, ctx)
+            if not rows:
+                return ()
+        return map(prog.project, rows)
 
-    def _eval_body(self, p: Pattern, bidx: int, body: Body, seed: dict,
-                   scc_ctx) -> Iterator[tuple]:
-        """The parameter tuples of the body's matches that extend ``seed``."""
-        plan = self._plan(p, bidx, body, frozenset(seed))
-        space = self.space
-        env = dict(seed)
+    def _compile(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
+        """Plan body ``bidx`` of ``p`` for the parameters at ``positions``
+        and compile the plan into steps over rows whose columns are ``cols``:
+        the seed's, then each variable a step binds, in that order."""
+        body = p.bodies[bidx]
+        cols = [p.params[i] for i in positions]
+        plan = schedule(body.constraints, p.params, frozenset(cols),
+                        self._size_hint, shuffle=self.shuffle)
         elem = frozenset() if p.shareable else body.element_vars
-        vals = [val for var, val in seed.items() if var in elem]
-        used = set(vals)
-        if len(used) < len(vals):
-            return
-
-        def bindings(i: int) -> Iterator[None]:
-            if i == len(plan):
-                yield None
-                return
-            c = plan[i]
+        seed_elems = [k for k, v in enumerate(cols) if v in elem]
+        steps = []
+        for c in plan:
+            col = {v: k for k, v in enumerate(cols)}
             if isinstance(c, CheckC):
-                if ex.holds(c.expr, env.__getitem__, space):
-                    yield from bindings(i + 1)
-                return
+                steps.append(self._check_step(c.expr, col))
+                continue
             if isinstance(c, NegC):
-                callee = self.patterns[c.pattern]
-                for _ in self._call_matches(callee, c.args, env, scc_ctx):
-                    return
-                yield from bindings(i + 1)
-                return
-            # unify: bound variables must agree with the row, fresh ones
-            # take its values (distinct element values unless shareable)
-            names, rows = self._rows(c, env, scc_ctx)
-            for row in rows:
-                fresh = []
-                for var, val in zip(names, row):
-                    if var in env:
-                        if env[var] != val:
-                            break
-                    elif var in elem and val in used:
-                        break
-                    else:
-                        env[var] = val
-                        fresh.append(var)
-                        if var in elem:
-                            used.add(val)
+                steps.append(self._neg_step(c, col))
+                continue
+            # candidates align with ``names``; ``given``: their positions the
+            # source already matched to the row
+            names = (c.out,) if isinstance(c, CountC) else constraint_vars(c)
+            source, per_row, given = self._source(c, col)
+            checks, eqs, fresh = [], [], {}
+            for pos, v in enumerate(names):
+                if v in col:
+                    if pos not in given:
+                        checks.append((pos, col[v]))
+                elif v in fresh:
+                    eqs.append((fresh[v], pos))
                 else:
-                    yield from bindings(i + 1)
-                for var in fresh:
-                    val = env.pop(var)
-                    if var in elem:
-                        used.discard(val)
+                    fresh[v] = pos
+            steps.append(_extend_step(
+                source, per_row, checks, eqs, tuple(fresh.values()),
+                [k for k, v in enumerate(cols) if v in elem],
+                [pos for v, pos in fresh.items() if v in elem]))
+            cols.extend(fresh)
+        return Program(plan, steps, tuple_getter(cols.index(v) for v in p.params),
+                       tuple_getter(seed_elems) if len(seed_elems) > 1 else None)
 
-        params = p.params
-        for _ in bindings(0):
-            yield tuple([env[x] for x in params])
-
-    def _rows(self, c, env: dict,
-              scc_ctx) -> tuple[tuple[str, ...], Iterable[tuple]]:
-        """The variables a positive constraint or a count binds, and its
-        candidate rows aligned with them. Bound variables narrow the rows
-        where an index serves them; the unify step checks the rest."""
-        # type tests read the fetched element's types against the subtype
-        # closure, resolved once per call (``ModelSpace.conforms`` would look
-        # up both again for every row)
+    def _source(self, c, col: dict[str, int]) -> tuple[Callable, bool, set[int]]:
+        """The candidate source of a positive constraint or a count over
+        rows with columns ``col``: a function of the matcher and the tabling
+        bases ``(m, ctx)`` that gives the candidates or, when the second
+        item is True, the function from a row to its candidates; and the
+        candidate positions it matches to the row itself. What a step reads
+        for every row is resolved once, when the step starts."""
         space = self.space
+        closure = space.registry.subtype_closure
         if isinstance(c, EntityC):
-            if c.var in env:
-                e = env[c.var]
-                es = (e,) if space.is_live(e) and not space.element(e).types.isdisjoint(
-                    space.registry.subtype_closure(c.type)) else ()
-            else:
-                es = space.elements_of_type(c.type)
+            type_name, in_var = c.type, c.in_var
             # `in <namespace>` is containment under the root: vacuously true
-            if c.in_var is None:
-                return (c.var,), zip(es)
-            return (c.var, c.in_var), [(e, anc) for e in es
-                                       for anc in space.ancestors(e)]
+            if c.var in col:
+                j = col[c.var]
+
+                def bound_entity(m, ctx):
+                    subtypes = closure(type_name)
+
+                    def fetch(row):
+                        e = row[j]
+                        if not space.is_live(e) or space.element(e).types.isdisjoint(subtypes):
+                            return ()
+                        if in_var is None:
+                            return ((e,),)
+                        return [(e, anc) for anc in space.ancestors(e)]
+                    return fetch
+                return bound_entity, True, {0}
+
+            def entity_scan(m, ctx):
+                es = space.elements_of_type(type_name)
+                if in_var is None:
+                    return list(zip(es))
+                return [(e, anc) for e in es for anc in space.ancestors(e)]
+            return entity_scan, False, set()
+
         if isinstance(c, RelationC):
-            typed = c.type is not None
-            if c.rel in env:
-                rid = env[c.rel]
-                rids = (rid,) if space.is_live(rid) and space.kind(rid) == RELATION else ()
-            elif c.src in env:
-                rids = space.relations_from(env[c.src])
-            elif c.trg in env:
-                rids = space.relations_to(env[c.trg])
-            else:
-                rids = space.elements_of_type(c.type) if typed else space.iter_relations()
-                typed = False
-            subtypes = space.registry.subtype_closure(c.type) if typed else None
-            return (c.rel, c.src, c.trg), [
-                (el.id, el.source, el.target) for el in map(space.element, rids)
-                if subtypes is None or not el.types.isdisjoint(subtypes)]
-        matches = self._call_matches(self.patterns[c.pattern], c.args, env, scc_ctx)
+            type_name = c.type
+
+            def relations(rids, subtypes) -> list[tuple]:
+                return [(el.id, el.source, el.target) for el in map(space.element, rids)
+                        if subtypes is None or not el.types.isdisjoint(subtypes)]
+
+            def subtypes():
+                return None if type_name is None else closure(type_name)
+            if c.rel in col:
+                j = col[c.rel]
+
+                def bound_relation(m, ctx):
+                    types = subtypes()
+
+                    def fetch(row):
+                        rid = row[j]
+                        if space.is_live(rid) and space.kind(rid) == RELATION:
+                            return relations((rid,), types)
+                        return ()
+                    return fetch
+                return bound_relation, True, {0}
+            if c.src in col or c.trg in col:
+                out = c.src in col
+                j = col[c.src if out else c.trg]
+                walk = space.relations_from if out else space.relations_to
+
+                def walked(m, ctx):
+                    types = subtypes()
+                    return lambda row: relations(walk(row[j]), types)
+                return walked, True, {1 if out else 2}
+
+            def relation_scan(m, ctx):
+                if type_name is None:
+                    return relations(space.iter_relations(), None)
+                return relations(space.elements_of_type(type_name), None)
+            return relation_scan, False, set()
+
+        positions, key, prepare = self._call(c, col)
         if isinstance(c, CountC):
-            return (c.out,), ((sum(1 for _ in matches),),)
-        return c.args, matches
+            consistent = consistency_test(c.args)
+
+            def count(sub) -> tuple[tuple[int]]:
+                return ((len(sub) if consistent is None else sum(map(consistent, sub)),),)
+            if not positions:
+                return (lambda m, ctx: count(prepare(m, ctx)(()))), False, set()
+
+            def counts(m, ctx):
+                read = prepare(m, ctx)
+                return lambda row: count(read(key(row)))
+            return counts, True, set()
+        if not positions:
+            return (lambda m, ctx: prepare(m, ctx)(())), False, set()
+
+        def finds(m, ctx):
+            read = prepare(m, ctx)
+            return lambda row: read(key(row))
+        return finds, True, set(positions)
+
+    def _call(self, c, col: dict[str, int]):
+        """For a call whose bound arguments are the variables in ``col``:
+        the bound argument positions (the callee's bound parameter
+        positions), the getter of their values from a row, and
+        ``prepare(m, ctx)``, which gives the reader from such a key to the
+        callee's answers with it. The reader reads the tabling base ``ctx``
+        holds for the callee, else solves each key with the matcher ``m``
+        until the callee's answer set is held, and reads that set's index
+        from then on."""
+        callee = self.patterns[c.pattern]
+        name = callee.name
+        positions = tuple([j for j, a in enumerate(c.args) if a in col])
+
+        def prepare(m, ctx) -> Callable[[tuple], Collection[tuple]]:
+            if ctx is not None and name in ctx:
+                return ctx[name].reader(positions)
+            held, solve = m._held, m._solve
+            read = None
+
+            def fetch(key: tuple) -> Collection[tuple]:
+                nonlocal read
+                if read is None:
+                    answers = held.get(name)
+                    if answers is None:
+                        return solve(callee, positions, key)
+                    read = answers.reader(positions)
+                return read(key)
+            return fetch
+        return positions, tuple_getter(col[c.args[j]] for j in positions), prepare
+
+    def _neg_step(self, c: NegC, col: dict[str, int]) -> Step:
+        """Keep the rows for which the callee has no consistent match."""
+        positions, key, prepare = self._call(c, col)
+        consistent = consistency_test(c.args)
+
+        def matched(sub) -> bool:
+            return bool(sub) if consistent is None else any(map(consistent, sub))
+        if not positions:
+            return lambda m, rows, ctx: [] if matched(prepare(m, ctx)(())) else rows
+
+        def step(m, rows: list, ctx) -> list:
+            read = prepare(m, ctx)
+            return [r for r in rows if not matched(read(key(r)))]
+        return step
+
+    def _check_step(self, expr: ex.Expr, col: dict[str, int]) -> Step:
+        """Keep the rows on which ``expr`` holds."""
+        space = self.space
+        names = tuple(ex.expr_vars(expr))
+        values = tuple_getter(col[v] for v in names)
+        return lambda m, rows, ctx: [
+            r for r in rows
+            if ex.holds(expr, dict(zip(names, values(r))).__getitem__, space)]
 
     # -- recursion ------------------------------------------------------------
 
@@ -367,7 +563,7 @@ class LocalSearchMatcher:
             for bidx, body in enumerate(m.bodies):
                 if scc_calls(body):
                     continue
-                deltas[m.name].tuples.update(self._eval_body(m, bidx, body, {}, None))
+                deltas[m.name].tuples.update(self._eval_body(m, bidx, (), (), None))
         for n in names:
             tabs[n].add(deltas[n].tuples)
 
@@ -387,7 +583,7 @@ class LocalSearchMatcher:
                     else:
                         ctx = tabs  # naive round for multi-call bodies
                     new[m.name].tuples.update(
-                        t for t in self._eval_body(m, bidx, body, {}, ctx)
+                        t for t in self._eval_body(m, bidx, (), (), ctx)
                         if t not in tabs[m.name].tuples)
             deltas = new
             for n in names:

@@ -202,6 +202,16 @@ class Element:
     target: Optional[int] = None
 
 
+def _unindex(index: dict, key, eid: int) -> None:
+    """Discard ``eid`` from the set ``index[key]``, and drop the key once
+    its set is empty."""
+    ids = index.get(key)
+    if ids is not None:
+        ids.discard(eid)
+        if not ids:
+            del index[key]
+
+
 class ModelSpace:
     """Single-writer in-memory graph store with synchronous listeners."""
 
@@ -293,7 +303,7 @@ class ModelSpace:
         self.registry.info(type_name)
         out: set[int] = set()
         for t in self.registry.subtype_closure(type_name):
-            out |= self._by_type.get(t, set())
+            out.update(self._by_type.get(t, ()))
         return sorted(out)
 
     def count_of_type(self, type_name: str) -> int:
@@ -403,18 +413,23 @@ class ModelSpace:
         """Remove a single element and emit its deletion event (no cascade)."""
         el = self._elements.pop(eid)
         for t in el.types:
-            self._by_type[t].discard(eid)
+            _unindex(self._by_type, t, eid)
         if el.kind == RELATION:
             self._relations.discard(eid)
-            self._out.get(el.source, set()).discard(eid)
-            self._in.get(el.target, set()).discard(eid)
+            _unindex(self._out, el.source, eid)
+            _unindex(self._in, el.target, eid)
         if el.parent is not None:
-            self._children.get(el.parent, set()).discard(eid)
+            _unindex(self._children, el.parent, eid)
         self._children.pop(eid, None)
         self._out.pop(eid, None)
         self._in.pop(eid, None)
         self._emit(ElementDeleted(el.id, el.kind, tuple(sorted(el.types)), el.parent,
                                   el.source, el.target, el.name, el.value))
+
+    def _dependents(self, eid: int) -> set[int]:
+        """The children of ``eid`` and the relations incident to it."""
+        return set().union(self._children.get(eid, ()), self._out.get(eid, ()),
+                           self._in.get(eid, ()))
 
     def delete(self, eid: int) -> None:
         """Delete ``eid``, its transitively contained children, and every
@@ -430,7 +445,7 @@ class ModelSpace:
         frontier = [eid]
         while frontier:
             x = frontier.pop()
-            more = self._children.get(x, set()) | self._out.get(x, set()) | self._in.get(x, set())
+            more = self._dependents(x)
             for y in more:
                 if y not in closure:
                     closure.add(y)
@@ -441,8 +456,7 @@ class ModelSpace:
             for x in sorted(remaining):
                 if x == eid and len(remaining) > 1:
                     continue
-                deps = (self._children.get(x, set()) | self._out.get(x, set()) |
-                        self._in.get(x, set())) & remaining
+                deps = self._dependents(x) & remaining
                 if not deps:
                     ready.append(x)
             if not ready:  # only possible via relation->relation knots
@@ -468,7 +482,7 @@ class ModelSpace:
         if type_name not in el.types:
             raise SpaceError(f"element {eid} is not instanceOf {type_name}")
         el.types.discard(type_name)
-        self._by_type.get(type_name, set()).discard(eid)
+        _unindex(self._by_type, type_name, eid)
         self._emit(TypeRemoved(eid, type_name))
 
     def set_value(self, eid: int, value) -> None:
@@ -494,12 +508,12 @@ class ModelSpace:
         self.element(new)
         if end == "source":
             old = el.source
-            self._out.get(old, set()).discard(rid)
+            _unindex(self._out, old, rid)
             el.source = new
             self._out.setdefault(new, set()).add(rid)
         else:
             old = el.target
-            self._in.get(old, set()).discard(rid)
+            _unindex(self._in, old, rid)
             el.target = new
             self._in.setdefault(new, set()).add(rid)
         self._emit(EndpointRetargeted(rid, end, old, new))

@@ -11,14 +11,17 @@ called pattern (``neg``/``#``), check nodes filter, and each body's last
 node feeds, through its projection onto the parameters, one production
 memory per registered pattern. Called patterns compile to their own
 production, shared across callers. After each event is processed the
-production memories equal the local-search match sets by construction.
+production memories equal the local-search match sets by construction. A
+production answers a bound read from a hash index of its memory keyed by the
+bound positions, kept up to date from the first such read on.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from itertools import chain
-from typing import Callable, KeysView, Optional
+from typing import Callable, Collection, Optional
 
 from . import expr as ex
 from .errors import MatcherError
@@ -31,7 +34,7 @@ from .patterns import (CheckC, CountC, EntityC, FindC, NegC, Pattern,
 
 class Node:
     def __init__(self, engine: "ReteEngine", schema: tuple[str, ...]):
-        self.engine = engine
+        self.space = engine.space
         self.schema = schema
         # input callbacks (on_left / on_right / on_body) of the nodes this one feeds
         self.outputs: list[Callable[[tuple, int], None]] = []
@@ -72,7 +75,7 @@ class TypeAlpha(Node):
         self.type = type_name
 
     def all_tuples(self):
-        space = self.engine.space
+        space = self.space
         eids = (space.iter_relations() if self.type is None
                 else space.elements_of_type(self.type))
         return [_row(space.element(eid)) for eid in eids]
@@ -85,7 +88,7 @@ class ContainmentAlpha(Node):
         super().__init__(engine, ("$x", "$p"))
 
     def all_tuples(self):
-        space = self.engine.space
+        space = self.space
         return [(eid, anc) for eid in space.iter_elements()
                 if space.kind(eid) == ENTITY for anc in space.ancestors(eid)]
 
@@ -246,7 +249,7 @@ class CheckNode(Node):
 
     def _passes(self, lt) -> bool:
         env = dict(zip(self.schema, lt))
-        return ex.holds(self.expr, env.__getitem__, self.engine.space)
+        return ex.holds(self.expr, env.__getitem__, self.space)
 
     def on_left(self, t, sign):
         if sign > 0:
@@ -274,7 +277,8 @@ class InjectivityNode(Node):
     def __init__(self, engine, left: Node, positions: list[int]):
         super().__init__(engine, left.schema)
         self.values = tuple_getter(positions)
-        self.left = left
+        # weak: ``left`` feeds this node through its outputs already
+        self.left = weakref.ref(left)
         left.outputs.append(self.on_left)
 
     def _ok(self, t) -> bool:
@@ -286,15 +290,18 @@ class InjectivityNode(Node):
             self.emit(t, sign)
 
     def all_tuples(self):
-        return [t for t in self.left.all_tuples() if self._ok(t)]
+        return [t for t in self.left().all_tuples() if self._ok(t)]
 
 
 class ProductionNode(Node):
     """Per-pattern match memory: the projected tuples of every body, each
     counted once per body tuple that projects onto it.
 
-    The delta log starts with the first ``cursor()`` call; a production that
-    is never asked for one logs nothing.
+    A bound read is served by a hash index of the memory keyed by the bound
+    positions, built on the first read with those positions and kept up to
+    date with every tuple that appears or goes. The delta log starts with
+    the first ``cursor()`` call; a production that is never asked for one
+    logs nothing.
     """
 
     def __init__(self, engine, pattern: Pattern,
@@ -302,6 +309,8 @@ class ProductionNode(Node):
         super().__init__(engine, pattern.params)
         self.pattern = pattern
         self.counts: dict[tuple, int] = {}
+        # positions -> (key getter, key -> the tuples with that key)
+        self.indexes: dict[tuple[int, ...], tuple[Callable, dict[tuple, set]]] = {}
         self.log: list[tuple[tuple, int]] | None = None
         counts = self.counts
         for node, positions in bodies:
@@ -322,13 +331,28 @@ class ProductionNode(Node):
         else:
             self.counts.pop(t, None)
         if (old > 0) != (new > 0):
+            for key, index in self.indexes.values():
+                _update_bucket(index, key(t), t, sign)
             if self.log is not None:
                 self.log.append((t, sign))
             self.emit(t, sign)
 
-    def match_tuples(self) -> KeysView[tuple]:
-        """The match tuples, a live view: valid until the next change."""
-        return self.counts.keys()
+    def match_tuples(self, positions: tuple[int, ...] = (),
+                     key: tuple = ()) -> Collection[tuple]:
+        """The match tuples whose values at ``positions`` (ascending) are
+        ``key``; a live view, valid until the next change."""
+        if not positions:
+            return self.counts.keys()
+        if len(positions) == len(self.schema):
+            return (key,) if key in self.counts else ()
+        entry = self.indexes.get(positions)
+        if entry is None:
+            getter = tuple_getter(positions)
+            index: dict[tuple, set] = {}
+            for t in self.counts:
+                _update_bucket(index, getter(t), t, +1)
+            entry = self.indexes[positions] = (getter, index)
+        return entry[1].get(key, ())
 
     def cursor(self) -> int:
         """A position in the delta log, which starts here if it has not yet."""
@@ -349,7 +373,14 @@ class ProductionNode(Node):
 
 
 class ReteEngine:
-    """Network manager; one instance per (space, pattern set)."""
+    """Network manager; one instance per (space, pattern set).
+
+    Whoever builds the engine keeps it; the space it listens to holds it
+    only weakly, and no node points back to the engine or upstream. So a
+    network holds no reference cycle: an engine that is dropped is freed at
+    once, with its memories, and stops listening, without waiting for the
+    cycle collector.
+    """
 
     def __init__(self, space: ModelSpace, patterns: dict[str, Pattern]):
         self.space = space
@@ -361,7 +392,15 @@ class ReteEngine:
         self._alphas: dict[Optional[str], TypeAlpha] = {}
         self._containment: ContainmentAlpha | None = None
         self._seed = SeedNode(self)
-        space.subscribe(self._on_change)
+        # the space holds the engine weakly: a dropped engine stops listening
+        engine, on_change = weakref.ref(self), self._on_change.__func__
+
+        def listener(ev) -> None:
+            alive = engine()
+            if alive is not None:
+                on_change(alive, ev)
+        space.subscribe(listener)
+        weakref.finalize(self, space.unsubscribe, listener)
 
     @property
     def node_count(self) -> int:

@@ -17,10 +17,10 @@ from typing import Collection, Optional
 
 from . import expr as ex
 from .errors import DivergenceError, ExecError, LinkError
-from .matcher_ls import LocalSearchMatcher, checked_binding, in_order, least
+from .matcher_ls import LocalSearchMatcher, binding_key, in_order, least
 from .modelspace import ROOT_ID, ModelSpace
 from .patterns import (CheckC, CountC, EntityC, NegC, Pattern, RelationC,
-                       consistency_test, tuple_getter)
+                       consistency_test)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -462,12 +462,8 @@ class VM:
         with the parameters) a single value. The one read of either backend:
         the production memory (``inc``) or the match set (``ls``)."""
         if self.backend == "inc" and not p.requires_ls:
-            tuples = self._rete_engine().register(p.name).match_tuples()
-            if binding:
-                checked_binding(self.space, p, binding)
-                bound = tuple_getter(p.params.index(k) for k in binding)
-                values = tuple(binding.values())
-                tuples = [t for t in tuples if bound(t) == values]
+            tuples = self._rete_engine().register(p.name).match_tuples(
+                *binding_key(self.space, p, binding))
         else:
             tuples = self.ls.match_set(p.name, binding)
         consistent = consistency_test(args)

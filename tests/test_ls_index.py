@@ -293,7 +293,7 @@ def test_partly_bound_call_ranks_ahead_of_a_type_scan():
     space = load_fixture("random", n=8, e=16, seed=1)
     ls = matcher_for(space)
     p = ls.patterns["graphPatterns.edgeFromToInternal"]
-    plan = ls._plan(p, 0, p.bodies[0], frozenset())
+    plan = ls._program(p, 0, ()).plan
     # one node scan, then both calls through the bound endpoint and edge
     assert [type(c) for c in plan] == [EntityC, FindC, FindC, EntityC]
 

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from gtvm import corpus
-from gtvm.corpus.fixtures import Graph1Builder, load_fixture
+from gtvm.corpus.fixtures import G1, Graph1Builder, load_fixture
 from gtvm.errors import SpaceError
 from gtvm.matcher_ls import LocalSearchMatcher
 from gtvm.oracle import (BruteForce, edge_pairs, transitive_connected,
                          two_hop_missing)
+from gtvm.patterns import schedule
 from gtvm.vtcl import link, parse
 
 
@@ -123,6 +124,75 @@ def test_oracle_equivalence_random(seed):
     brute = BruteForce(space, ls.patterns)
     for name in lib_names(ls):
         assert ls.match_set(name) == brute.match_set(name), (seed, name)
+
+
+COMPILED = ["graphPatterns.circleOfThreeNode", "graphPatterns.isolatedNode",
+            "graphPatterns.transitiveEdgeMissing", "graphPatterns.connectedEdge"]
+
+
+def test_each_plan_is_compiled_once(monkeypatch):
+    """Cold queries before and after an edit schedule each (pattern, body,
+    bound set) once; under ``shuffle`` every body evaluation plans afresh
+    and the compiled plans are neither read nor grown."""
+    import gtvm.matcher_ls as matcher_ls
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schedule(*args, **kwargs)
+    monkeypatch.setattr(matcher_ls, "schedule", counted)
+    space = load_fixture("random", n=8, e=14, seed=2)
+    graph = space.elements_of_type(G1 + "Graph")[0]
+    ls = matcher_for(space)
+
+    def cold_queries():
+        space.new_entity(G1 + "Node", graph)  # drops every memoized answer
+        for name in COMPILED:
+            ls.match_set(name)
+        node = space.elements_of_type(G1 + "Node")[0]
+        ls.match_set("graphPatterns.connectedEdge", {"Node": node})
+
+    cold_queries()
+    compiled = dict(ls._plans)
+    assert len(calls) == len(compiled) > len(COMPILED)
+    cold_queries()
+    assert len(calls) == len(ls._plans)
+    assert all(ls._plans[key] is prog for key, prog in compiled.items())
+
+    evaluated = []
+    eval_body = ls._eval_body
+
+    def counted_eval(*args):
+        evaluated.append(args[:3])
+        return eval_body(*args)
+    monkeypatch.setattr(ls, "_eval_body", counted_eval)
+    ls.shuffle = random.Random(3)
+    plans = dict(ls._plans)
+    for _ in range(2):
+        calls.clear()
+        evaluated.clear()
+        cold_queries()
+        assert len(calls) == len(evaluated) > len(COMPILED)
+    assert ls._plans == plans
+
+
+def test_a_dropped_matcher_is_freed_without_the_cycle_collector():
+    """The compiled programs a matcher keeps hold no reference back to it,
+    so its answer sets go when it does, not at the next collection."""
+    import gc
+    import weakref
+    space = load_fixture("random", n=8, e=14, seed=2)
+    ls = matcher_for(space)
+    for name in COMPILED:
+        ls.match_set(name)
+    assert ls._plans and ls._held
+    dropped = weakref.ref(ls)
+    gc.disable()
+    try:
+        del ls
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -321,29 +391,39 @@ def row_shape_models():
 
 @pytest.mark.parametrize("plans", ["default", "shuffle"])
 @pytest.mark.parametrize("name", ["selfRelation", "loopThenStep",
-                                  "loopThenStepShared", "textIn"])
+                                  "loopThenStepShared", "textIn", "library"])
 def test_every_row_shape_agrees_with_the_oracle(name, plans):
     """relation(R,X,X), find edgeEnds(E,X,X) from an injective and a
-    shareable caller, and `in N`, under every subset of bound parameters."""
-    name = "rows." + name
+    shareable caller, and `in N`, under every subset of bound parameters;
+    and every non-recursive library pattern unbound and under every
+    single-parameter binding, each a seed row of its own layout."""
     matched = False
     for k, space in enumerate(row_shape_models()):
         program = link([corpus.load_machine("graphPatterns"), parse(ROW_SHAPES)],
                        space.registry)
-        ls = LocalSearchMatcher(space, program.patterns)
-        if plans == "shuffle":
-            ls.shuffle = random.Random(k)
         brute = BruteForce(space, program.patterns)
-        params = program.patterns[name].params
-        full = brute.match_set(name)
-        matched = matched or bool(full)
         others = space.iter_elements()[:2]
-        for r in range(len(params) + 1):
-            for bound in itertools.combinations(range(len(params)), r):
-                keys = {tuple(t[i] for i in bound) for t in full}
-                keys.update((v,) * r for v in others)
-                for key in keys:
-                    binding = dict(zip((params[i] for i in bound), key))
-                    assert ls.match_set(name, binding) == \
-                        brute.match_set(name, binding), (k, binding)
+        names = lib_names(brute) if name == "library" else ["rows." + name]
+        for pattern in names:
+            # a matcher of its own, which holds no answer set of the pattern
+            ls = LocalSearchMatcher(space, program.patterns)
+            if plans == "shuffle":
+                ls.shuffle = random.Random(k)
+            params = program.patterns[pattern].params
+            full = brute.match_set(pattern)
+            matched = matched or bool(full)
+            # bound queries first: once the unbound set is held, its index
+            # would answer them, and no seed row would be searched
+            sizes = (1, 0) if name == "library" else range(len(params), -1, -1)
+            for r in sizes:
+                for bound in itertools.combinations(range(len(params)), r):
+                    keys = {tuple(t[i] for i in bound) for t in full}
+                    # one value at every bound position: an injective
+                    # pattern's seed row must have distinct elements
+                    keys.update((t[i],) * r for t in full for i in bound)
+                    keys.update((v,) * r for v in others)
+                    for key in keys:
+                        binding = dict(zip((params[i] for i in bound), key))
+                        assert ls.match_set(pattern, binding) == \
+                            brute.match_set(pattern, binding), (k, pattern, binding)
     assert matched

@@ -304,8 +304,9 @@ def test_ls_plans_of_the_migration_patterns_take_the_call_first():
 
     def plan(name, bound):
         p = ls.patterns[f"graphPatterns.{name}"]
+        positions = tuple(sorted(map(p.params.index, bound)))
         return [(type(c).__name__, getattr(c, "var", None) or getattr(c, "pattern", None)
-                 or c.rel) for c in ls._plan(p, 0, p.bodies[0], frozenset(bound))]
+                 or c.rel) for c in ls._program(p, 0, positions).plan]
 
     assert plan("oldAndNewEdgeFromTo", ()) == [
         ("EntityC", "NewFrom"), ("RelationC", "Tr1"), ("EntityC", "From"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 
@@ -273,6 +274,40 @@ def test_cross_matcher_equivalence_scripts(seed):
     assert space.audit() == []
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_bound_reads_equal_the_filtered_memory_under_edits(seed):
+    """Every bound read of each production, for every subset of bound
+    positions, equals its full memory filtered by the key. Each key read
+    once stays asked after it empties, and no index keeps an empty bucket."""
+    rng = random.Random(seed)
+    space = load_fixture("random", n=5, e=6, seed=seed)
+    ls, rete = engines(space)
+    handles = {n: rete.register(n) for n in inc_names(ls)}
+    asked = {}  # (pattern, positions) -> every key read so far
+    emptied = 0
+
+    def check():
+        nonlocal emptied
+        for n, h in handles.items():
+            full = set(h.match_tuples())
+            arity = len(ls.patterns[n].params)
+            for r in range(1, arity + 1):
+                for positions in itertools.combinations(range(arity), r):
+                    keys = asked.setdefault((n, positions), set())
+                    keys.update(tuple(t[i] for i in positions) for t in full)
+                    for key in keys:
+                        want = {t for t in full
+                                if tuple(t[i] for i in positions) == key}
+                        assert set(h.match_tuples(positions, key)) == want, \
+                            (seed, n, positions, key)
+                        emptied += not want
+            assert all(all(index.values()) for _, index in h.indexes.values())
+
+    check()
+    run_script(space, rng, 40, check)
+    assert emptied
+
+
 @pytest.mark.parametrize("matcher", ["inc", "ls"])
 def test_erroring_check_is_a_non_match(triangle, matcher):
     from gtvm import oracle
@@ -291,6 +326,40 @@ def test_erroring_check_is_a_non_match(triangle, matcher):
     assert vm.query_all("m.plusOne") == []  # value(Node) is undef
     assert vm.query_first("m.plusOne") is None
     assert oracle.BruteForce(triangle, program.patterns).match_set("m.plusOne") == set()
+
+
+def test_a_dropped_engine_is_freed_and_stops_listening():
+    """No reference cycle holds a network: with the cycle collector off, a
+    dropped engine goes at once and leaves the space's listeners, and a
+    dropped model goes with both of its VMs."""
+    import gc
+    import weakref
+
+    from gtvm.rules import VM
+    space = load_fixture("random", n=8, e=14, seed=2)
+    program = corpus.library_program(space.registry)
+    listeners = len(space._listeners)
+    gc.disable()
+    try:
+        rete = ReteEngine(space, program.patterns)
+        for name in inc_names(LocalSearchMatcher(space, program.patterns)):
+            rete.register(name)
+        assert len(space._listeners) == listeners + 1
+        dropped = weakref.ref(rete)
+        del rete
+        assert dropped() is None
+        assert len(space._listeners) == listeners
+        run_script(space, random.Random(2), 5, lambda: None)
+
+        vms = [VM(program, space, matcher=m) for m in ("inc", "ls")]
+        for vm in vms:
+            vm.query_all("graphPatterns.circleOfThreeNode")
+            vm.query_all("graphPatterns.isolatedNode")
+        model = weakref.ref(space)
+        del vms, vm, space
+        assert model() is None
+    finally:
+        gc.enable()
 
 
 def test_production_keeps_no_log_until_cursor():
