@@ -422,10 +422,10 @@ class LocalSearchMatcher:
             return entity_scan, False, set()
 
         if isinstance(c, RelationC):
-            type_name = c.type
+            type_name, element = c.type, space._elements.__getitem__
 
             def relations(rids, subtypes) -> list[tuple]:
-                return [(el.id, el.source, el.target) for el in map(space.element, rids)
+                return [(el.id, el.source, el.target) for el in map(element, rids)
                         if subtypes is None or not el.types.isdisjoint(subtypes)]
 
             def subtypes():
@@ -446,11 +446,11 @@ class LocalSearchMatcher:
             if c.src in col or c.trg in col:
                 out = c.src in col
                 j = col[c.src if out else c.trg]
-                walk = space.relations_from if out else space.relations_to
+                ids = space.relation_ids
 
                 def walked(m, ctx):
                     types = subtypes()
-                    return lambda row: relations(walk(row[j]), types)
+                    return lambda row: relations(ids(row[j], out), types)
                 return walked, True, {1 if out else 2}
 
             def relation_scan(m, ctx):

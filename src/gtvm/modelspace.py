@@ -5,12 +5,15 @@ Elements are identified by monotonically assigned integers that are never
 reused. Type information lives in a separate :class:`TypeRegistry` (single
 inheritance, entity vs. relation kinds); an element holds a mutable *set* of
 type names so it can be retyped in place.
+
+Elements and change events are slots dataclasses, cheap to build. Events are
+not frozen, so they are not hashable; a listener must not change one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import SpaceError, UnknownTypeError
 
@@ -125,7 +128,7 @@ class TypeRegistry:
 # --- change events ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementCreated:
     subject: int
     kind: str
@@ -137,7 +140,7 @@ class ElementCreated:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementDeleted:
     subject: int
     kind: str
@@ -149,33 +152,33 @@ class ElementDeleted:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TypeAdded:
     subject: int
     type: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TypeRemoved:
     subject: int
     type: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValueSet:
     subject: int
     old: object
     new: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Renamed:
     subject: int
     old: Optional[str]
     new: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EndpointRetargeted:
     subject: int
     end: str  # 'source' or 'target'
@@ -190,7 +193,7 @@ ChangeEvent = (ElementCreated | ElementDeleted | TypeAdded | TypeRemoved |
 # --- elements and the space ------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Element:
     id: int
     kind: str
@@ -227,6 +230,7 @@ class ModelSpace:
         self._out: dict[int, set[int]] = {}
         self._in: dict[int, set[int]] = {}
         self._relations: set[int] = set()
+        self._checked: dict[tuple[str, tuple], tuple[str, ...]] = {}
         root = Element(ROOT_ID, ENTITY, name="root")
         self._elements[ROOT_ID] = root
 
@@ -326,6 +330,11 @@ class ModelSpace:
         self.element(eid)
         return set(self._in.get(eid, ()))
 
+    def relation_ids(self, eid: int, outgoing: bool) -> Collection[int]:
+        """The relations from (``outgoing``) or to ``eid``, empty when it is
+        not live: a read-only view of the index, valid until the next change."""
+        return (self._out if outgoing else self._in).get(eid, ())
+
     def relations_with_endpoint(self, eid: int) -> set[int]:
         self.element(eid)
         return set(self._out.get(eid, ())) | set(self._in.get(eid, ()))
@@ -340,12 +349,18 @@ class ModelSpace:
     # -- mutation -----------------------------------------------------------
 
     def _check_types(self, kind: str, types: Iterable[str]) -> tuple[str, ...]:
-        """``types`` without repeats, each of which must be a ``kind`` type."""
-        types = tuple(dict.fromkeys(types))
-        for t in types:
-            if self.registry.kind(t) != kind:
-                raise SpaceError(f"type {t} is a {self.registry.kind(t)} type, element is a {kind}")
-        return types
+        """``types`` without repeats, each of which must be a ``kind`` type.
+        Each accepted ``(kind, types)`` is checked once: a registered type
+        never changes kind."""
+        key = (kind, tuple(types))
+        checked = self._checked.get(key)
+        if checked is None:
+            checked = tuple(dict.fromkeys(key[1]))
+            for t in checked:
+                if self.registry.kind(t) != kind:
+                    raise SpaceError(f"type {t} is a {self.registry.kind(t)} type, element is a {kind}")
+            self._checked[key] = checked
+        return checked
 
     def _add(self, kind: str, types: Iterable[str], parent: int | None,
              source: int | None, target: int | None, eid: int | None,
@@ -399,15 +414,11 @@ class ModelSpace:
         return el.id
 
     def new_entity(self, type_name: str, parent: int | None = None) -> int:
-        if self.registry.kind(type_name) != ENTITY:
-            raise SpaceError(f"{type_name} is not an entity type")
         return self._create(ENTITY, (type_name,), parent, None, None)
 
     def new_relation(self, type_name: str | None, source: int, target: int) -> int:
-        if type_name is not None and self.registry.kind(type_name) != RELATION:
-            raise SpaceError(f"{type_name} is not a relation type")
-        types = () if type_name is None else (type_name,)
-        return self._create(RELATION, types, None, source, target)
+        return self._create(RELATION, () if type_name is None else (type_name,),
+                            None, source, target)
 
     def _dispose(self, eid: int) -> None:
         """Remove a single element and emit its deletion event (no cascade)."""

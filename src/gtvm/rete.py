@@ -6,14 +6,17 @@ per type (the ``None`` alpha for every relation) and a containment alpha
 for the (entity, ancestor) pairs hold no memory, read their tuples from the
 space's indexes when a node is built, and pass on the rows the engine
 computes from each change event and the space, once per alpha with a sign
-of +1 or -1. Beta nodes hash-join those rows or count the matches of a
-called pattern (``neg``/``#``), check nodes filter, and each body's last
-node feeds, through its projection onto the parameters, one production
-memory per registered pattern. Called patterns compile to their own
-production, shared across callers. After each event is processed the
-production memories equal the local-search match sets by construction. A
-production answers a bound read from a hash index of its memory keyed by the
-bound positions, kept up to date from the first such read on.
+of +1 or -1, through a table from ``(relation?, types)`` to the inputs the
+alphas feed. Each node calls its successors' inputs directly. Beta nodes
+hash-join those rows or count the matches of a called pattern
+(``neg``/``#``), check nodes filter, and each body's last node feeds one
+production memory per registered pattern, which drops the tuples whose
+element values repeat (unless shareable) and projects the rest onto the
+parameters. Called patterns compile to their own production, shared across
+callers. After each event is processed the production memories equal the
+local-search match sets by construction. A production answers a bound read
+from a hash index of its memory keyed by the bound positions, kept up to
+date from the first such read on.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ class Node:
         # input callbacks (on_left / on_right / on_body) of the nodes this one feeds
         self.outputs: list[Callable[[tuple, int], None]] = []
         engine.nodes.append(self)
-
-    def emit(self, t: tuple, sign: int) -> None:
-        for out in self.outputs:
-            out(t, sign)
 
     def all_tuples(self):
         raise NotImplementedError
@@ -148,9 +147,11 @@ class JoinNode(BetaNode):
         _update_bucket(self.left_mem, key, lt, sign)
         rts = self.right_mem.get(key)
         if rts:
-            extract = self.extract
+            extract, outputs = self.extract, self.outputs
             for rt in rts:
-                self.emit(lt + extract(rt), sign)
+                t = lt + extract(rt)
+                for out in outputs:
+                    out(t, sign)
 
     def on_right(self, rt, sign):
         if self.right_ok is not None and not self.right_ok(rt):
@@ -159,9 +160,11 @@ class JoinNode(BetaNode):
         _update_bucket(self.right_mem, key, rt, sign)
         lts = self.left_mem.get(key)
         if lts:
-            tail = self.extract(rt)
+            tail, outputs = self.extract(rt), self.outputs
             for lt in lts:
-                self.emit(lt + tail, sign)
+                t = lt + tail
+                for out in outputs:
+                    out(t, sign)
 
     def all_tuples(self):
         extract = self.extract
@@ -202,7 +205,8 @@ class CountNode(BetaNode):
         _update_bucket(self.left_mem, key, lt, sign)
         row = self._row(lt, self.right_counts.get(key, 0))
         if row is not None:
-            self.emit(row, sign)
+            for out in self.outputs:
+                out(row, sign)
 
     def on_right(self, rt, sign):
         if self.right_ok is not None and not self.right_ok(rt):
@@ -214,13 +218,13 @@ class CountNode(BetaNode):
             self.right_counts.pop(key, None)
         else:
             self.right_counts[key] = new
+        outputs, moves = self.outputs, ((old, -1), (new, +1))
         for lt in self.left_mem.get(key, ()):
-            row = self._row(lt, old)
-            if row is not None:
-                self.emit(row, -1)
-            row = self._row(lt, new)
-            if row is not None:
-                self.emit(row, +1)
+            for n, sign in moves:
+                row = self._row(lt, n)
+                if row is not None:
+                    for out in outputs:
+                        out(row, sign)
 
     def all_tuples(self):
         out = []
@@ -257,7 +261,8 @@ class CheckNode(Node):
         else:
             passes = self.mem.pop(t, False)
         if passes:
-            self.emit(t, sign)
+            for out in self.outputs:
+                out(t, sign)
 
     def rescan(self) -> None:
         mem = self.mem
@@ -265,37 +270,21 @@ class CheckNode(Node):
             now = self._passes(t)
             if now != was:
                 mem[t] = now
-                self.emit(t, +1 if now else -1)
+                for out in self.outputs:
+                    out(t, +1 if now else -1)
 
     def all_tuples(self):
         return [t for t, passes in self.mem.items() if passes]
 
 
-class InjectivityNode(Node):
-    """Drop tuples where two element-valued variables alias."""
-
-    def __init__(self, engine, left: Node, positions: list[int]):
-        super().__init__(engine, left.schema)
-        self.values = tuple_getter(positions)
-        # weak: ``left`` feeds this node through its outputs already
-        self.left = weakref.ref(left)
-        left.outputs.append(self.on_left)
-
-    def _ok(self, t) -> bool:
-        vals = self.values(t)
-        return len(vals) == len(set(vals))
-
-    def on_left(self, t, sign):
-        if self._ok(t):
-            self.emit(t, sign)
-
-    def all_tuples(self):
-        return [t for t in self.left().all_tuples() if self._ok(t)]
+def _aliased(values: tuple) -> bool:
+    return len(set(values)) != len(values)
 
 
 class ProductionNode(Node):
     """Per-pattern match memory: the projected tuples of every body, each
-    counted once per body tuple that projects onto it.
+    counted once per body tuple that projects onto it. A body tuple of an
+    injective pattern whose element values repeat is dropped unprojected.
 
     A bound read is served by a hash index of the memory keyed by the bound
     positions, built on the first read with those positions and kept up to
@@ -305,7 +294,7 @@ class ProductionNode(Node):
     """
 
     def __init__(self, engine, pattern: Pattern,
-                 bodies: list[tuple[Node, list[int]]]):
+                 bodies: list[tuple[Node, list[int], list[int]]]):
         super().__init__(engine, pattern.params)
         self.pattern = pattern
         self.counts: dict[tuple, int] = {}
@@ -313,29 +302,37 @@ class ProductionNode(Node):
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict[tuple, set]]] = {}
         self.log: list[tuple[tuple, int]] | None = None
         counts = self.counts
-        for node, positions in bodies:
+        for node, positions, distinct in bodies:
             project = tuple_getter(positions)
+            distinct = tuple_getter(distinct) if len(distinct) > 1 else None
             for t in node.all_tuples():
-                t = project(t)
-                counts[t] = counts.get(t, 0) + 1
-            node.outputs.append(partial(self.on_body, project))
+                if distinct is None or not _aliased(distinct(t)):
+                    t = project(t)
+                    counts[t] = counts.get(t, 0) + 1
+            node.outputs.append(partial(self.on_body, project, distinct))
 
-    def on_body(self, project, t, sign):
+    def on_body(self, project, distinct, t, sign):
         """A body tuple ``t`` appears or goes; ``project`` maps it onto the
-        parameters."""
+        parameters, and ``distinct``, unless None, gives the element values
+        that must not repeat."""
+        if distinct is not None and _aliased(distinct(t)):
+            return
         t = project(t)
-        old = self.counts.get(t, 0)
+        counts = self.counts
+        old = counts.get(t, 0)
         new = old + sign
         if new > 0:
-            self.counts[t] = new
+            counts[t] = new
         else:
-            self.counts.pop(t, None)
+            counts.pop(t, None)
         if (old > 0) != (new > 0):
-            for key, index in self.indexes.values():
-                _update_bucket(index, key(t), t, sign)
+            if self.indexes:
+                for key, index in self.indexes.values():
+                    _update_bucket(index, key(t), t, sign)
             if self.log is not None:
                 self.log.append((t, sign))
-            self.emit(t, sign)
+            for out in self.outputs:
+                out(t, sign)
 
     def match_tuples(self, positions: tuple[int, ...] = (),
                      key: tuple = ()) -> Collection[tuple]:
@@ -391,6 +388,9 @@ class ReteEngine:
         # type names are unique across kinds; None is the untyped relation alpha
         self._alphas: dict[Optional[str], TypeAlpha] = {}
         self._containment: ContainmentAlpha | None = None
+        # (relation?, types) -> the inputs of the nodes the alphas of an
+        # element of those types feed; cleared as the alphas gain successors
+        self._dispatch: dict[tuple[bool, tuple], tuple[Callable, ...]] = {}
         self._seed = SeedNode(self)
         # the space holds the engine weakly: a dropped engine stops listening
         engine, on_change = weakref.ref(self), self._on_change.__func__
@@ -409,6 +409,8 @@ class ReteEngine:
     # -- network building ----------------------------------------------------
 
     def _alpha(self, type_name: Optional[str]) -> TypeAlpha:
+        """The alpha of ``type_name``, about to gain a successor."""
+        self._dispatch.clear()
         node = self._alphas.get(type_name)
         if node is None:
             node = self._alphas[type_name] = TypeAlpha(self, type_name)
@@ -437,8 +439,9 @@ class ReteEngine:
         self.productions[name] = prod
         return prod
 
-    def _compile_body(self, pattern: Pattern, body) -> tuple[Node, list[int]]:
-        """The body's last node and the positions of the parameters in it."""
+    def _compile_body(self, pattern: Pattern, body) -> tuple[Node, list[int], list[int]]:
+        """The body's last node, the positions of the parameters in it, and
+        those of the element variables that must be pairwise distinct."""
         plan = schedule(body.constraints, pattern.params, frozenset())
         current: Node = self._seed
         for c in plan:
@@ -462,13 +465,10 @@ class ReteEngine:
                 current = CheckNode(self, current, c.expr)
             else:
                 raise AssertionError(c)
-        if not pattern.shareable:
-            positions = [i for i, var in enumerate(current.schema)
-                         if var in body.element_vars]
-            if len(positions) > 1:
-                current = InjectivityNode(self, current, positions)
+        distinct = [] if pattern.shareable else [
+            i for i, var in enumerate(current.schema) if var in body.element_vars]
         try:
-            return current, [current.schema.index(p) for p in pattern.params]
+            return current, [current.schema.index(p) for p in pattern.params], distinct
         except ValueError:
             raise MatcherError(
                 f"pattern {pattern.name} has a parameter bound only under "
@@ -483,44 +483,52 @@ class ReteEngine:
             eid = ev.subject
             relation = ev.kind != ENTITY
             row = (eid, ev.source, ev.target) if relation else (eid,)
-            self._emit_to(self._reached(ev.types, relation), row, sign)
+            outs = self._dispatch.get((relation, ev.types))
+            if outs is None:
+                outs = self._targets(relation, ev.types)
+            for out in outs:
+                out(row, sign)
             if not relation and self._containment is not None:
                 # the parent chain is live at both events: delete disposes
                 # children before their parents
+                outputs = self._containment.outputs
                 for anc in chain((ev.parent,), space.ancestors(ev.parent)):
-                    self._containment.emit((eid, anc), sign)
+                    for out in outputs:
+                        out((eid, anc), sign)
         elif isinstance(ev, (TypeAdded, TypeRemoved)):
             # the space already holds the change: the row enters or leaves
             # the alphas that only ``ev.type`` reaches
             el = space.element(ev.subject)
-            others = self._reached(t for t in el.types if t != ev.type)
-            self._emit_to([s for s in space.registry.supers(ev.type)
-                           if s not in others],
-                          _row(el), +1 if isinstance(ev, TypeAdded) else -1)
+            relation, rest = el.kind != ENTITY, tuple(t for t in el.types if t != ev.type)
+            others = set(self._targets(relation, rest))
+            row, sign = _row(el), +1 if isinstance(ev, TypeAdded) else -1
+            for out in self._targets(relation, rest + (ev.type,)):
+                if out not in others:
+                    out(row, sign)
         elif isinstance(ev, EndpointRetargeted):
             el = space.element(ev.subject)
             new = _row(el)
             old = ((el.id, ev.old, el.target) if ev.end == "source"
                    else (el.id, el.source, ev.old))
-            keys = self._reached(el.types, relation=True)
-            self._emit_to(keys, old, -1)
-            self._emit_to(keys, new, +1)
+            outs = self._targets(True, tuple(el.types))
+            for row, sign in ((old, -1), (new, +1)):
+                for out in outs:
+                    out(row, sign)
         elif isinstance(ev, (ValueSet, Renamed)):
             for node in self.check_nodes:
                 node.rescan()
 
-    def _reached(self, types, relation: bool = False) -> dict:
-        """The alpha keys an element of ``types`` conforms to, each once, as
-        the keys of a dict; ``relation`` adds the untyped relation alpha."""
-        supers = self.space.registry.supers
-        keys = {None: None} if relation else {}
-        for t in types:
-            for s in supers(t):
-                keys[s] = None
-        return keys
-
-    def _emit_to(self, keys, row: tuple, sign: int) -> None:
-        for key in keys:
-            alpha = self._alphas.get(key)
-            if alpha is not None:
-                alpha.emit(row, sign)
+    def _targets(self, relation: bool, types: tuple) -> tuple[Callable, ...]:
+        """The inputs fed by the alphas an element of ``types`` conforms to,
+        each alpha once, from the dispatch table; ``relation`` adds the
+        untyped relation alpha."""
+        key = (relation, types)
+        outs = self._dispatch.get(key)
+        if outs is None:
+            supers, alphas = self.space.registry.supers, self._alphas
+            reached = {None: None} if relation else {}
+            for t in types:
+                reached.update(dict.fromkeys(supers(t)))
+            outs = self._dispatch[key] = tuple(
+                out for k in reached if k in alphas for out in alphas[k].outputs)
+        return outs

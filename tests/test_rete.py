@@ -450,3 +450,62 @@ def test_two_types_with_a_common_supertype(kind):
             op(subject, arg)
         check((op.__name__, arg))
     assert not any(subject in t for h in handles.values() for t in h.match_tuples())
+
+
+def test_dispatch_follows_network_growth():
+    """Events dispatched before a registration must not leave the engine
+    sending later events to the alphas' old successors: one registration
+    gives the Node alpha a successor, another creates new alphas."""
+    rng = random.Random(5)
+    space = load_fixture("random", n=5, e=6, seed=5)
+    ls, rete = engines(space)
+    rete.register("graphPatterns.SimpleNode")
+    run_script(space, rng, 20, lambda: None)
+    assert rete._dispatch[False, (G1 + "Edge",)] == ()  # reached no alpha
+    rete.register("graphPatterns.isolatedNode")  # the Node alpha's second successor
+    rete.register("graphPatterns.edgeFromToInGraph")  # new Edge, Graph, ... alphas
+
+    def check():
+        for n, h in rete.productions.items():
+            assert h.match_tuples() == ls.match_set(n), n
+
+    check()
+    assert run_script(space, rng, 60, check) == 60
+    assert space.audit() == []
+
+
+PAIR = """machine m{
+  pattern pair(A,B) = { find graphPatterns.edgeFromTo(A,B); }
+}"""
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_injectivity_at_the_production_input(seed):
+    """A non-shareable pattern over a shareable one drops the aliased tuples
+    (self loops) at its production's input, in the memory and in every
+    keyed bound read, under edits that make and remove self loops."""
+    from gtvm.oracle import BruteForce
+    from gtvm.vtcl import link, parse
+    rng = random.Random(seed)
+    space = load_fixture("random", n=5, e=6, seed=seed)
+    program = link([corpus.load_machine("graphPatterns"), parse(PAIR)], space.registry)
+    ls = LocalSearchMatcher(space, program.patterns)
+    rete = ReteEngine(space, program.patterns)
+    pair, edges = rete.register("m.pair"), rete.register("graphPatterns.edgeFromTo")
+    loops = 0
+
+    def check():
+        nonlocal loops
+        oracle = BruteForce(space, program.patterns)
+        assert pair.match_tuples() == ls.match_set("m.pair") == oracle.match_set("m.pair")
+        loops += any(a == b for a, b in edges.match_tuples())
+        for node in space.elements_of_type(G1 + "Node"):
+            for positions, binding in (((0,), {"A": node}), ((1,), {"B": node}),
+                                       ((0, 1), {"A": node, "B": node})):
+                key = (node,) * len(positions)
+                assert set(pair.match_tuples(positions, key)) == \
+                    ls.match_set("m.pair", binding) == oracle.match_set("m.pair", binding)
+
+    check()
+    run_script(space, rng, 60, check)
+    assert loops  # some state held a self loop, which pair must not match
