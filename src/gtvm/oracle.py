@@ -386,22 +386,28 @@ def isomorphic(a: ModelSpace, b: ModelSpace) -> bool:
                     return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return _check_full(a, b, mapping)
-        x = order[i]
-        for y in groups_b.get(ca[x], ()):
-            if y in used or not feasible(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return extend(0)
+    # depth-first search without recursion, so a model of any size fits:
+    # stack[i] yields the candidates of order[i], tried in group order
+    if not order:
+        return _check_full(a, b, mapping)
+    stack = [iter(groups_b[ca[order[0]]])]
+    while stack:
+        x = order[len(stack) - 1]
+        if x in mapping:  # back at x: undo its last candidate
+            used.discard(mapping.pop(x))
+        for y in stack[-1]:
+            if y not in used and feasible(x, y):
+                mapping[x] = y
+                used.add(y)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(order):
+            stack.append(iter(groups_b[ca[order[len(stack)]]]))
+        elif _check_full(a, b, mapping):
+            return True
+    return False
 
 
 def _check_full(a, b, mapping) -> bool:

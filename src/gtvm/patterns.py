@@ -19,6 +19,9 @@ from . import expr as ex
 from .errors import PatternError
 from .modelspace import ENTITY, RELATION, TypeRegistry
 
+# rule calls, and pattern calls along a chain, nest at most this deep
+MAX_CALL_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class EntityC:
@@ -228,6 +231,26 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
         if not any(patterns[q].localsearch for q in p.scc_members):
             raise PatternError(f"recursive pattern {p.scc_members[0]} requires "
                                f"local search (@localsearch)")
+
+    # the longest call chain from each pattern, a recursion cycle counting
+    # as one pattern, so no matcher nests deeper than MAX_CALL_DEPTH calls.
+    # Callees go first: their reach is smaller, or as large for a recursive
+    # callee that reaches all its caller does.
+    depth: dict[str, int] = {}
+    below: dict[str, str] = {}  # the callee that the longest chain takes
+    for name in sorted(patterns, key=lambda n: (len(reach[n]), n not in reach[n], n)):
+        members = patterns[name].scc_members
+        depth[name] = 1
+        for q in (q for m in members for q in calls[m] if q not in members):
+            if depth[q] + 1 > depth[name]:
+                depth[name], below[name] = depth[q] + 1, q
+        if depth[name] > MAX_CALL_DEPTH:
+            chain = [name]
+            while chain[-1] in below:
+                chain.append(below[chain[-1]])
+            shown = chain if len(chain) <= 6 else chain[:3] + ["..."] + chain[-2:]
+            raise PatternError(f"{name}: pattern calls nest {len(chain)} deep, more "
+                               f"than {MAX_CALL_DEPTH}: {' -> '.join(shown)}")
 
 
 def validate(pattern: Pattern, registry: TypeRegistry,

@@ -1,60 +1,63 @@
 """Incremental (Rete-style) pattern matcher.
 
 Non-recursive patterns compile into a dataflow network fed by model-space
-change events. The model space is the only copy of the model: one alpha node
-per type (the ``None`` alpha for every relation) and a containment alpha
-for the (entity, ancestor) pairs hold no memory, read their tuples from the
-space's indexes when a node is built, and pass on the rows the engine
-computes from each change event and the space, once per alpha with a sign
-of +1 or -1, through a table from ``(relation?, types)`` to the inputs the
-alphas feed. Each node calls its successors' inputs directly. Beta nodes
-hash-join those rows or count the matches of a called pattern
-(``neg``/``#``), check nodes filter, and each body's last node feeds one
-production memory per registered pattern, which drops the tuples whose
-element values repeat (unless shareable) and projects the rest onto the
-parameters. Called patterns compile to their own production, shared across
-callers. After each event is processed the production memories equal the
-local-search match sets by construction. A production answers a bound read
-from a hash index of its memory keyed by the bound positions, kept up to
-date from the first such read on.
+change events. The model space is the only copy of the model: one alpha per
+type (``None`` for every relation) and a containment alpha for the (entity,
+ancestor) pairs hold no memory, and pass on the signed rows the engine
+computes from each event, through a table from ``(relation?, types)`` to the
+inputs they feed. Each node calls its successors' inputs directly. A join
+keeps only its left memory, bucketed by the join key, and reads the right
+tuples of a key on demand: from the model space for an alpha (the element of
+a bound id, the relations at a bound end, the ancestors of a bound entity; a
+type scan only for a Cartesian product), or from a called pattern's
+production, whose keyed index a count node (``neg``/``#``) also counts.
+Check nodes filter, and each body's last node feeds the production of its
+pattern, which drops the tuples whose element values repeat (unless
+shareable), projects the rest onto the parameters and answers a bound read
+from a hash index of its memory, kept up to date from the first such read on.
+
+The space already holds a change when its event goes out, so a join must
+take the change on its right before any older node's output reaches its
+left; otherwise it would see the change twice, or a removed tuple not at
+all. So every delivery goes most downstream first (Doorenbos, Production
+Matching for Large Learning Systems, 1995): nodes are numbered at creation,
+after their inputs, and each node's outputs and each dispatch entry run
+newest first. After each event the production memories equal the
+local-search match sets.
 """
 
 from __future__ import annotations
 
 import weakref
 from functools import partial
-from itertools import chain
 from typing import Callable, Collection, Optional
 
 from . import expr as ex
 from .errors import MatcherError
-from .modelspace import (ENTITY, ElementCreated, ElementDeleted,
+from .modelspace import (ENTITY, RELATION, ElementCreated, ElementDeleted,
                          EndpointRetargeted, ModelSpace, Renamed, TypeAdded,
                          TypeRemoved, ValueSet)
 from .patterns import (CheckC, CountC, EntityC, FindC, NegC, Pattern,
                        RelationC, consistency_test, schedule, tuple_getter)
+
+# the containment alpha's key among the alphas, which no type name equals
+_IN = ()
 
 
 class Node:
     def __init__(self, engine: "ReteEngine", schema: tuple[str, ...]):
         self.space = engine.space
         self.schema = schema
-        # input callbacks (on_left / on_right / on_body) of the nodes this one feeds
+        # creation order: every input of a node is older than the node
+        self.number = len(engine.nodes)
+        # input callbacks (on_left / on_right / on_entity / on_body) of the
+        # nodes this one feeds, most downstream (newest) first
         self.outputs: list[Callable[[tuple, int], None]] = []
         engine.nodes.append(self)
 
-    def all_tuples(self):
-        raise NotImplementedError
-
-
-class SeedNode(Node):
-    """Single empty tuple; left input for bodies with no positive constraint."""
-
-    def __init__(self, engine):
-        super().__init__(engine, ())
-
-    def all_tuples(self):
-        return [()]
+    def feed(self, callback: Callable[[tuple, int], None]) -> None:
+        """Add an input of the newest node, which goes first."""
+        self.outputs.insert(0, callback)
 
 
 def _row(el) -> tuple:
@@ -62,34 +65,74 @@ def _row(el) -> tuple:
     return (el.id,) if el.kind == ENTITY else (el.id, el.source, el.target)
 
 
+def _type_rows(space: ModelSpace, type_name: Optional[str]) -> list[tuple]:
+    eids = (space.iter_relations() if type_name is None
+            else space.elements_of_type(type_name))
+    return [_row(space.element(eid)) for eid in eids]
+
+
 class TypeAlpha(Node):
     """The elements that conform to one type; ``None`` stands for every
-    relation, typed or not. It holds no memory: the model space's type index
-    answers ``all_tuples``, and the engine emits each change."""
+    relation, typed or not. The engine emits each change, and the model
+    space's indexes answer ``all_tuples`` and each read.
+
+    A reader holds the space and not the node, so a join can keep it
+    without a reference cycle.
+    """
 
     def __init__(self, engine, type_name: Optional[str]):
         registry = engine.space.registry
         relation = type_name is None or registry.kind(type_name) != ENTITY
         super().__init__(engine, ("$r", "$s", "$t") if relation else ("$e",))
         self.type = type_name
+        self.all_tuples = partial(_type_rows, self.space, type_name)
 
-    def all_tuples(self):
-        space = self.space
-        eids = (space.iter_relations() if self.type is None
-                else space.elements_of_type(self.type))
-        return [_row(space.element(eid)) for eid in eids]
+    def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
+        """The tuples whose values at ``positions`` are the key: the element
+        of a bound id, or the relations at a bound end, that conform."""
+        rows, name, space = self.all_tuples, self.type, self.space
+        elements, closure = space._elements, space.registry.subtype_closure
+        if not positions:
+            return lambda key: rows()
+        if len(self.schema) == 1:  # an entity: the key is its row
+            return lambda key: (key,) if (
+                (el := elements.get(key[0])) is not None and el.kind == ENTITY and (
+                    name in el.types or not closure(name).isdisjoint(el.types))) else ()
+        index, getter = ((None, space._out, space._in)[positions[0]],
+                         tuple_getter(positions) if len(positions) > 1 else None)
+
+        def read(key):
+            if index is None:
+                el = elements.get(key[0])
+                els = (el,) if el is not None and el.kind == RELATION else ()
+            else:
+                els = map(elements.__getitem__, index.get(key[0], ()))
+            types = None if name is None else closure(name)
+            rows = [(el.id, el.source, el.target) for el in els
+                    if types is None or not types.isdisjoint(el.types)]
+            return rows if getter is None else [r for r in rows if getter(r) == key]
+        return read
 
 
 class ContainmentAlpha(Node):
-    """(entity, proper ancestor) pairs, read from the containment tree."""
+    """(entity, proper ancestor) pairs, read from the containment tree. Its
+    joins take the entity rows ``(eid, parent)`` of the create and delete
+    events through ``on_entity``."""
 
     def __init__(self, engine):
         super().__init__(engine, ("$x", "$p"))
-
-    def all_tuples(self):
         space = self.space
-        return [(eid, anc) for eid in space.iter_elements()
-                if space.kind(eid) == ENTITY for anc in space.ancestors(eid)]
+        self.all_tuples = lambda: [(eid, anc) for eid in space.iter_elements()
+                                   if space.kind(eid) == ENTITY
+                                   for anc in space.ancestors(eid)]
+
+    def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
+        """The ancestors of the entity, bound by its type join before; a
+        dead one has none, as it has left the tree before its delete event."""
+        getter, elements, ancestors = (tuple_getter(positions), self.space._elements,
+                                       self.space.ancestors)
+        return lambda key: [] if key[0] not in elements else [
+            (key[0], a) for a in ancestors(key[0]) if getter((key[0], a)) == key]
 
 
 def _update_bucket(mem: dict[tuple, set], key: tuple, t: tuple, sign: int) -> None:
@@ -106,59 +149,50 @@ def _update_bucket(mem: dict[tuple, set], key: tuple, t: tuple, sign: int) -> No
             del mem[key]
 
 
-class BetaNode(Node):
-    """Two-input node: left (beta) tuples meet the tuples of a right input
+class JoinNode(Node):
+    """Hash join of a left (beta) input with an alpha or production input
     whose positions carry the argument variables ``args``.
 
-    The key extractors and the repeated-argument test are compiled once,
-    here; ``left_mem`` buckets the left tuples by their key.
+    Only the left side is kept: ``left_mem`` buckets the left tuples by
+    their key, and ``read`` fetches the right tuples of a key from the right
+    input's own index on demand. A body's first join has no left input; its
+    left memory holds the one empty tuple.
     """
 
-    def __init__(self, engine, left: Node, args: tuple[str, ...], schema):
-        super().__init__(engine, schema)
-        shared = [i for i, a in enumerate(args) if a in left.schema]
-        self.left_key = tuple_getter(left.schema.index(args[i]) for i in shared)
+    def __init__(self, engine, left: Node | None, right: Node, args: tuple[str, ...]):
+        lschema = () if left is None else left.schema
+        new_vars = tuple(dict.fromkeys(a for a in args if a not in lschema))
+        super().__init__(engine, lschema + new_vars)
+        shared = tuple(i for i, a in enumerate(args) if a in lschema)
+        self.left_key = tuple_getter(lschema.index(args[i]) for i in shared)
         self.right_key = tuple_getter(shared)
         self.right_ok = consistency_test(args)
-        self.left_mem: dict[tuple, set] = {}
-
-    def _attach(self, left: Node, right: Node) -> None:
-        for lt in left.all_tuples():
-            _update_bucket(self.left_mem, self.left_key(lt), lt, +1)
-        left.outputs.append(self.on_left)
-        right.outputs.append(self.on_right)
-
-
-class JoinNode(BetaNode):
-    """Hash join of a beta input with an alpha/production input."""
-
-    def __init__(self, engine, left: Node, right: Node, args: tuple[str, ...]):
-        new_vars = tuple(dict.fromkeys(a for a in args if a not in left.schema))
-        super().__init__(engine, left, args, left.schema + new_vars)
         self.extract = tuple_getter(args.index(v) for v in new_vars)
-        self.right_mem: dict[tuple, set] = {}
-        for rt in right.all_tuples():
-            if self.right_ok is None or self.right_ok(rt):
-                _update_bucket(self.right_mem, self.right_key(rt), rt, +1)
-        self._attach(left, right)
+        self.read = right.reader(shared)
+        self.left_mem: dict[tuple, set] = {}
+        for lt in ([()] if left is None else left.all_tuples()):
+            _update_bucket(self.left_mem, self.left_key(lt), lt, +1)
+        if left is not None:
+            left.feed(self.on_left)
+        right.feed(self.on_entity if isinstance(right, ContainmentAlpha)
+                   else self.on_right)
 
     def on_left(self, lt, sign):
         key = self.left_key(lt)
         _update_bucket(self.left_mem, key, lt, sign)
-        rts = self.right_mem.get(key)
+        rts = self.read(key)
         if rts:
-            extract, outputs = self.extract, self.outputs
+            ok, extract, outputs = self.right_ok, self.extract, self.outputs
             for rt in rts:
-                t = lt + extract(rt)
-                for out in outputs:
-                    out(t, sign)
+                if ok is None or ok(rt):
+                    t = lt + extract(rt)
+                    for out in outputs:
+                        out(t, sign)
 
     def on_right(self, rt, sign):
         if self.right_ok is not None and not self.right_ok(rt):
             return
-        key = self.right_key(rt)
-        _update_bucket(self.right_mem, key, rt, sign)
-        lts = self.left_mem.get(key)
+        lts = self.left_mem.get(self.right_key(rt))
         if lts:
             tail, outputs = self.extract(rt), self.outputs
             for lt in lts:
@@ -166,32 +200,42 @@ class JoinNode(BetaNode):
                 for out in outputs:
                     out(t, sign)
 
+    def on_entity(self, row, sign):
+        """An entity ``(eid, parent)`` appears or goes: one containment row
+        per ancestor. The parent chain is live at both events, as delete
+        disposes children before their parents."""
+        eid, parent = row
+        self.on_right((eid, parent), sign)
+        for anc in self.space.ancestors(parent):
+            self.on_right((eid, anc), sign)
+
     def all_tuples(self):
-        extract = self.extract
+        ok, extract = self.right_ok, self.extract
         return [lt + extract(rt) for key, lts in self.left_mem.items()
-                for rt in self.right_mem.get(key, ()) for lt in lts]
+                for rt in self.read(key) if ok is None or ok(rt) for lt in lts]
 
 
-class CountNode(BetaNode):
-    """Per left tuple, the number of consistent tuples of a called production.
+class CountNode(JoinNode):
+    """Per left tuple, the number of consistent tuples of a called production,
+    read from the production's index.
 
     ``out`` names the count: a new variable is appended as a column, a
     variable the left side already binds must equal it, and ``None`` (a
     negative condition) keeps the left tuples whose count is 0.
     """
 
-    def __init__(self, engine, left: Node, right: Node, args: tuple[str, ...],
+    def __init__(self, engine, left: Node | None, right: Node, args: tuple[str, ...],
                  out: str | None = None):
-        self.append = out is not None and out not in left.schema
-        super().__init__(engine, left, args,
-                         left.schema + (out,) if self.append else left.schema)
-        self.out_idx = left.schema.index(out) if out in left.schema else None
-        self.right_counts: dict[tuple, int] = {}
-        for rt in right.all_tuples():
-            if self.right_ok is None or self.right_ok(rt):
-                k = self.right_key(rt)
-                self.right_counts[k] = self.right_counts.get(k, 0) + 1
-        self._attach(left, right)
+        super().__init__(engine, left, right, args)
+        lschema = () if left is None else left.schema
+        self.append = out is not None and out not in lschema
+        self.schema = lschema + (out,) if self.append else lschema
+        self.out_idx = lschema.index(out) if out in lschema else None
+
+    def _count(self, key) -> int:
+        """How many right tuples of ``key`` are consistent with ``args``."""
+        rts, ok = self.read(key), self.right_ok
+        return len(rts) if ok is None else sum(map(ok, rts))
 
     def _row(self, lt, n):
         """The output tuple of ``lt`` when its count is ``n``, or None."""
@@ -203,7 +247,7 @@ class CountNode(BetaNode):
     def on_left(self, lt, sign):
         key = self.left_key(lt)
         _update_bucket(self.left_mem, key, lt, sign)
-        row = self._row(lt, self.right_counts.get(key, 0))
+        row = self._row(lt, self._count(key))
         if row is not None:
             for out in self.outputs:
                 out(row, sign)
@@ -212,13 +256,9 @@ class CountNode(BetaNode):
         if self.right_ok is not None and not self.right_ok(rt):
             return
         key = self.right_key(rt)
-        old = self.right_counts.get(key, 0)
-        new = old + sign
-        if new <= 0:
-            self.right_counts.pop(key, None)
-        else:
-            self.right_counts[key] = new
-        outputs, moves = self.outputs, ((old, -1), (new, +1))
+        # the production already counts rt: this is the count after the change
+        new = self._count(key)
+        outputs, moves = self.outputs, ((new - sign, -1), (new, +1))
         for lt in self.left_mem.get(key, ()):
             for n, sign in moves:
                 row = self._row(lt, n)
@@ -227,14 +267,9 @@ class CountNode(BetaNode):
                         out(row, sign)
 
     def all_tuples(self):
-        out = []
-        for key, bucket in self.left_mem.items():
-            n = self.right_counts.get(key, 0)
-            for lt in bucket:
-                row = self._row(lt, n)
-                if row is not None:
-                    out.append(row)
-        return out
+        rows = [self._row(lt, self._count(key))
+                for key, lts in self.left_mem.items() for lt in lts]
+        return [row for row in rows if row is not None]
 
 
 class CheckNode(Node):
@@ -243,12 +278,13 @@ class CheckNode(Node):
     ``mem`` maps each left tuple to whether it passes.
     """
 
-    def __init__(self, engine, left: Node, expr: ex.Expr):
-        super().__init__(engine, left.schema)
+    def __init__(self, engine, left: Node | None, expr: ex.Expr):
+        super().__init__(engine, () if left is None else left.schema)
         self.expr = expr
-        self.mem: dict[tuple, bool] = {lt: self._passes(lt)
-                                       for lt in left.all_tuples()}
-        left.outputs.append(self.on_left)
+        self.mem: dict[tuple, bool] = {
+            lt: self._passes(lt) for lt in ([()] if left is None else left.all_tuples())}
+        if left is not None:
+            left.feed(self.on_left)
         engine.check_nodes.append(self)
 
     def _passes(self, lt) -> bool:
@@ -294,22 +330,25 @@ class ProductionNode(Node):
     """
 
     def __init__(self, engine, pattern: Pattern,
-                 bodies: list[tuple[Node, list[int], list[int]]]):
+                 bodies: list[tuple[Node | None, list[int], list[int]]]):
         super().__init__(engine, pattern.params)
         self.pattern = pattern
         self.counts: dict[tuple, int] = {}
         # positions -> (key getter, key -> the tuples with that key)
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict[tuple, set]]] = {}
+        self.readers: dict[tuple[int, ...], Callable[[tuple], Collection]] = {}
         self.log: list[tuple[tuple, int]] | None = None
         counts = self.counts
         for node, positions, distinct in bodies:
             project = tuple_getter(positions)
             distinct = tuple_getter(distinct) if len(distinct) > 1 else None
-            for t in node.all_tuples():
+            # a body with no constraint holds the one empty tuple
+            for t in ([()] if node is None else node.all_tuples()):
                 if distinct is None or not _aliased(distinct(t)):
                     t = project(t)
                     counts[t] = counts.get(t, 0) + 1
-            node.outputs.append(partial(self.on_body, project, distinct))
+            if node is not None:
+                node.feed(partial(self.on_body, project, distinct))
 
     def on_body(self, project, distinct, t, sign):
         """A body tuple ``t`` appears or goes; ``project`` maps it onto the
@@ -338,18 +377,28 @@ class ProductionNode(Node):
                      key: tuple = ()) -> Collection[tuple]:
         """The match tuples whose values at ``positions`` (ascending) are
         ``key``; a live view, valid until the next change."""
+        read = self.readers.get(positions)
+        if read is None:
+            read = self.readers[positions] = self.reader(positions)
+        return read(key)
+
+    def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
+        """``match_tuples`` at ``positions`` as a function of the key, which
+        holds the memory or its index and not this node."""
+        counts = self.counts
         if not positions:
-            return self.counts.keys()
+            return lambda key: counts.keys()
         if len(positions) == len(self.schema):
-            return (key,) if key in self.counts else ()
+            return lambda key: (key,) if key in counts else ()
         entry = self.indexes.get(positions)
         if entry is None:
             getter = tuple_getter(positions)
             index: dict[tuple, set] = {}
-            for t in self.counts:
+            for t in counts:
                 _update_bucket(index, getter(t), t, +1)
             entry = self.indexes[positions] = (getter, index)
-        return entry[1].get(key, ())
+        index = entry[1]
+        return lambda key: index.get(key, ())
 
     def cursor(self) -> int:
         """A position in the delta log, which starts here if it has not yet."""
@@ -385,13 +434,12 @@ class ReteEngine:
         self.nodes: list[Node] = []
         self.check_nodes: list[CheckNode] = []
         self.productions: dict[str, ProductionNode] = {}
-        # type names are unique across kinds; None is the untyped relation alpha
-        self._alphas: dict[Optional[str], TypeAlpha] = {}
-        self._containment: ContainmentAlpha | None = None
+        # type names are unique across kinds; None is the untyped relation
+        # alpha and _IN the containment alpha
+        self._alphas: dict[Optional[str] | tuple, Node] = {}
         # (relation?, types) -> the inputs of the nodes the alphas of an
         # element of those types feed; cleared as the alphas gain successors
         self._dispatch: dict[tuple[bool, tuple], tuple[Callable, ...]] = {}
-        self._seed = SeedNode(self)
         # the space holds the engine weakly: a dropped engine stops listening
         engine, on_change = weakref.ref(self), self._on_change.__func__
 
@@ -408,18 +456,14 @@ class ReteEngine:
 
     # -- network building ----------------------------------------------------
 
-    def _alpha(self, type_name: Optional[str]) -> TypeAlpha:
-        """The alpha of ``type_name``, about to gain a successor."""
+    def _alpha(self, type_name: Optional[str] | tuple) -> Node:
+        """The alpha of ``type_name`` (or ``_IN``), about to gain a successor."""
         self._dispatch.clear()
         node = self._alphas.get(type_name)
         if node is None:
-            node = self._alphas[type_name] = TypeAlpha(self, type_name)
+            node = self._alphas[type_name] = (ContainmentAlpha(self) if type_name == _IN
+                                              else TypeAlpha(self, type_name))
         return node
-
-    def _containment_alpha(self) -> ContainmentAlpha:
-        if self._containment is None:
-            self._containment = ContainmentAlpha(self)
-        return self._containment
 
     def register(self, name: str) -> ProductionNode:
         prod = self.productions.get(name)
@@ -443,14 +487,13 @@ class ReteEngine:
         """The body's last node, the positions of the parameters in it, and
         those of the element variables that must be pairwise distinct."""
         plan = schedule(body.constraints, pattern.params, frozenset())
-        current: Node = self._seed
+        current: Node | None = None
         for c in plan:
             if isinstance(c, EntityC):
                 current = JoinNode(self, current, self._alpha(c.type), (c.var,))
                 if c.in_var is not None:
                     # `in <namespace>` is vacuous (everything is under root)
-                    current = JoinNode(self, current, self._containment_alpha(),
-                                       (c.var, c.in_var))
+                    current = JoinNode(self, current, self._alpha(_IN), (c.var, c.in_var))
             elif isinstance(c, RelationC):
                 current = JoinNode(self, current, self._alpha(c.type),
                                    (c.rel, c.src, c.trg))
@@ -465,10 +508,11 @@ class ReteEngine:
                 current = CheckNode(self, current, c.expr)
             else:
                 raise AssertionError(c)
+        schema = () if current is None else current.schema
         distinct = [] if pattern.shareable else [
-            i for i, var in enumerate(current.schema) if var in body.element_vars]
+            i for i, var in enumerate(schema) if var in body.element_vars]
         try:
-            return current, [current.schema.index(p) for p in pattern.params], distinct
+            return current, [schema.index(p) for p in pattern.params], distinct
         except ValueError:
             raise MatcherError(
                 f"pattern {pattern.name} has a parameter bound only under "
@@ -477,28 +521,21 @@ class ReteEngine:
     # -- event dispatch ----------------------------------------------------------
 
     def _on_change(self, ev) -> None:
-        space = self.space
         if isinstance(ev, (ElementCreated, ElementDeleted)):
             sign = +1 if isinstance(ev, ElementCreated) else -1
-            eid = ev.subject
             relation = ev.kind != ENTITY
-            row = (eid, ev.source, ev.target) if relation else (eid,)
+            # an entity's row carries its parent for the containment joins
+            row = ((ev.subject, ev.source, ev.target) if relation
+                   else (ev.subject, ev.parent))
             outs = self._dispatch.get((relation, ev.types))
             if outs is None:
                 outs = self._targets(relation, ev.types)
             for out in outs:
                 out(row, sign)
-            if not relation and self._containment is not None:
-                # the parent chain is live at both events: delete disposes
-                # children before their parents
-                outputs = self._containment.outputs
-                for anc in chain((ev.parent,), space.ancestors(ev.parent)):
-                    for out in outputs:
-                        out((eid, anc), sign)
         elif isinstance(ev, (TypeAdded, TypeRemoved)):
             # the space already holds the change: the row enters or leaves
             # the alphas that only ``ev.type`` reaches
-            el = space.element(ev.subject)
+            el = self.space.element(ev.subject)
             relation, rest = el.kind != ENTITY, tuple(t for t in el.types if t != ev.type)
             others = set(self._targets(relation, rest))
             row, sign = _row(el), +1 if isinstance(ev, TypeAdded) else -1
@@ -506,29 +543,32 @@ class ReteEngine:
                 if out not in others:
                     out(row, sign)
         elif isinstance(ev, EndpointRetargeted):
-            el = space.element(ev.subject)
+            # each input takes both rows before the next: a join sees the
+            # relation as the space has it once an older output reaches it
+            el = self.space.element(ev.subject)
             new = _row(el)
             old = ((el.id, ev.old, el.target) if ev.end == "source"
                    else (el.id, el.source, ev.old))
-            outs = self._targets(True, tuple(el.types))
-            for row, sign in ((old, -1), (new, +1)):
-                for out in outs:
-                    out(row, sign)
+            for out in self._targets(True, tuple(el.types)):
+                out(old, -1)
+                out(new, +1)
         elif isinstance(ev, (ValueSet, Renamed)):
             for node in self.check_nodes:
                 node.rescan()
 
     def _targets(self, relation: bool, types: tuple) -> tuple[Callable, ...]:
         """The inputs fed by the alphas an element of ``types`` conforms to,
-        each alpha once, from the dispatch table; ``relation`` adds the
-        untyped relation alpha."""
+        each alpha once, newest first, from the dispatch table; ``relation``
+        adds the untyped relation alpha, and an entity reaches the
+        containment alpha."""
         key = (relation, types)
         outs = self._dispatch.get(key)
         if outs is None:
             supers, alphas = self.space.registry.supers, self._alphas
-            reached = {None: None} if relation else {}
+            reached = {None: None} if relation else {_IN: None}
             for t in types:
                 reached.update(dict.fromkeys(supers(t)))
-            outs = self._dispatch[key] = tuple(
-                out for k in reached if k in alphas for out in alphas[k].outputs)
+            outs = self._dispatch[key] = tuple(sorted(
+                (out for k in reached if k in alphas for out in alphas[k].outputs),
+                key=lambda out: -out.__self__.number))
         return outs

@@ -19,13 +19,11 @@ from . import expr as ex
 from .errors import DivergenceError, ExecError, LinkError
 from .matcher_ls import LocalSearchMatcher, binding_key, in_order, least
 from .modelspace import ROOT_ID, ModelSpace
-from .patterns import (CheckC, CountC, EntityC, NegC, Pattern, RelationC,
-                       consistency_test)
+from .patterns import (MAX_CALL_DEPTH, CheckC, CountC, EntityC, NegC, Pattern,
+                       RelationC, consistency_test)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
-# rule calls nest at most this deep
-MAX_CALL_DEPTH = 100
 # statement executions nest at most this deep, through rule calls and GT
 # actions. Each level takes at most three interpreter frames, so a run stops
 # with an ExecError well inside Python's default recursion limit of 1000 and

@@ -292,6 +292,43 @@ def test_diff_variants_isomorphic(tmp_path, capsys):
     assert main(["diff", str(a), str(b), "--ignore-ids"]) == 0
 
 
+def test_diff_ignore_ids_of_a_large_model(tmp_path, capsys):
+    """The isomorphism search keeps its own stack: a model of more elements
+    than Python's recursion limit diffs like a small one."""
+    a, b = tmp_path / "a.gms", tmp_path / "b.gms"
+    snapshot.save_file(load_fixture("random", n=100, e=200, seed=3), a)
+    snapshot.save_file(load_fixture("random", n=100, e=200, seed=4), b)
+    assert main(["diff", "--ignore-ids", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+    assert main(["diff", "--ignore-ids", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
+def call_chain(depth: int) -> str:
+    """A machine whose pattern p1 calls p2, ..., down to p<depth>."""
+    calls = [f"pattern p{i}(X) = {{ find p{i + 1}(X); }}" for i in range(1, depth)]
+    return ("import nemf.packages; machine deep{ " + " ".join(calls)
+            + f" pattern p{depth}(X) = {{ graph1.Node(X); }} }}")
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_match_deep_pattern_call_chain(tri_gms, tmp_path, capsys, matcher):
+    """A call chain of MAX_CALL_DEPTH patterns matches; a longer one is a
+    link error that names the chain, not a RecursionError."""
+    src = tmp_path / "deep.vtcl"
+    args = ["match", str(src), "--model", tri_gms, "--pattern", "p1",
+            "--matcher", matcher, "--count"]
+    src.write_text(call_chain(100))
+    assert main(args) == 0
+    assert capsys.readouterr().out == "3\n"
+    src.write_text(call_chain(200))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "deep.p100: pattern calls nest 101 deep, more than 100: deep.p100 -> " \
+        "deep.p101 -> deep.p102 -> ... -> deep.p199 -> deep.p200" in err
+    assert "Traceback" not in err
+
+
 def test_diff_load_failure(tmp_path):
     assert main(["diff", str(tmp_path / "no.gms"), str(tmp_path / "no.gms")]) == 2
 

@@ -6,9 +6,11 @@ import pytest
 
 from editscripts import run_script
 from gtvm import corpus
-from gtvm.corpus.fixtures import G1, Graph1Builder, load_fixture
+from gtvm.corpus.fixtures import BUILDERS, G1, Graph1Builder, load_fixture
 from gtvm.errors import MatcherError
 from gtvm.matcher_ls import LocalSearchMatcher
+from gtvm.modelspace import ENTITY, ElementCreated, ModelSpace, TypeRegistry, ValueSet
+from gtvm.oracle import BruteForce
 from gtvm.patterns import EntityC, FindC, RelationC, constraint_vars
 from gtvm.rete import JoinNode, ReteEngine
 
@@ -63,21 +65,23 @@ def test_initial_memory_equals_local_search(triangle):
 
 
 def body_chains(rete):
-    """Every compiled body as (pattern, body, nodes from the seed on).
+    """Every compiled body as (pattern, body, nodes from its first input on).
 
-    The chains are read forward from the seed through each node's outputs;
-    each production takes its bodies' chains in body order.
-    """
+    Each production's bodies are read in body order from the nodes that feed
+    it, and each back to its first node through the left inputs."""
+    left_of = {out.__self__: node for node in rete.nodes for out in node.outputs
+               if getattr(out, "__name__", None) == "on_left"}
     out = []
-    taken: dict[str, int] = {}
-    for head in rete._seed.outputs:
-        chain, feed = [], head
-        while not isinstance(feed, partial):
-            chain.append(feed.__self__)
-            (feed,) = chain[-1].outputs
-        pattern = feed.func.__self__.pattern
-        index = taken[pattern.name] = taken.get(pattern.name, -1) + 1
-        out.append((pattern, pattern.bodies[index], chain))
+    for prod in rete.productions.values():
+        tails = [node for node in rete.nodes
+                 if any(isinstance(o, partial) and o.func.__self__ is prod
+                        for o in node.outputs)]
+        assert len(tails) == len(prod.pattern.bodies)
+        for body, node in zip(prod.pattern.bodies, tails):
+            chain = [node]
+            while chain[-1] in left_of:
+                chain.append(left_of[chain[-1]])
+            out.append((prod.pattern, body, chain[::-1]))
     return out
 
 
@@ -101,7 +105,7 @@ def product_joins(rete):
     body whose join key is empty: a Cartesian product."""
     found = []
     for pattern, body, chain in body_chains(rete):
-        joins = [i for i, node in enumerate(chain) if isinstance(node, JoinNode)]
+        joins = [i for i, node in enumerate(chain) if type(node) is JoinNode]
         for i in joins[1:]:
             left = chain[i - 1]
             if chain[i].left_key(tuple(range(len(left.schema)))) == ():
@@ -509,3 +513,96 @@ def test_injectivity_at_the_production_input(seed):
     check()
     run_script(space, rng, 60, check)
     assert loops  # some state held a self loop, which pair must not match
+
+
+# bodies in which one change event reaches two inputs of one chain
+ORDER_CASES = {
+    "one alpha": "shareable pattern nn(A,B) = { graph1.Node(A); graph1.Node(B); }",
+    "Edge.src by a shared node": """shareable pattern srcs(R1,R2) = {
+        graph1.Edge.src(R1,E1,N); graph1.Edge.src(R2,E2,N); }""",
+    "type and supertype": "pattern thing(A) = { t.Thing(A); graph1.Node(A); }",
+    "containment and type": """shareable pattern named(N,T) = {
+        graph1.Node(N); nemf.ecore.datatypes.EString(T) in N; }""",
+    # a retarget must reach the by-id join as both rows before the Edge.src
+    # join's output does; the second body keeps the edge's count above 0,
+    # where a stray removal is not absorbed
+    "retarget read by id": """shareable pattern ends(E) = {
+        graph1.Edge.src(R,E,N); relation(R,X,Y); } or { graph1.Edge(E); }""",
+}
+
+
+def thing_registry() -> TypeRegistry:
+    """The corpus metamodels, with graph1.Node a subtype of t.Thing."""
+    registry = TypeRegistry()
+    registry.register("t.Thing", ENTITY, builtin=True)
+    for name, kind, sup in corpus.METAMODEL_TYPES:
+        registry.register(name, kind, "t.Thing" if name == G1 + "Node" else sup,
+                          builtin=True)
+    return registry
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_a_change_reaches_the_most_downstream_input_first(case, seed):
+    """A join reads its right input as it is now, and the space already
+    holds a change when its event goes out. So each event must reach a
+    join's right input before an older node's output reaches its left:
+    otherwise a created row is joined twice and a deleted one never."""
+    from gtvm.vtcl import link, parse
+    registry = thing_registry()
+    space = ModelSpace(registry)
+    BUILDERS["random"](space, n=5, e=6, seed=seed)
+    machine = parse("import nemf.packages; machine m{ " + ORDER_CASES[case] + " }")
+    program = link([machine], registry)
+    ls = LocalSearchMatcher(space, program.patterns)
+    rete = ReteEngine(space, program.patterns)
+    handles = {n: rete.register(n) for n in program.patterns}
+
+    def check():
+        oracle = BruteForce(space, program.patterns)
+        for n, h in handles.items():
+            assert h.match_tuples() == ls.match_set(n) == oracle.match_set(n), n
+
+    check()
+    assert run_script(space, random.Random(seed), 60, check) == 60
+
+
+def memories(node) -> dict:
+    """What a node keeps of the model: left memories, check results,
+    production counts and indexes."""
+    kept = {k: v for k, v in vars(node).items() if k in ("left_mem", "mem", "counts")}
+    if hasattr(node, "indexes"):
+        kept["indexes"] = {pos: index for pos, (_, index) in node.indexes.items()}
+    return kept
+
+
+def test_a_network_built_on_a_model_equals_one_fed_its_creation():
+    """Each graphPatterns network built on a random model keeps what one
+    built on the empty model keeps after the model's creation events. No
+    node keeps a copy of a right input."""
+    registry = corpus.metamodels()
+    built, fed, events = ModelSpace(registry), ModelSpace(registry), []
+    built.subscribe(events.append)
+    BUILDERS["random"](built, n=8, e=16, seed=4)
+    program = corpus.library_program(registry)
+    names = inc_names(LocalSearchMatcher(built, program.patterns))
+    networks = [ReteEngine(space, program.patterns) for space in (built, fed)]
+    for rete in networks:
+        for name in names:
+            rete.register(name)
+    # the builder's events: creations, then names and values
+    for ev in events:
+        if isinstance(ev, ElementCreated):
+            fed._create(ev.kind, ev.types, ev.parent, ev.source, ev.target,
+                        eid=ev.subject, name=ev.name, value=ev.value)
+        elif isinstance(ev, ValueSet):
+            fed.set_value(ev.subject, ev.new)
+        else:
+            fed.rename(ev.subject, ev.new)
+    assert fed.state() == built.state()
+    a, b = networks
+    assert [type(n) for n in a.nodes] == [type(n) for n in b.nodes]
+    for x, y in zip(a.nodes, b.nodes):
+        assert memories(x) == memories(y), x
+        assert not {"right_mem", "right_counts"} & vars(x).keys()
+    assert any(memories(x).get("left_mem") for x in a.nodes)
