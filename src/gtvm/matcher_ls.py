@@ -17,8 +17,18 @@ the candidates where an index serves them; the step compares the other bound
 positions with the row's columns, requires repeated fresh names to be equal,
 and keeps fresh element values distinct from the row's (unless the pattern is
 shareable). A candidate source that does not read the row (a type scan, an
-unbound ``find``) is read once per step. Checks and ``neg`` calls filter the
-list, and the last rows are projected onto the parameters.
+unbound ``find``) is read once per step and hashed by the positions the row
+binds. Checks and ``neg`` calls filter the list, and the last rows are
+projected onto the parameters.
+
+A relation whose source or target is bound (and the relation itself not)
+has two access paths, chosen on every step run from counts the space keeps:
+the walk reads the relations at each row's end, of any type, as many as the
+rows' ``_out``/``_in`` buckets hold; the scan reads the relations of the
+type once (``count_of_type`` over its subtype closure, or every relation
+for ``relation(...)``) and groups them by that end. The step scans when the
+walk would read more, and walks otherwise. Type scans read the space's
+unsorted type index.
 
 Answers are memoized per ``space.version``; the first query after a change
 drops them all. A pattern's unbound answer set, once held (searched, or
@@ -378,13 +388,49 @@ class LocalSearchMatcher:
                     eqs.append((fresh[v], pos))
                 else:
                     fresh[v] = pos
-            steps.append(_extend_step(
-                source, per_row, checks, eqs, tuple(fresh.values()),
-                [k for k, v in enumerate(cols) if v in elem],
-                [pos for v, pos in fresh.items() if v in elem]))
+            rest = (eqs, tuple(fresh.values()),
+                    [k for k, v in enumerate(cols) if v in elem],
+                    [pos for v, pos in fresh.items() if v in elem])
+            step = _extend_step(source, per_row, checks, *rest)
+            if isinstance(c, RelationC) and c.rel not in col and (c.src in col or c.trg in col):
+                # walked from a bound end; the alternative reads the type's
+                # relations once and hashes them by that end
+                end = 1 if c.src in col else 2
+                j = col[names[end]]
+                scan = _extend_step(self._source(c, {})[0], False,
+                                    [(end, j)] + checks, *rest)
+                step = self._walk_or_scan(c, j, end == 1, step, scan)
+            steps.append(step)
             cols.extend(fresh)
         return Program(plan, steps, tuple_getter(cols.index(v) for v in p.params),
                        tuple_getter(seed_elems) if len(seed_elems) > 1 else None)
+
+    def _walk_or_scan(self, c: RelationC, j: int, out: bool, walk: Step,
+                      scan: Step) -> Step:
+        """The step of relation constraint ``c`` whose source (``out``) or
+        target is bound in row column ``j``. It runs ``walk``, which reads
+        the relations at each row's end, unless that would read more
+        relations than ``c``'s type holds; then it runs ``scan``, which
+        reads the type's relations once and answers every row from them,
+        grouped by that end."""
+        space = self.space
+        ends = space._out if out else space._in
+        type_name = c.type
+        if type_name is None:
+            size = space.relation_count
+        else:
+            def size() -> int:
+                return space.count_of_type(type_name)
+
+        def step(m, rows: list, ctx) -> list:
+            budget = size()
+            get = ends.get
+            for row in rows:
+                budget -= len(get(row[j], ()))
+                if budget < 0:
+                    return scan(m, rows, ctx)
+            return walk(m, rows, ctx)
+        return step
 
     def _source(self, c, col: dict[str, int]) -> tuple[Callable, bool, set[int]]:
         """The candidate source of a positive constraint or a count over
@@ -415,7 +461,7 @@ class LocalSearchMatcher:
                 return bound_entity, True, {0}
 
             def entity_scan(m, ctx):
-                es = space.elements_of_type(type_name)
+                es = space.type_ids(type_name)
                 if in_var is None:
                     return list(zip(es))
                 return [(e, anc) for e in es for anc in space.ancestors(e)]
@@ -455,8 +501,8 @@ class LocalSearchMatcher:
 
             def relation_scan(m, ctx):
                 if type_name is None:
-                    return relations(space.iter_relations(), None)
-                return relations(space.elements_of_type(type_name), None)
+                    return relations(space._relations, None)
+                return relations(space.type_ids(type_name), None)
             return relation_scan, False, set()
 
         positions, key, prepare = self._call(c, col)

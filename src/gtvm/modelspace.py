@@ -304,11 +304,17 @@ class ModelSpace:
 
     def elements_of_type(self, type_name: str) -> list[int]:
         """The elements that conform to ``type_name``, ascending."""
-        self.registry.info(type_name)
-        out: set[int] = set()
-        for t in self.registry.subtype_closure(type_name):
-            out.update(self._by_type.get(t, ()))
-        return sorted(out)
+        return sorted(self.type_ids(type_name))
+
+    def type_ids(self, type_name: str) -> Collection[int]:
+        """The elements that conform to ``type_name``, each once, in no
+        order: when only one type of the subtype closure has elements, a
+        read-only view of the type index, valid until the next change."""
+        by_type = self._by_type
+        sets = [s for s in map(by_type.get, self.registry.subtype_closure(type_name)) if s]
+        if len(sets) == 1:
+            return sets[0]
+        return set().union(*sets)
 
     def count_of_type(self, type_name: str) -> int:
         """How many elements conform to ``type_name``, read from the type

@@ -48,6 +48,7 @@ class BruteForce:
         self.space = space
         self.patterns = patterns
         self._full: dict[str, frozenset[tuple]] = {}
+        self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def match_set(self, name: str, binding: dict | None = None) -> frozenset[tuple]:
         full = self.full(name)
@@ -73,6 +74,19 @@ class BruteForce:
         result = frozenset(out)
         self._full[name] = result
         return result
+
+    def _agreeing(self, name: str, args: tuple[str, ...], env: dict):
+        """The tuples of ``name`` that agree with ``env``, as
+        ``_consistent_tuples`` gives them, looked up by the assigned
+        positions in an index of the full set built on first use."""
+        positions = tuple(i for i, a in enumerate(args) if a in env)
+        index = self._indexes.get((name, positions))
+        if index is None:
+            index = self._indexes[name, positions] = {}
+            for t in self.full(name):
+                index.setdefault(tuple(t[i] for i in positions), []).append(t)
+        return _consistent_tuples(index.get(tuple(env[args[i]] for i in positions), ()),
+                                  args, env)
 
     def _domains(self, p: Pattern, body) -> tuple[list[str], dict[str, set]]:
         space = self.space
@@ -122,7 +136,15 @@ class BruteForce:
         if isinstance(c, RelationC):
             r = env.get(c.rel)
             if r is None:
-                return True
+                # some relation at an assigned end must fit
+                src, trg = env.get(c.src), env.get(c.trg)
+                if src is None and trg is None:
+                    return True
+                if not space.is_live(src if src is not None else trg):
+                    return False
+                rels = (space.relations_from(src) if src is not None
+                        else space.relations_to(trg))
+                return any(self._consistent(c, {**env, c.rel: x}) for x in rels)
             if not space.is_live(r) or space.kind(r) != RELATION:
                 return False
             if c.type is not None and not space.conforms(r, c.type):
@@ -135,8 +157,7 @@ class BruteForce:
             return True
         if isinstance(c, FindC):
             # prune prefixes with no consistent completion in the callee
-            return any(True for _ in _consistent_tuples(
-                self.full(c.pattern), c.args, env))
+            return any(True for _ in self._agreeing(c.pattern, c.args, env))
         # neg/count are only decidable on complete assignments
         return True
 
@@ -160,13 +181,11 @@ class BruteForce:
             final = dict(env)
             for c in constraints:
                 if isinstance(c, NegC):
-                    hit = any(True for _ in _consistent_tuples(
-                        self.full(c.pattern), c.args, final))
+                    hit = any(True for _ in self._agreeing(c.pattern, c.args, final))
                     if hit:
                         return None
                 elif isinstance(c, CountC):
-                    n = sum(1 for _ in _consistent_tuples(
-                        self.full(c.pattern), c.args, final))
+                    n = sum(1 for _ in self._agreeing(c.pattern, c.args, final))
                     if c.out in final:
                         if final[c.out] != n:
                             return None

@@ -362,8 +362,11 @@ class ProductionNode(Node):
         new = old + sign
         if new > 0:
             counts[t] = new
+        elif new == 0:
+            del counts[t]
         else:
-            counts.pop(t, None)
+            raise AssertionError(f"pattern {self.pattern.name}: removal of {t}, "
+                                 f"which it does not hold")
         if (old > 0) != (new > 0):
             if self.indexes:
                 for key, index in self.indexes.values():

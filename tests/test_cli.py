@@ -6,6 +6,8 @@ from conftest import INT_DIGITS_LIMITED, INT_MAX_DIGITS, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.cli import main
 from gtvm.corpus.fixtures import load_fixture
+from gtvm.patterns import MAX_CALL_DEPTH
+from gtvm.vtcl import MAX_NESTING
 
 
 @pytest.fixture
@@ -327,6 +329,53 @@ def test_match_deep_pattern_call_chain(tri_gms, tmp_path, capsys, matcher):
     assert "deep.p100: pattern calls nest 101 deep, more than 100: deep.p100 -> " \
         "deep.p101 -> deep.p102 -> ... -> deep.p199 -> deep.p200" in err
     assert "Traceback" not in err
+
+
+def limits_machine(rules: int, seqs: int, terms: int, chain: int) -> str:
+    """main calls r1, which calls r2, ..., down to r<rules>. That rule nests
+    ``seqs`` seq blocks around a choose over the pattern call chain p1 ->
+    ... -> p<chain>, which prints a sum of ``terms`` ones."""
+    pats = [f"pattern p{i}(X) = {{ find p{i + 1}(X); }}" for i in range(1, chain)]
+    pats.append(f"pattern p{chain}(X) = {{ graph1.Node(X); }}")
+    deepest = ("seq{ " * seqs + "choose X with find p1(X) do println("
+               + "+".join(["1"] * terms) + ");" + " }" * seqs)
+    rs = [f"rule r{i}() = call r{i + 1}();" for i in range(1, rules)]
+    rs.append(f"rule r{rules}() = {deepest}")
+    return ("import nemf.packages; machine lim{ " + " ".join(pats + rs)
+            + " rule main() = call r1(); }")
+
+
+# (rules, seqs, terms, chain): main and the rules make MAX_CALL_DEPTH calls,
+# and seqs + terms = MAX_NESTING - 1 is the most the parser takes
+SEQS = 31
+AT_THE_LIMITS = (MAX_CALL_DEPTH - 1, SEQS, MAX_NESTING - 1 - SEQS, MAX_CALL_DEPTH)
+NESTING = f"nesting deeper than {MAX_NESTING} levels"
+PAST_A_LIMIT = [
+    ((MAX_CALL_DEPTH, SEQS, MAX_NESTING - 1 - SEQS, MAX_CALL_DEPTH), 2,
+     f"rule calls nested deeper than {MAX_CALL_DEPTH}"),
+    ((MAX_CALL_DEPTH - 1, SEQS + 1, MAX_NESTING - 1 - SEQS, MAX_CALL_DEPTH), 1, NESTING),
+    ((MAX_CALL_DEPTH - 1, SEQS, MAX_NESTING - SEQS, MAX_CALL_DEPTH), 1, NESTING),
+    ((MAX_CALL_DEPTH - 1, SEQS, MAX_NESTING - 1 - SEQS, MAX_CALL_DEPTH + 1), 1,
+     f"pattern calls nest {MAX_CALL_DEPTH + 1} deep"),
+]
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_the_limits_hold_together(tri_gms, tmp_path, capsys, matcher):
+    """The deepest rule-call chain, statement and `+` nesting and pattern
+    call chain that the limits allow run in one machine; one step past any
+    of them is an error, never a traceback."""
+    src = tmp_path / "lim.vtcl"
+    args = ["run", str(src), "--model", tri_gms, "--matcher", matcher]
+    src.write_text(limits_machine(*AT_THE_LIMITS))
+    assert main(args) == 0
+    assert capsys.readouterr().out == f"{AT_THE_LIMITS[2]}\n"
+    for shape, code, message in PAST_A_LIMIT:
+        src.write_text(limits_machine(*shape))
+        assert main(args) == code, shape
+        err = capsys.readouterr().err
+        assert message in err, shape
+        assert "Traceback" not in err
 
 
 def test_diff_load_failure(tmp_path):

@@ -1,0 +1,153 @@
+"""Local search reads a relation at a bound end by a walk or by one scan.
+
+A plan step that extends its rows through a relation whose source or target
+is bound walks the relations at each row's end, unless the walk would read
+more relations than the relation's type holds. Then it reads the type's
+relations once, groups them by the bound end and answers every row from
+the groups. These tests check that both paths give the oracle's answers,
+unbound and bound, on random models and under edits, and which path a
+solve takes.
+"""
+
+import random
+
+import pytest
+
+from editscripts import run_script
+from gtvm import corpus
+from gtvm.corpus.fixtures import G1, load_fixture
+from gtvm.matcher_ls import LocalSearchMatcher
+from gtvm.oracle import BruteForce, edge_pairs, transitive_connected
+
+TC = "graphPatterns.transitiveConnected"
+TEM = "graphPatterns.transitiveEdgeMissing"
+
+
+def library(space):
+    patterns = corpus.library_program(space.registry).patterns
+    return patterns, sorted(n for n in patterns if n.startswith("graphPatterns."))
+
+
+def oracle_set(space, brute, name):
+    """``brute``'s match set of ``name``; the closure for the two
+    recursive patterns, which brute force does not enumerate."""
+    if name not in (TC, TEM):
+        return brute.match_set(name)
+    graph = space.elements_of_type(G1 + "Graph")[0]
+    pairs = edge_pairs(space)
+    closure = {(a, b, graph) for a, b in transitive_connected(pairs)}
+    return closure if name == TC else {t for t in closure if t[:2] not in pairs}
+
+
+def assert_agrees(space, patterns, names):
+    """Every pattern's answers, unbound and bound on each parameter to each
+    value it takes and to two elements it does not take, equal the oracle's.
+    Each pattern gets a matcher of its own, queried bound first: no unbound
+    set is held then, so each bound call is searched from its seed row."""
+    brute = BruteForce(space, patterns)
+    elements = space.iter_elements()
+    for name in names:
+        params = patterns[name].params
+        want = oracle_set(space, brute, name)
+        ls = LocalSearchMatcher(space, patterns)
+        for i, param in enumerate(params):
+            taken = {t[i] for t in want}
+            values = taken | set([e for e in elements if e not in taken][:2])
+            for v in values:
+                got = ls.match_set(name, {param: v})
+                assert got == {t for t in want if t[i] == v}, (name, param, v)
+        assert ls.match_set(name) == want, name
+
+
+@pytest.mark.parametrize("n,e,seed", [(8, 16, 1), (8, 16, 2), (8, 10, 3),
+                                      (100, 100, 1)])
+def test_both_paths_agree_with_the_oracle(n, e, seed):
+    space = load_fixture("random", n=n, e=e, seed=seed)
+    patterns, names = library(space)
+    assert_agrees(space, patterns, names)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_both_paths_agree_with_the_oracle_under_edits(seed):
+    space = load_fixture("random", n=6, e=8, seed=seed)
+    patterns, names = library(space)
+    assert run_script(space, random.Random(seed), 25,
+                      lambda: assert_agrees(space, patterns, names)) == 25
+
+
+@pytest.fixture(scope="module")
+def model():
+    """A random n=100 model, its library and the oracle on it."""
+    space = load_fixture("random", n=100, e=200, seed=7)
+    patterns, _ = library(space)
+    return space, patterns, BruteForce(space, patterns)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Spy on a space's relation reads: ``("scan", type)`` for each typed
+    read, ``("walk", element)`` for each read of the relations at an end."""
+    def spy(space):
+        log = []
+        type_ids, relation_ids = space.type_ids, space.relation_ids
+
+        def typed(type_name):
+            log.append(("scan", type_name))
+            return type_ids(type_name)
+
+        def at_end(eid, outgoing):
+            log.append(("walk", eid))
+            return relation_ids(eid, outgoing)
+        monkeypatch.setattr(space, "type_ids", typed)
+        monkeypatch.setattr(space, "relation_ids", at_end)
+        return log
+    return spy
+
+
+def test_an_unbound_solve_scans_the_relation_once(model, reads):
+    """``srcAndRelForEdge`` plans a Node scan, then ``Edge.src`` at its
+    bound target: the nodes' in-relations outnumber the ``Edge.src`` ones,
+    so the step reads ``Edge.src`` in one scan and walks no node."""
+    space, patterns, brute = model
+    name = "graphPatterns.srcAndRelForEdge"
+    want = brute.match_set(name)
+    log = reads(space)
+    assert LocalSearchMatcher(space, patterns).match_set(name) == want
+    assert log.count(("scan", G1 + "Edge.src")) == 1
+    assert not [r for r in log if r[0] == "walk"]
+
+
+def test_a_bound_solve_walks(model, reads):
+    """``connectedEdge(Node=x)`` reads the relations at ``x`` in each body
+    and scans no relation type."""
+    space, patterns, brute = model
+    name = "graphPatterns.connectedEdge"
+    x = space.elements_of_type(G1 + "Node")[0]
+    want = brute.match_set(name, {"Node": x})
+    log = reads(space)
+    assert LocalSearchMatcher(space, patterns).match_set(name, {"Node": x}) == want
+    assert log == [("walk", x), ("walk", x)]
+
+
+def test_a_walk_that_reads_as_many_as_the_type_holds_is_kept(reads):
+    """Nodes outside any graph and edges with a source only: the walk from
+    every node reads exactly the ``Edge.src`` relations, so it walks. One
+    ``Edge.trg`` into a node makes it read one more, so it scans."""
+    space = load_fixture("empty")
+    nodes = [space.new_entity(G1 + "Node") for _ in range(3)]
+    for k in range(4):
+        space.new_relation(G1 + "Edge.src", space.new_entity(G1 + "Edge"), nodes[k % 3])
+    patterns, _ = library(space)
+    name = "graphPatterns.srcAndRelForEdge"
+    log = reads(space)
+    walked = LocalSearchMatcher(space, patterns).match_set(name)
+    assert ("scan", G1 + "Edge.src") not in log
+    assert sorted(r[1] for r in log if r[0] == "walk") == sorted(nodes)
+    edge = space.new_entity(G1 + "Edge")
+    space.new_relation(G1 + "Edge.trg", edge, nodes[0])
+    del log[:]
+    scanned = LocalSearchMatcher(space, patterns).match_set(name)
+    assert ("scan", G1 + "Edge.src") in log
+    assert not [r for r in log if r[0] == "walk"]
+    assert len(walked) == 4 and scanned == walked
+

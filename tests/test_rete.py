@@ -606,3 +606,20 @@ def test_a_network_built_on_a_model_equals_one_fed_its_creation():
         assert memories(x) == memories(y), x
         assert not {"right_mem", "right_counts"} & vars(x).keys()
     assert any(memories(x).get("left_mem") for x in a.nodes)
+
+
+def test_a_production_refuses_the_removal_of_a_tuple_it_does_not_hold(triangle):
+    """A delivery-order fault that removes a tuple the production never
+    held is an AssertionError naming the pattern and the tuple, and it
+    leaves the memory as it was."""
+    _, rete = engines(triangle)
+    prod = rete.register("graphPatterns.SimpleNode")
+    held = dict(prod.counts)
+    node = next(iter(held))
+    with pytest.raises(AssertionError, match=r"graphPatterns\.SimpleNode: removal of \(999,\)"):
+        prod.on_body(tuple, None, (999,), -1)
+    assert prod.counts == held
+    prod.on_body(tuple, None, node, -1)  # a held tuple goes
+    assert node not in prod.match_tuples()
+    with pytest.raises(AssertionError, match="SimpleNode"):
+        prod.on_body(tuple, None, node, -1)  # and cannot go twice
