@@ -12,23 +12,24 @@ parameter order, then each variable in the order a step binds it. The list
 of rows passes through the steps in turn. A positive constraint, and a ``#``
 count, extends each row with its candidates: ``(e,)`` or ``(e, ancestor)``
 for an entity, ``(relation, source, target)`` for a relation, the callee's
-answer tuples for a ``find`` and ``(n,)`` for a count. Bound variables narrow
-the candidates where an index serves them; the step compares the other bound
-positions with the row's columns, requires repeated fresh names to be equal,
-and keeps fresh element values distinct from the row's (unless the pattern is
-shareable). A candidate source that does not read the row (a type scan, an
-unbound ``find``) is read once per step and hashed by the positions the row
-binds. Checks and ``neg`` calls filter the list, and the last rows are
-projected onto the parameters.
+answer tuples for a ``find`` and ``(n,)`` for a count. Entities and
+relations are read through the model space's typed-row reads: ``rows`` for
+a type scan, a ``rows_at`` reader for a bound element or end. Bound
+variables narrow the candidates where an index serves them; the step
+compares the other bound positions with the row's columns, requires
+repeated fresh names to be equal, and keeps fresh element values distinct
+from the row's (unless the pattern is shareable). A candidate source that
+does not read the row (a type scan, an unbound ``find``) is read once per
+step and hashed by the positions the row binds. Checks and ``neg`` calls
+filter the list, and the last rows are projected onto the parameters.
 
 A relation whose source or target is bound (and the relation itself not)
 has two access paths, chosen on every step run from counts the space keeps:
-the walk reads the relations at each row's end, of any type, as many as the
-rows' ``_out``/``_in`` buckets hold; the scan reads the relations of the
-type once (``count_of_type`` over its subtype closure, or every relation
+the walk reads the relations at each row's end, of any type, as many as
+``relation_ids`` holds for the rows' ends; the scan reads the relations of
+the type once (``count_of_type`` over its subtype closure, or every relation
 for ``relation(...)``) and groups them by that end. The step scans when the
-walk would read more, and walks otherwise. Type scans read the space's
-unsorted type index.
+walk would read more, and walks otherwise. Type scans are unsorted.
 
 Answers are memoized per ``space.version``; the first query after a change
 drops them all. A pattern's unbound answer set, once held (searched, or
@@ -47,14 +48,15 @@ takes each added tuple, so none serves a stale set.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from . import expr as ex
 from .errors import PatternError, SpaceError
-from .modelspace import RELATION, ModelSpace
+from .modelspace import ModelSpace
 from .patterns import (Body, CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, constraint_vars, schedule,
-                       tuple_getter)
+                       RelationC, consistency_test, consistent_count,
+                       constraint_vars, equal_pairs, schedule, tuple_getter)
 
 
 def order_key(values) -> tuple:
@@ -158,25 +160,21 @@ class Program(NamedTuple):
     seed_elems: Callable[[tuple], tuple] | None
 
 
-def _extend_step(source: Callable, per_row: bool, checks: list[tuple[int, int]],
+def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[int, int]],
                  eqs: list[tuple[int, int]], fresh: tuple[int, ...],
                  used_cols: list[int], fresh_elems: list[int]) -> Step:
     """The step that extends each row with the fresh values of its
-    candidates. ``source(m, ctx)`` gives the candidates, or with ``per_row``
-    the function from a row to its candidates. Candidate positions are
-    compared: ``checks`` pairs one with the row column its name is bound
-    to, ``eqs`` pairs two that repeat one fresh name. ``fresh`` holds the
-    positions of the new columns; the fresh element values among them
-    (``fresh_elems``) must differ from each other and from the row's
-    element values (``used_cols``)."""
+    candidates. ``source(m, ctx)`` gives the candidates or, unless
+    ``row_key`` is None, the reader from ``row_key(row)`` to a row's
+    candidates. Candidate positions are compared: ``checks`` pairs one with
+    the row column its name is bound to, ``eqs`` pairs two that repeat one
+    fresh name. ``fresh`` holds the positions of the new columns; the fresh
+    element values among them (``fresh_elems``) must differ from each other
+    and from the row's element values (``used_cols``)."""
     cand_key = tuple_getter(i for i, _ in checks) if checks else None
-    row_key = tuple_getter(j for _, j in checks)
+    bound_key = tuple_getter(j for _, j in checks)
     extract = tuple_getter(fresh)
-    tests = []
-    if eqs:
-        firsts = tuple_getter(i for i, _ in eqs)
-        repeats = tuple_getter(j for _, j in eqs)
-        tests.append(lambda c: firsts(c) == repeats(c))
+    tests = [equal_pairs(eqs)] if eqs else []
     new_elems = tuple_getter(fresh_elems)
     if len(fresh_elems) == 2:
         a, b = fresh_elems
@@ -189,12 +187,12 @@ def _extend_step(source: Callable, per_row: bool, checks: list[tuple[int, int]],
     used = tuple_getter(used_cols) if used_cols and fresh_elems else None
     one = fresh_elems[0] if len(fresh_elems) == 1 else None
 
-    if per_row and not (fresh or checks or tests):
+    if row_key is not None and not (fresh or checks or tests):
         # the constraint only tests the row: keep the rows it has a candidate for
-        return lambda m, rows, ctx: list(filter(source(m, ctx), rows))
+        return lambda m, rows, ctx: list(compress(rows, map(source(m, ctx), map(row_key, rows))))
 
     def step(m, rows: list, ctx) -> list:
-        if per_row:
+        if row_key is not None:
             fetch = source(m, ctx)
         else:
             cands = source(m, ctx)
@@ -206,15 +204,15 @@ def _extend_step(source: Callable, per_row: bool, checks: list[tuple[int, int]],
                     index.setdefault(cand_key(c), []).append(c)
         out = []
         for row in rows:
-            if per_row:
-                cs = fetch(row)
+            if row_key is not None:
+                cs = fetch(row_key(row))
                 if cand_key is not None:
-                    k = row_key(row)
+                    k = bound_key(row)
                     cs = [c for c in cs if cand_key(c) == k]
                 if static is not None:
                     cs = [c for c in cs if static(c)]
             elif cand_key is not None:
-                cs = index.get(row_key(row), ())
+                cs = index.get(bound_key(row), ())
             else:
                 cs = cands
             if used is None:
@@ -378,7 +376,7 @@ class LocalSearchMatcher:
             # candidates align with ``names``; ``given``: their positions the
             # source already matched to the row
             names = (c.out,) if isinstance(c, CountC) else constraint_vars(c)
-            source, per_row, given = self._source(c, col)
+            source, row_key, given = self._source(c, col)
             checks, eqs, fresh = [], [], {}
             for pos, v in enumerate(names):
                 if v in col:
@@ -391,13 +389,13 @@ class LocalSearchMatcher:
             rest = (eqs, tuple(fresh.values()),
                     [k for k, v in enumerate(cols) if v in elem],
                     [pos for v, pos in fresh.items() if v in elem])
-            step = _extend_step(source, per_row, checks, *rest)
+            step = _extend_step(source, row_key, checks, *rest)
             if isinstance(c, RelationC) and c.rel not in col and (c.src in col or c.trg in col):
                 # walked from a bound end; the alternative reads the type's
                 # relations once and hashes them by that end
                 end = 1 if c.src in col else 2
                 j = col[names[end]]
-                scan = _extend_step(self._source(c, {})[0], False,
+                scan = _extend_step(self._source(c, {})[0], None,
                                     [(end, j)] + checks, *rest)
                 step = self._walk_or_scan(c, j, end == 1, step, scan)
             steps.append(step)
@@ -414,8 +412,7 @@ class LocalSearchMatcher:
         reads the type's relations once and answers every row from them,
         grouped by that end."""
         space = self.space
-        ends = space._out if out else space._in
-        type_name = c.type
+        ids, type_name = space.relation_ids, c.type
         if type_name is None:
             size = space.relation_count
         else:
@@ -424,107 +421,47 @@ class LocalSearchMatcher:
 
         def step(m, rows: list, ctx) -> list:
             budget = size()
-            get = ends.get
             for row in rows:
-                budget -= len(get(row[j], ()))
+                budget -= len(ids(row[j], out))
                 if budget < 0:
                     return scan(m, rows, ctx)
             return walk(m, rows, ctx)
         return step
 
-    def _source(self, c, col: dict[str, int]) -> tuple[Callable, bool, set[int]]:
+    def _source(self, c, col: dict[str, int]) -> tuple[Callable, Callable | None, set[int]]:
         """The candidate source of a positive constraint or a count over
         rows with columns ``col``: a function of the matcher and the tabling
-        bases ``(m, ctx)`` that gives the candidates or, when the second
-        item is True, the function from a row to its candidates; and the
-        candidate positions it matches to the row itself. What a step reads
-        for every row is resolved once, when the step starts."""
-        space = self.space
-        closure = space.registry.subtype_closure
-        if isinstance(c, EntityC):
-            type_name, in_var = c.type, c.in_var
-            # `in <namespace>` is containment under the root: vacuously true
-            if c.var in col:
-                j = col[c.var]
+        bases ``(m, ctx)`` that gives the candidates or, unless the second
+        item is None, the reader from a key to a row's candidates, with that
+        item the getter of the key from a row; and the candidate positions
+        the reader matches to the row itself. What a step reads for every
+        row is resolved once, when the step starts."""
+        if isinstance(c, (EntityC, RelationC)):
+            space, type_name = self.space, c.type
+            ends = (c.var,) if isinstance(c, EntityC) else (c.rel, c.src, c.trg)
+            at = next((k for k, v in enumerate(ends) if v in col), None)
+            read = (space.rows_at(type_name, at) if at is not None
+                    else lambda key: space.rows(type_name))
+            if isinstance(c, EntityC) and c.in_var is not None:
+                # `in <namespace>` is containment under the root: vacuously true
+                rows, ancestors = read, space.ancestors
 
-                def bound_entity(m, ctx):
-                    subtypes = closure(type_name)
-
-                    def fetch(row):
-                        e = row[j]
-                        if not space.is_live(e) or space.element(e).types.isdisjoint(subtypes):
-                            return ()
-                        if in_var is None:
-                            return ((e,),)
-                        return [(e, anc) for anc in space.ancestors(e)]
-                    return fetch
-                return bound_entity, True, {0}
-
-            def entity_scan(m, ctx):
-                es = space.type_ids(type_name)
-                if in_var is None:
-                    return list(zip(es))
-                return [(e, anc) for e in es for anc in space.ancestors(e)]
-            return entity_scan, False, set()
-
-        if isinstance(c, RelationC):
-            type_name, element = c.type, space._elements.__getitem__
-
-            def relations(rids, subtypes) -> list[tuple]:
-                return [(el.id, el.source, el.target) for el in map(element, rids)
-                        if subtypes is None or not el.types.isdisjoint(subtypes)]
-
-            def subtypes():
-                return None if type_name is None else closure(type_name)
-            if c.rel in col:
-                j = col[c.rel]
-
-                def bound_relation(m, ctx):
-                    types = subtypes()
-
-                    def fetch(row):
-                        rid = row[j]
-                        if space.is_live(rid) and space.kind(rid) == RELATION:
-                            return relations((rid,), types)
-                        return ()
-                    return fetch
-                return bound_relation, True, {0}
-            if c.src in col or c.trg in col:
-                out = c.src in col
-                j = col[c.src if out else c.trg]
-                ids = space.relation_ids
-
-                def walked(m, ctx):
-                    types = subtypes()
-                    return lambda row: relations(ids(row[j], out), types)
-                return walked, True, {1 if out else 2}
-
-            def relation_scan(m, ctx):
-                if type_name is None:
-                    return relations(space._relations, None)
-                return relations(space.type_ids(type_name), None)
-            return relation_scan, False, set()
+                def read(key):
+                    return [(e, anc) for (e,) in rows(key) for anc in ancestors(e)]
+            if at is None:
+                return (lambda m, ctx: read(())), None, set()
+            return (lambda m, ctx: read), tuple_getter((col[ends[at]],)), {at}
 
         positions, key, prepare = self._call(c, col)
         if isinstance(c, CountC):
-            consistent = consistency_test(c.args)
+            consistent, answers = consistency_test(c.args), prepare
 
-            def count(sub) -> tuple[tuple[int]]:
-                return ((len(sub) if consistent is None else sum(map(consistent, sub)),),)
-            if not positions:
-                return (lambda m, ctx: count(prepare(m, ctx)(()))), False, set()
-
-            def counts(m, ctx):
-                read = prepare(m, ctx)
-                return lambda row: count(read(key(row)))
-            return counts, True, set()
+            def prepare(m, ctx):
+                read = answers(m, ctx)
+                return lambda k: ((consistent_count(read(k), consistent),),)
         if not positions:
-            return (lambda m, ctx: prepare(m, ctx)(())), False, set()
-
-        def finds(m, ctx):
-            read = prepare(m, ctx)
-            return lambda row: read(key(row))
-        return finds, True, set(positions)
+            return (lambda m, ctx: prepare(m, ctx)(())), None, set()
+        return prepare, key, set() if isinstance(c, CountC) else set(positions)
 
     def _call(self, c, col: dict[str, int]):
         """For a call whose bound arguments are the variables in ``col``:
@@ -560,15 +497,13 @@ class LocalSearchMatcher:
         """Keep the rows for which the callee has no consistent match."""
         positions, key, prepare = self._call(c, col)
         consistent = consistency_test(c.args)
-
-        def matched(sub) -> bool:
-            return bool(sub) if consistent is None else any(map(consistent, sub))
         if not positions:
-            return lambda m, rows, ctx: [] if matched(prepare(m, ctx)(())) else rows
+            return lambda m, rows, ctx: (
+                [] if consistent_count(prepare(m, ctx)(()), consistent) else rows)
 
         def step(m, rows: list, ctx) -> list:
             read = prepare(m, ctx)
-            return [r for r in rows if not matched(read(key(r)))]
+            return [r for r in rows if not consistent_count(read(key(r)), consistent)]
         return step
 
     def _check_step(self, expr: ex.Expr, col: dict[str, int]) -> Step:

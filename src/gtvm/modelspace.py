@@ -13,7 +13,7 @@ not frozen, so they are not hashable; a listener must not change one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .errors import SpaceError, UnknownTypeError
 
@@ -324,6 +324,49 @@ class ModelSpace:
         by_type = self._by_type
         return sum(len(by_type.get(t, ()))
                    for t in self.registry.subtype_closure(type_name))
+
+    def rows(self, type_name: str | None) -> list[tuple]:
+        """The rows of the elements that conform to ``type_name``, each once,
+        in no order; ``None`` gives every relation, typed or not. A row is
+        ``(eid,)`` for an entity and ``(rid, source, target)`` for a
+        relation."""
+        if type_name is None:
+            ids = self._relations
+        else:
+            ids = self.type_ids(type_name)
+            if self.registry.kind(type_name) == ENTITY:
+                return list(zip(ids))
+        return [(el.id, el.source, el.target) for el in map(self._elements.__getitem__, ids)]
+
+    def rows_at(self, type_name: str | None,
+                position: int) -> Callable[[tuple], Collection[tuple]]:
+        """The reader from a key ``(v,)`` to the rows of ``rows(type_name)``
+        whose value at ``position`` is ``v``: 0 reads the element ``v``, 1
+        the relations from ``v`` and 2 those to it. Each read looks up the
+        subtype closure anew, so it sees a subtype registered since."""
+        elements, name, closure = self._elements, type_name, self.registry.subtype_closure
+        if position:
+            index = self._out if position == 1 else self._in
+            if name is None:
+                return lambda key: [(el.id, el.source, el.target)
+                                    for el in map(elements.__getitem__, index.get(key[0], ()))]
+
+            def walk(key):
+                subtypes = closure(name)
+                return [(el.id, el.source, el.target)
+                        for el in map(elements.__getitem__, index.get(key[0], ()))
+                        if name in el.types or not subtypes.isdisjoint(el.types)]
+            return walk
+        if name is None:
+            return lambda key: ((el.id, el.source, el.target),) if (
+                (el := elements.get(key[0])) is not None and el.kind == RELATION) else ()
+        if self.registry.kind(name) == ENTITY:
+            return lambda key: (key,) if (
+                (el := elements.get(key[0])) is not None and (
+                    name in el.types or not closure(name).isdisjoint(el.types))) else ()
+        return lambda key: ((el.id, el.source, el.target),) if (
+            (el := elements.get(key[0])) is not None and (
+                name in el.types or not closure(name).isdisjoint(el.types))) else ()
 
     def relation_count(self) -> int:
         return len(self._relations)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from . import expr as ex
 from .errors import PatternError
@@ -350,12 +350,23 @@ def consistency_test(args: tuple[str, ...]) -> Callable[[tuple], bool] | None:
     """Predicate on tuples aligned with ``args`` that holds when repeated
     argument variables have equal values; None when no variable repeats.
     Built once per argument tuple."""
-    eqs = arg_equalities(args)
-    if not eqs:
+    return equal_pairs(arg_equalities(args))
+
+
+def equal_pairs(pairs) -> Callable[[tuple], bool] | None:
+    """Predicate on tuples that holds when the values at the two positions
+    of each pair in ``pairs`` are equal; None when there is no pair."""
+    if not pairs:
         return None
-    firsts = tuple_getter(i for i, _ in eqs)
-    repeats = tuple_getter(j for _, j in eqs)
+    firsts = tuple_getter(i for i, _ in pairs)
+    repeats = tuple_getter(j for _, j in pairs)
     return lambda t: firsts(t) == repeats(t)
+
+
+def consistent_count(tuples: Collection[tuple], ok: Callable[[tuple], bool] | None) -> int:
+    """How many of ``tuples`` pass ``ok``, a ``consistency_test`` (None
+    passes every tuple)."""
+    return len(tuples) if ok is None else sum(map(ok, tuples))
 
 
 # --- constraint scheduling (shared by both matchers) ------------------------

@@ -7,9 +7,10 @@ ancestor) pairs hold no memory, and pass on the signed rows the engine
 computes from each event, through a table from ``(relation?, types)`` to the
 inputs they feed. Each node calls its successors' inputs directly. A join
 keeps only its left memory, bucketed by the join key, and reads the right
-tuples of a key on demand: from the model space for an alpha (the element of
-a bound id, the relations at a bound end, the ancestors of a bound entity; a
-type scan only for a Cartesian product), or from a called pattern's
+tuples of a key on demand: for a type alpha through the model space's
+typed-row reads (``rows_at``: the element of a bound id or the relations at
+a bound end; ``rows`` only for a Cartesian product), for the containment
+alpha the ancestors of a bound entity, or from a called pattern's
 production, whose keyed index a count node (``neg``/``#``) also counts.
 Check nodes filter, and each body's last node feeds the production of its
 pattern, which drops the tuples whose element values repeat (unless
@@ -34,11 +35,11 @@ from typing import Callable, Collection, Optional
 
 from . import expr as ex
 from .errors import MatcherError
-from .modelspace import (ENTITY, RELATION, ElementCreated, ElementDeleted,
-                         EndpointRetargeted, ModelSpace, Renamed, TypeAdded,
-                         TypeRemoved, ValueSet)
+from .modelspace import (ENTITY, ElementCreated, ElementDeleted, EndpointRetargeted,
+                         ModelSpace, Renamed, TypeAdded, TypeRemoved, ValueSet)
 from .patterns import (CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, schedule, tuple_getter)
+                       RelationC, consistency_test, consistent_count, schedule,
+                       tuple_getter)
 
 # the containment alpha's key among the alphas, which no type name equals
 _IN = ()
@@ -65,16 +66,10 @@ def _row(el) -> tuple:
     return (el.id,) if el.kind == ENTITY else (el.id, el.source, el.target)
 
 
-def _type_rows(space: ModelSpace, type_name: Optional[str]) -> list[tuple]:
-    eids = (space.iter_relations() if type_name is None
-            else space.elements_of_type(type_name))
-    return [_row(space.element(eid)) for eid in eids]
-
-
 class TypeAlpha(Node):
     """The elements that conform to one type; ``None`` stands for every
     relation, typed or not. The engine emits each change, and the model
-    space's indexes answer ``all_tuples`` and each read.
+    space's typed-row reads answer ``all_tuples`` and each read.
 
     A reader holds the space and not the node, so a join can keep it
     without a reference cycle.
@@ -85,33 +80,19 @@ class TypeAlpha(Node):
         relation = type_name is None or registry.kind(type_name) != ENTITY
         super().__init__(engine, ("$r", "$s", "$t") if relation else ("$e",))
         self.type = type_name
-        self.all_tuples = partial(_type_rows, self.space, type_name)
+        self.all_tuples = partial(self.space.rows, type_name)
 
     def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
         """The tuples whose values at ``positions`` are the key: the element
         of a bound id, or the relations at a bound end, that conform."""
-        rows, name, space = self.all_tuples, self.type, self.space
-        elements, closure = space._elements, space.registry.subtype_closure
+        rows = self.all_tuples
         if not positions:
             return lambda key: rows()
-        if len(self.schema) == 1:  # an entity: the key is its row
-            return lambda key: (key,) if (
-                (el := elements.get(key[0])) is not None and el.kind == ENTITY and (
-                    name in el.types or not closure(name).isdisjoint(el.types))) else ()
-        index, getter = ((None, space._out, space._in)[positions[0]],
-                         tuple_getter(positions) if len(positions) > 1 else None)
-
-        def read(key):
-            if index is None:
-                el = elements.get(key[0])
-                els = (el,) if el is not None and el.kind == RELATION else ()
-            else:
-                els = map(elements.__getitem__, index.get(key[0], ()))
-            types = None if name is None else closure(name)
-            rows = [(el.id, el.source, el.target) for el in els
-                    if types is None or not types.isdisjoint(el.types)]
-            return rows if getter is None else [r for r in rows if getter(r) == key]
-        return read
+        read = self.space.rows_at(self.type, positions[0])
+        if len(positions) == 1:
+            return read
+        getter = tuple_getter(positions)
+        return lambda key: [r for r in read(key) if getter(r) == key]
 
 
 class ContainmentAlpha(Node):
@@ -129,9 +110,9 @@ class ContainmentAlpha(Node):
     def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
         """The ancestors of the entity, bound by its type join before; a
         dead one has none, as it has left the tree before its delete event."""
-        getter, elements, ancestors = (tuple_getter(positions), self.space._elements,
-                                       self.space.ancestors)
-        return lambda key: [] if key[0] not in elements else [
+        getter, is_live, ancestors = (tuple_getter(positions), self.space.is_live,
+                                      self.space.ancestors)
+        return lambda key: [] if not is_live(key[0]) else [
             (key[0], a) for a in ancestors(key[0]) if getter((key[0], a)) == key]
 
 
@@ -234,8 +215,7 @@ class CountNode(JoinNode):
 
     def _count(self, key) -> int:
         """How many right tuples of ``key`` are consistent with ``args``."""
-        rts, ok = self.read(key), self.right_ok
-        return len(rts) if ok is None else sum(map(ok, rts))
+        return consistent_count(self.read(key), self.right_ok)
 
     def _row(self, lt, n):
         """The output tuple of ``lt`` when its count is ``n``, or None."""

@@ -85,21 +85,28 @@ def model():
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Spy on a space's relation reads: ``("scan", type)`` for each typed
-    read, ``("walk", element)`` for each read of the relations at an end."""
+    """Spy on a space's typed-row reads: ``("scan", type)`` for each
+    ``rows`` call, ``("walk", element)`` for each read of a ``rows_at``
+    reader of the relations at an end (position 1 or 2)."""
     def spy(space):
         log = []
-        type_ids, relation_ids = space.type_ids, space.relation_ids
+        rows, rows_at = space.rows, space.rows_at
 
-        def typed(type_name):
+        def scan(type_name):
             log.append(("scan", type_name))
-            return type_ids(type_name)
+            return rows(type_name)
 
-        def at_end(eid, outgoing):
-            log.append(("walk", eid))
-            return relation_ids(eid, outgoing)
-        monkeypatch.setattr(space, "type_ids", typed)
-        monkeypatch.setattr(space, "relation_ids", at_end)
+        def reader(type_name, position):
+            read = rows_at(type_name, position)
+            if not position:
+                return read
+
+            def walk(key):
+                log.append(("walk", key[0]))
+                return read(key)
+            return walk
+        monkeypatch.setattr(space, "rows", scan)
+        monkeypatch.setattr(space, "rows_at", reader)
         return log
     return spy
 

@@ -1,11 +1,20 @@
+import ast
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtvm import corpus
+from editscripts import run_script
+from gtvm import corpus, matcher_ls, rete
+from gtvm.corpus.fixtures import load_fixture
 from gtvm.errors import SpaceError
+from gtvm.matcher_ls import LocalSearchMatcher
 from gtvm.modelspace import (ENTITY, RELATION, ROOT_ID, ModelSpace,
                              TypeRegistry, replay)
+from gtvm.oracle import BruteForce
+from gtvm.rete import ReteEngine
 
 G1 = "nemf.packages.graph1."
 G2 = "nemf.packages.graph2."
@@ -230,3 +239,107 @@ def test_delete_closure_is_least_fixed_point(ops, pick):
     removed = before - set(space.iter_elements())
     assert removed == expected
     assert space.audit() == []
+
+
+# -- typed-row reads ------------------------------------------------------------
+
+
+def typed_readers(space) -> dict:
+    """A ``rows_at`` reader for each graph1 type and ``None`` (every
+    relation) at each position of its rows."""
+    types = [None] + sorted(t.name for t in space.registry.all_types()
+                            if t.name.startswith(G1))
+    return {(t, position): space.rows_at(t, position) for t in types
+            for position in (range(3) if t is None or space.registry.kind(t) == RELATION
+                             else (0,))}
+
+
+def assert_typed_reads_agree(space, readers: dict) -> None:
+    """``rows(t)`` holds the rows of the elements of ``t``, and each reader
+    gives the rows of ``rows(t)`` with its key at its position. The keys run
+    from the root up past the largest id: the live ids, so every relation
+    end, and the ids of deleted elements."""
+    keys = range(max(space.iter_elements(), default=ROOT_ID) + 2)
+    for (t, position), read in readers.items():
+        rows = space.rows(t)
+        relation = position or t is None or space.registry.kind(t) == RELATION
+        ids = space.iter_relations() if t is None else space.elements_of_type(t)
+        assert sorted(rows) == [(e, space.source(e), space.target(e)) if relation else (e,)
+                                for e in ids], t
+        for v in keys:
+            assert sorted(read((v,))) == sorted(r for r in rows if r[position] == v), (
+                t, position, v)
+
+
+@pytest.mark.parametrize("n,e,seed", [(8, 16, 1), (12, 30, 2), (30, 60, 3)])
+def test_typed_row_reads_agree_on_random_models(n, e, seed):
+    space = load_fixture("random", n=n, e=e, seed=seed)
+    readers = typed_readers(space)
+    nodes = space.elements_of_type(G1 + "Node")
+    space.new_relation(None, nodes[0], nodes[1])  # untyped: only ``None`` reads it
+    space.delete(nodes[-1])
+    dead = nodes[-1]
+    assert not space.is_live(dead) and dead < max(space.iter_elements())
+    assert_typed_reads_agree(space, readers)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_typed_row_reads_agree_under_edits(seed):
+    """Readers made before the edits and readers made after each one."""
+    space = load_fixture("random", n=6, e=8, seed=seed)
+    readers = typed_readers(space)
+
+    def check():
+        assert_typed_reads_agree(space, readers)
+        assert_typed_reads_agree(space, typed_readers(space))
+    assert run_script(space, random.Random(seed), 30, check) == 30
+
+
+def test_a_subtype_registered_after_readers_and_plans_exist():
+    """A ``.gms`` type line can register a subtype into a registry that a
+    network and plans already read: every read looks up the subtype closure
+    anew, so ``inc``, ``ls`` and the oracle agree on the new elements."""
+    space = load_fixture("random", n=8, e=12, seed=5)
+    patterns = corpus.library_program(space.registry).patterns
+    names = ["graphPatterns." + n for n in ("connectedEdge", "edgeFromTo", "isolatedNode")]
+    engine, ls = ReteEngine(space, patterns), LocalSearchMatcher(space, patterns)
+    nodes = space.elements_of_type(G1 + "Node")
+    for name in names:
+        engine.register(name)
+        ls.match_set(name)
+    ls.match_set(names[0], {"Node": nodes[0]})
+    readers = typed_readers(space)
+
+    space.registry.register(G1 + "SubNode", ENTITY, G1 + "Node")
+    space.registry.register(G1 + "Edge.subSrc", RELATION, G1 + "Edge.src")
+    graph = space.elements_of_type(G1 + "Graph")[0]
+    new, lone = (space.new_entity(G1 + "SubNode", graph) for _ in range(2))
+    edge = space.new_entity(G1 + "Edge", graph)
+    space.new_relation(G1 + "Edge.subSrc", edge, new)
+    space.new_relation(G1 + "Edge.trg", edge, nodes[0])
+
+    assert_typed_reads_agree(space, readers)
+    brute = BruteForce(space, patterns)
+    for name in names:
+        want = brute.match_set(name)
+        assert engine.productions[name].match_tuples() == want, name
+        assert ls.match_set(name) == want, name
+    isolated = brute.match_set(names[2])
+    assert (lone,) in isolated and (new,) not in isolated
+    bound = brute.match_set(names[0], {"Node": new})
+    assert bound == {(new, edge)}
+    assert ls.match_set(names[0], {"Node": new}) == bound
+    assert set(engine.productions[names[0]].match_tuples((0,), (new,))) == bound
+    assert (new, nodes[0]) in brute.match_set(names[1])
+
+
+def test_the_matchers_read_no_index_of_the_space():
+    """Only the model space, and ``snapshot``, its serializer, know its
+    index layout: both matchers read it through ``rows``/``rows_at`` and
+    the public reads."""
+    private = {"_elements", "_out", "_in", "_relations", "_by_type", "_children"}
+    for module in (rete, matcher_ls):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        reads = sorted({node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr in private})
+        assert reads == [], (module.__name__, reads)
