@@ -3,8 +3,10 @@ dynamic instanceOf links, and synchronous change notification.
 
 Elements are identified by monotonically assigned integers that are never
 reused. Type information lives in a separate :class:`TypeRegistry` (single
-inheritance, entity vs. relation kinds); an element holds a mutable *set* of
-type names so it can be retyped in place.
+inheritance, entity vs. relation kinds). An element holds an immutable
+tuple of type names, the one that :meth:`ModelSpace._check_types` returns
+for its kind and types, so all elements of the same types share one tuple;
+a retype replaces it with the checked tuple of the new types.
 
 Elements and change events are slots dataclasses, cheap to build. Events are
 not frozen, so they are not hashable; a listener must not change one.
@@ -12,7 +14,7 @@ not frozen, so they are not hashable; a listener must not change one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .errors import SpaceError, UnknownTypeError
@@ -197,7 +199,7 @@ ChangeEvent = (ElementCreated | ElementDeleted | TypeAdded | TypeRemoved |
 class Element:
     id: int
     kind: str
-    types: set[str] = field(default_factory=set)
+    types: tuple[str, ...] = ()
     name: Optional[str] = None
     value: object = None
     parent: Optional[int] = None
@@ -290,7 +292,7 @@ class ModelSpace:
 
     def conforms(self, eid: int, type_name: str) -> bool:
         subtypes = self.registry.subtype_closure(type_name)
-        return not self.element(eid).types.isdisjoint(subtypes)
+        return not subtypes.isdisjoint(self.element(eid).types)
 
     def ancestors(self, eid: int) -> Iterator[int]:
         """Proper containment ancestors of ``eid``, nearest first."""
@@ -399,8 +401,9 @@ class ModelSpace:
 
     def _check_types(self, kind: str, types: Iterable[str]) -> tuple[str, ...]:
         """``types`` without repeats, each of which must be a ``kind`` type.
-        Each accepted ``(kind, types)`` is checked once: a registered type
-        never changes kind."""
+        Each accepted ``(kind, types)`` is checked once, as a registered type
+        never changes kind, and gives the same tuple each time: the one its
+        elements share as their ``types``."""
         key = (kind, tuple(types))
         checked = self._checked.get(key)
         if checked is None:
@@ -411,45 +414,54 @@ class ModelSpace:
             self._checked[key] = checked
         return checked
 
-    def _add(self, kind: str, types: Iterable[str], parent: int | None,
-             source: int | None, target: int | None, eid: int | None,
-             name: str | None, value) -> Element:
-        """Check the parent or the endpoints against the live elements, take
-        the id, and store and index the element. Emits nothing and checks
-        no type: that is the caller's part."""
-        elements = self._elements
-        if kind == ENTITY:
-            if parent is None:
-                parent = ROOT_ID
-            pel = elements.get(parent)
-            if pel is None:
-                raise SpaceError(f"element {parent} is not live")
-            if pel.kind != ENTITY:
-                raise SpaceError(f"containment parent {parent} is not an entity")
-            source = target = None
-        else:
-            for end in (source, target):
-                if end not in elements:
-                    raise SpaceError(f"element {end} is not live")
-            parent = None
+    # The writers: ``_add_entity`` and ``_add_relation`` check the parent or
+    # the endpoints against the live elements and index the element by them,
+    # and ``_store`` takes its id, stores it and indexes it by type. ``types``
+    # is a tuple from ``_check_types``, which the element keeps as it is.
+    # They emit nothing: checking types and emitting are the caller's part.
+
+    def _store(self, eid: int | None, kind: str, types: tuple[str, ...], name: str | None,
+               value, parent: int | None, source: int | None, target: int | None) -> Element:
+        """The new element; ``eid`` is the next fresh id when ``None``, and
+        must be positive and unused otherwise (the fresh ids then start past
+        it)."""
         if eid is None:
             eid = self._next_id
             self._next_id += 1
         elif eid <= 0:
             raise SpaceError(f"explicit id must be positive, got {eid}")
-        elif eid in elements:
+        elif eid in self._elements:
             raise SpaceError(f"id {eid} already in use")
         elif eid >= self._next_id:
             self._next_id = eid + 1
-        el = elements[eid] = Element(eid, kind, set(types), name, value, parent, source, target)
-        for t in el.types:
+        el = self._elements[eid] = Element(eid, kind, types, name, value, parent, source, target)
+        for t in types:
             self._by_type.setdefault(t, set()).add(eid)
-        if kind == ENTITY:
-            self._children.setdefault(parent, set()).add(eid)
-        else:
-            self._relations.add(eid)
-            self._out.setdefault(source, set()).add(eid)
-            self._in.setdefault(target, set()).add(eid)
+        return el
+
+    def _add_entity(self, types: tuple[str, ...], parent: int | None,
+                    eid: int | None, name: str | None, value) -> Element:
+        if parent is None:
+            parent = ROOT_ID
+        pel = self._elements.get(parent)
+        if pel is None:
+            raise SpaceError(f"element {parent} is not live")
+        if pel.kind != ENTITY:
+            raise SpaceError(f"containment parent {parent} is not an entity")
+        el = self._store(eid, ENTITY, types, name, value, parent, None, None)
+        self._children.setdefault(parent, set()).add(el.id)
+        return el
+
+    def _add_relation(self, types: tuple[str, ...], source: int, target: int,
+                      eid: int | None, name: str | None, value) -> Element:
+        for end in (source, target):
+            if end not in self._elements:
+                raise SpaceError(f"element {end} is not live")
+        el = self._store(eid, RELATION, types, name, value, None, source, target)
+        eid = el.id
+        self._relations.add(eid)
+        self._out.setdefault(source, set()).add(eid)
+        self._in.setdefault(target, set()).add(eid)
         return el
 
     def _create(self, kind: str, types: Iterable[str], parent: int | None,
@@ -457,7 +469,10 @@ class ModelSpace:
                 eid: int | None = None, name: str | None = None,
                 value=None) -> int:
         types = self._check_types(kind, types)
-        el = self._add(kind, types, parent, source, target, eid, name, value)
+        if kind == ENTITY:
+            el = self._add_entity(types, parent, eid, name, value)
+        else:
+            el = self._add_relation(types, source, target, eid, name, value)
         self._emit(ElementCreated(el.id, kind, types, el.parent, el.source, el.target,
                                   name, value))
         return el.id
@@ -483,8 +498,11 @@ class ModelSpace:
         self._children.pop(eid, None)
         self._out.pop(eid, None)
         self._in.pop(eid, None)
-        self._emit(ElementDeleted(el.id, el.kind, tuple(sorted(el.types)), el.parent,
-                                  el.source, el.target, el.name, el.value))
+        types = el.types
+        if len(types) > 1:
+            types = tuple(sorted(types))
+        self._emit(ElementDeleted(el.id, el.kind, types, el.parent, el.source, el.target,
+                                  el.name, el.value))
 
     def _dependents(self, eid: int) -> set[int]:
         """The children of ``eid`` and the relations incident to it."""
@@ -532,7 +550,7 @@ class ModelSpace:
                              f"to {el.kind} {eid}")
         if type_name in el.types:
             raise SpaceError(f"element {eid} already instanceOf {type_name}")
-        el.types.add(type_name)
+        el.types = self._check_types(el.kind, el.types + (type_name,))
         self._by_type.setdefault(type_name, set()).add(eid)
         self._emit(TypeAdded(eid, type_name))
 
@@ -541,7 +559,7 @@ class ModelSpace:
         self.registry.info(type_name)
         if type_name not in el.types:
             raise SpaceError(f"element {eid} is not instanceOf {type_name}")
-        el.types.discard(type_name)
+        el.types = self._check_types(el.kind, tuple(t for t in el.types if t != type_name))
         _unindex(self._by_type, type_name, eid)
         self._emit(TypeRemoved(eid, type_name))
 

@@ -532,7 +532,7 @@ class ReteEngine:
             new = _row(el)
             old = ((el.id, ev.old, el.target) if ev.end == "source"
                    else (el.id, el.source, ev.old))
-            for out in self._targets(True, tuple(el.types)):
+            for out in self._targets(True, el.types):
                 out(old, -1)
                 out(new, +1)
         elif isinstance(ev, (ValueSet, Renamed)):

@@ -91,13 +91,37 @@ def save(space: ModelSpace) -> str:
 
 
 _TYPE_RE = re.compile(r"^type\s+(\S+)\s+(entity|relation)(?:\s+extends\s+(\S+))?\s*$")
-_ELEM_RE = re.compile(
-    r"^(entity|relation)\s+([0-9]+)\s*:\s*([\w.,]*)"
-    r"(?:\s*\(\s*([0-9]+)\s*->\s*([0-9]+)\s*\))?"
-    r"(?:\s+in\s+([0-9]+))?"
-    r'(?:\s+name="((?:[^"\\]|\\.)*)")?'
-    r'(?:\s+value=(?:"((?:[^"\\]|\\.)*)"|(-?[0-9]+)))?\s*$'
-)
+# the parts of an element line: id and types field, endpoints, ``in`` part,
+# and name and value up to the end of the line
+_HEAD = r"\s+([0-9]+)\s*:\s*([\w.,]*)"
+_ENDS = r"\s*\(\s*([0-9]+)\s*->\s*([0-9]+)\s*\)"
+_IN = r"\s+in\s+([0-9]+)"
+_TAIL = (r'(?:\s+name="((?:[^"\\]|\\.)*)")?'
+         r'(?:\s+value=(?:"((?:[^"\\]|\\.)*)"|(-?[0-9]+)))?\s*$')
+_ENTITY_RE = re.compile(f"^entity{_HEAD}(?:{_IN})?{_TAIL}")
+_RELATION_RE = re.compile(f"^relation{_HEAD}{_ENDS}{_TAIL}")
+# either kind with either part: read only for the error of a line that
+# its kind's pattern does not take
+_ANY_ELEMENT_RE = re.compile(f"^(entity|relation){_HEAD}(?:{_ENDS})?(?:{_IN})?{_TAIL}")
+
+
+def _value(quoted: str | None, digits: str | None):
+    return _unquote(quoted) if quoted is not None else int(digits) if digits is not None else None
+
+
+def _misplaced(line: str, raw: str) -> str:
+    """The error of an element line that its kind's pattern does not take:
+    an entity line with endpoints, a relation line without them or with a
+    parent, or else a bad directive. An integer value too long to read is
+    reported first, as on any other element line."""
+    m = _ANY_ELEMENT_RE.match(line)
+    if m is None:
+        return f"bad directive: {raw!r}"
+    if m[9] is not None:
+        int(m[9])
+    if m[1] == ENTITY:
+        return "entity line with endpoints"
+    return "relation needs endpoints and no parent"
 
 
 def load(text: str, registry: TypeRegistry) -> ModelSpace:
@@ -110,48 +134,44 @@ def load(text: str, registry: TypeRegistry) -> ModelSpace:
     number of elements, as if each had been created in turn.
     """
     space = ModelSpace(registry)
-    add = space._add
-    # (kind, types field) -> its checked types; a type, once registered,
+    add_entity, add_relation, check = space._add_entity, space._add_relation, space._check_types
+    entity_match, relation_match = _ENTITY_RE.match, _RELATION_RE.match
+    # types field -> its checked types, per kind; a type, once registered,
     # keeps its kind, so a field checked once holds for every later line
-    checked: dict[tuple[str, str], tuple[str, ...]] = {}
+    entity_types: dict[str, tuple[str, ...]] = {}
+    relation_types: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("type "):
-            m = _TYPE_RE.match(line)
-            if not m:
-                raise SnapshotError(f"bad type directive: {raw!r}", lineno)
-            name, kind, sup = m.groups()
-            try:
-                registry.register(name, kind, sup)
-            except Exception as e:
-                raise SnapshotError(str(e), lineno) from None
-            continue
-        m = _ELEM_RE.match(line)
-        if not m:
-            raise SnapshotError(f"bad directive: {raw!r}", lineno)
-        what, eid, types_s, src, trg, parent, name_s, value_s, value_i = m.groups()
-        name = _unquote(name_s) if name_s is not None else None
         try:
-            value = (_unquote(value_s) if value_s is not None
-                     else int(value_i) if value_i is not None else None)
-            if what == ENTITY:
-                if src is not None:
-                    raise SnapshotError("entity line with endpoints", lineno)
-            elif src is None or parent is not None:
-                raise SnapshotError("relation needs endpoints and no parent", lineno)
-            types = checked.get((what, types_s))
-            if types is None:
-                types = [t for t in types_s.split(",") if t]
-                if what == ENTITY and not types:
-                    raise SnapshotError("entity needs at least one type", lineno)
-                types = checked[what, types_s] = space._check_types(what, types)
-            if what == ENTITY:
-                add(ENTITY, types, int(parent) if parent else None, None, None,
-                    int(eid), name, value)
+            if (m := relation_match(line)) is not None:
+                eid, types_s, src, trg, name, quoted, digits = m.groups()
+                value = _value(quoted, digits)
+                types = relation_types.get(types_s)
+                if types is None:
+                    types = relation_types[types_s] = check(
+                        RELATION, [t for t in types_s.split(",") if t])
+                add_relation(types, int(src), int(trg), int(eid),
+                             name if name is None else _unquote(name), value)
+            elif (m := entity_match(line)) is not None:
+                eid, types_s, parent, name, quoted, digits = m.groups()
+                value = _value(quoted, digits)
+                types = entity_types.get(types_s)
+                if types is None:
+                    types = [t for t in types_s.split(",") if t]
+                    if not types:
+                        raise SnapshotError("entity needs at least one type", lineno)
+                    types = entity_types[types_s] = check(ENTITY, types)
+                add_entity(types, int(parent) if parent else None, int(eid),
+                           name if name is None else _unquote(name), value)
+            elif line.startswith("type "):
+                m = _TYPE_RE.match(line)
+                if not m:
+                    raise SnapshotError(f"bad type directive: {raw!r}", lineno)
+                registry.register(*m.groups())
             else:
-                add(RELATION, types, None, int(src), int(trg), int(eid), name, value)
+                raise SnapshotError(_misplaced(line, raw), lineno)
         except SnapshotError:
             raise
         except Exception as e:

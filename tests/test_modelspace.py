@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from editscripts import run_script
-from gtvm import corpus, matcher_ls, rete
+from editscripts import random_edit, run_script
+from gtvm import corpus, matcher_ls, rete, snapshot
 from gtvm.corpus.fixtures import load_fixture
 from gtvm.errors import SpaceError
 from gtvm.matcher_ls import LocalSearchMatcher
@@ -239,6 +239,62 @@ def test_delete_closure_is_least_fixed_point(ops, pick):
     removed = before - set(space.iter_elements())
     assert removed == expected
     assert space.audit() == []
+
+
+# -- shared type tuples ---------------------------------------------------------
+
+
+def assert_types_shared(space) -> None:
+    """Each element holds a tuple as its types, and all elements of one kind
+    and types hold the same tuple object."""
+    shared = {}
+    for eid in space.iter_elements():
+        el = space.element(eid)
+        assert type(el.types) is tuple, (eid, el.types)
+        assert shared.setdefault((el.kind, el.types), el.types) is el.types, eid
+
+
+def test_elements_of_one_kind_and_types_share_one_tuple():
+    space = load_fixture("random", n=12, e=30, seed=4)  # new_entity/new_relation
+    assert_types_shared(space)
+    assert_types_shared(snapshot.load(snapshot.save(space), corpus.metamodels()))
+
+    src, trg = (space.elements_of_type(G1 + t) for t in ("Edge.src", "Edge.trg"))
+    rel, peer = src[:2]
+    space.remove_type(rel, G1 + "Edge.src")
+    assert space.element(rel).types == ()
+    space.add_type(rel, G1 + "Edge.trg")
+    assert space.element(rel).types is space.element(trg[0]).types
+    space.remove_type(rel, G1 + "Edge.trg")
+    space.add_type(rel, G1 + "Edge.src")
+    assert space.element(rel).types is space.element(peer).types
+    for r in (rel, peer):  # two types, added in the same order
+        space.add_type(r, G1 + "Edge.trg")
+    assert space.element(rel).types is space.element(peer).types
+    assert space.types(rel) == {G1 + "Edge.src", G1 + "Edge.trg"}
+    assert space.types(src[2]) == {G1 + "Edge.src"}
+    assert_types_shared(space)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_retype_changes_no_other_element(seed):
+    """Through the retype steps of random edit scripts: only the retyped
+    relation changes its types, whatever tuple it shares."""
+    space = load_fixture("random", n=8, e=16, seed=seed)
+    rng = random.Random(seed)
+    retypes = 0
+    for _ in range(2000):
+        before = {eid: space.types(eid) for eid in space.iter_elements()}
+        if random_edit(space, rng) == "retype":
+            retypes += 1
+            changed = [eid for eid, types in before.items()
+                       if space.is_live(eid) and space.types(eid) != types]
+            assert len(changed) == 1 and space.types(changed[0]) == {G1 + "Edge.trg"}
+        assert_types_shared(space)
+        if retypes == 10:
+            break
+    assert retypes == 10
+    assert_types_shared(snapshot.load(snapshot.save(space), corpus.metamodels()))
 
 
 # -- typed-row reads ------------------------------------------------------------

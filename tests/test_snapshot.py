@@ -10,6 +10,7 @@ from gtvm.matcher_ls import LocalSearchMatcher
 from gtvm.rete import ReteEngine
 
 G1 = "nemf.packages.graph1."
+ES = "nemf.ecore.datatypes.EString"
 
 
 @pytest.mark.parametrize("name", sorted(set(BUILDERS) - {"random"}))
@@ -198,12 +199,14 @@ def _match_sets(space) -> dict:
     return sets
 
 
-def assert_loads_alike(space):
-    """``load(save(space))`` is the space that creating its elements one by
-    one builds: the same elements and indexes (no index keeps an empty set,
-    not even after deletions), an id counter just past the largest id, one
-    version per element, and the same matches under both matchers."""
-    loaded = snapshot.load(snapshot.save(space), corpus.metamodels())
+def assert_loads_alike(space, text=None):
+    """``load(text)``, by default ``load(save(space))``, is the space that
+    creating its elements one by one builds: the same elements and indexes
+    (no index keeps an empty set, not even after deletions), an id counter
+    just past the largest id, one version per element, and the same matches
+    under both matchers."""
+    loaded = snapshot.load(snapshot.save(space) if text is None else text,
+                           corpus.metamodels())
     assert loaded.state() == space.state()
     for index in ("_by_type", "_children", "_out", "_in"):
         assert getattr(loaded, index) == getattr(space, index), index
@@ -217,6 +220,55 @@ def assert_loads_alike(space):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_load_builds_the_created_space(seed):
     assert_loads_alike(load_fixture("random", n=10 * seed, e=25 * seed, seed=seed))
+
+
+def _spelled_space():
+    """A graph with a named node, a negative value and an untyped relation,
+    as ``_SPELLINGS`` write it."""
+    space = load_fixture("empty")
+    graph = space.new_entity(G1 + "Graph")
+    node = space.new_entity(G1 + "Node", graph)
+    space.rename(node, 'say "hi"')
+    text = space.new_entity(ES, node)
+    space.set_value(text, -3)
+    space.new_relation(G1 + "Graph.nodes", graph, node)
+    space.new_relation(G1 + "Node.name", node, text)
+    space.new_relation(None, node, node)
+    return space
+
+
+def _spelled(graph="entity 1 : {G}Graph", node='entity 2 : {G}Node in 1 name="say \\"hi\\""',
+             text="entity 3 : {ES} in 2 value=-3", nodes="relation 4 : {G}Graph.nodes (1 -> 2)",
+             name="relation 5 : {G}Node.name (2 -> 3)", loop="relation 6 : (2 -> 2)",
+             between=""):
+    lines = (graph, node, text, nodes, name, loop)
+    return between.join(line.format(G=G1, ES=ES) + "\n" for line in lines)
+
+
+# spellings the grammar takes beside the one ``save`` writes
+_SPELLINGS = {
+    "as-saved": None,
+    "one-space-untyped": _spelled(),
+    "no-spaces": _spelled(graph="entity 1:{G}Graph", text="entity 3:{ES} in 2 value=-3",
+                          nodes="relation 4:{G}Graph.nodes(1->2)",
+                          name="relation 5 :{G}Node.name( 2->3 )", loop="relation 6:(2->2)"),
+    "blanks-and-tabs": _spelled(graph="  entity 1 : {G}Graph\t", node=(
+        '\tentity\t2\t:\t{G}Node\tin\t1\tname="say \\"hi\\""  '),
+                                loop=" \t relation 6 :\t( 2 -> 2 ) \t"),
+    "comments-and-blank-lines": _spelled(between="# a comment\n\n \t\n  # indented\n"),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+def test_spellings_load_alike(spelling):
+    """Each spelling loads to the space that creating its elements builds."""
+    space = _spelled_space()
+    text = _SPELLINGS[spelling]
+    if text is None:
+        text = snapshot.save(space)
+        assert 'value=-3' in text and 'name="say \\"hi\\""' in text
+        assert "relation 6 :  (2 -> 2)" in text
+    assert_loads_alike(space, text)
 
 
 def test_round_trip_property_over_random_edits():
