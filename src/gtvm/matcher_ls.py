@@ -1,31 +1,44 @@
 """Local-search pattern matcher that runs compiled search plans set-at-a-time.
 
-Evaluates validated patterns on demand against the current space. Plans are
-chosen greedily per (pattern, body, bound-parameter set); recursive patterns
-are evaluated by least-fixpoint tabling over their call cycle (semi-naive for
-bodies with a single in-cycle call), so evaluation terminates on cyclic
-graphs. Match order is deterministic: sorted by bound values.
+Evaluates validated patterns on demand against the current space. Recursive
+patterns are evaluated by least-fixpoint tabling over their call cycle
+(semi-naive for bodies with a single in-cycle call), so evaluation
+terminates on cyclic graphs. Match order is deterministic: sorted by bound
+values.
 
-Each plan is compiled once into a step program, cached with it. A partial
-match is a row tuple whose columns the plan fixes: the bound parameters in
-parameter order, then each variable in the order a step binds it. The list
-of rows passes through the steps in turn. A positive constraint, and a ``#``
-count, extends each row with its candidates: ``(e,)`` or ``(e, ancestor)``
-for an entity, ``(relation, source, target)`` for a relation, the callee's
-answer tuples for a ``find`` and ``(n,)`` for a count. Entities and
-relations are read through the model space's typed-row reads: ``rows`` for
-a type scan, a ``rows_at`` reader for a bound element or end. Bound
-variables narrow the candidates where an index serves them; the step
-compares the other bound positions with the row's columns, requires
+Plans are model-sensitive (after VIATRA2's search plans: Varró G., Friedl,
+Varró D., GraMoT 2005). One estimate of the rows each step creates, read
+from counts the space keeps, orders every (pattern, body, bound-parameter
+set) through ``patterns.schedule``: a type scan creates ``count_of_type``
+rows; a relation walked from a bound end its type's count over its end's
+type count; a ``find`` the callee's estimated unbound rows (those its own
+unbound plans end with) over the values of its bound arguments; a step whose
+variables are all bound is a filter and creates none. A plan records the
+counts it read and is compiled again once one of them has grown or shrunk by
+``REPLAN_FACTOR``; until enough changes have been made for that, a cached
+plan costs one comparison of space versions.
+
+Each plan is compiled into a step program when it first runs, cached with it
+(a callee's plan that only serves its callers' estimates is never compiled).
+A partial match is a row tuple whose columns the plan fixes: the bound
+parameters in parameter order, then each variable in the order a step binds
+it. The list of rows passes through the steps in turn. A positive
+constraint, and a ``#`` count, extends each row with its candidates:
+``(e,)`` or ``(e, ancestor)`` for an entity, ``(relation, source, target)``
+for a relation, the callee's answer tuples for a ``find`` and ``(n,)`` for a
+count. Entities and relations are read through the model space's typed-row
+reads: ``rows`` for a type scan, a ``rows_at`` reader for a bound element or
+end. Bound variables narrow the candidates where an index serves them; the
+step compares the other bound positions with the row's columns, requires
 repeated fresh names to be equal, and keeps fresh element values distinct
 from the row's (unless the pattern is shareable). A candidate source that
 does not read the row (a type scan, an unbound ``find``) is read once per
 step and hashed by the positions the row binds. Checks and ``neg`` calls
 filter the list, and the last rows are projected onto the parameters.
 
-A relation whose source or target is bound (and the relation itself not)
-has two access paths, chosen on every step run from counts the space keeps:
-the walk reads the relations at each row's end, of any type, as many as
+A relation whose source or target is bound (and the relation itself not) has
+two access paths, chosen on every step run from counts the space keeps: the
+walk reads the relations at each row's end, of any type, as many as
 ``relation_ids`` holds for the rows' ends; the scan reads the relations of
 the type once (``count_of_type`` over its subtype closure, or every relation
 for ``relation(...)``) and groups them by that end. The step scans when the
@@ -34,29 +47,36 @@ walk would read more, and walks otherwise. Type scans are unsorted.
 Answers are memoized per ``space.version``; the first query after a change
 drops them all. A pattern's unbound answer set, once held (searched, or
 tabled for a recursive pattern), also answers every bound call to it through
-a hash index keyed by the bound parameter positions, built on first use.
-A bound call whose pattern has no unbound set held is searched with its
+a hash index keyed by the bound parameter positions, built on first use. A
+bound call whose pattern has no unbound set held is searched with its
 binding as the seed row, and its answers are memoized by binding. Below an
-enumeration (an unbound solve or a tabling fixpoint on the stack), the
-second bound search of a pattern in one version solves that pattern unbound
-instead, and its index answers that call and every later one: an
-enumeration calls a pattern with many keys, while a top-level bound query
-never builds an unbound set. The tabling bases (table and delta of each
-cycle member) are indexed the same way, and an index of a growing table
-takes each added tuple, so none serves a stale set.
+enumeration (an unbound solve or a tabling fixpoint on the stack), from the
+second bound search of a pattern in one version on, a call whose step has
+many keys left solves that pattern unbound instead, and its index answers
+that call and every later one: many, when its keys left, each searched from
+a seed row that creates the rows the call is estimated to create per key,
+would make more rows than one unbound solve from one seed row. A top-level
+bound query never builds an unbound set. The tabling bases (table and delta
+of each cycle member) are indexed the same way, and an index of a growing
+table takes each added tuple, so none serves a stale set.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping
 
 from . import expr as ex
 from .errors import PatternError, SpaceError
 from .modelspace import ModelSpace
-from .patterns import (Body, CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, consistent_count,
-                       constraint_vars, equal_pairs, schedule, tuple_getter)
+from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, NegC,
+                       Pattern, RelationC, consistency_test, consistent_count,
+                       constraint_vars, equal_pairs, plan_rows, schedule,
+                       tuple_getter)
+
+# a cached plan is compiled again once a count it was planned with has grown
+# or shrunk by this factor
+REPLAN_FACTOR = 2
 
 
 def order_key(values) -> tuple:
@@ -150,27 +170,51 @@ class AnswerSet:
 Step = Callable[["LocalSearchMatcher", list, object], list]
 
 
-class Program(NamedTuple):
-    """A search plan and the steps compiled from it. ``project`` maps a last
-    row onto the parameters; ``seed_elems`` reads the seed's element values,
-    which must be distinct (None when there are fewer than two)."""
-    plan: list
-    steps: list[Step]
-    project: Callable[[tuple], tuple]
-    seed_elems: Callable[[tuple], tuple] | None
+class Program:
+    """A search plan, its estimates, and the steps compiled from it when it
+    first runs (a plan that only serves a caller's estimates never does).
+
+    ``rows`` holds the rows each step is estimated to create from one seed
+    row (``plan_rows``; None for a filter); ``keys``, for each call, how
+    many keys must be left for an unbound solve to pay (see ``_call``;
+    None for other steps); ``counts`` the model counts the estimates read,
+    as ``(type name or None for every relation, count)``; ``domains`` the
+    estimated number of values of each parameter in the body (None when no
+    type or call constrains it). Once compiled, ``steps`` run in turn,
+    ``project`` maps a last row onto the parameters and ``seed_elems``
+    reads the seed's element values, which must be distinct (None when
+    there are fewer than two)."""
+
+    __slots__ = ("plan", "rows", "keys", "counts", "domains",
+                 "steps", "project", "seed_elems")
+
+    def __init__(self, plan: list, rows: list, keys: list,
+                 counts: tuple[tuple[str | None, int], ...], domains: tuple):
+        self.plan, self.rows, self.keys = plan, rows, keys
+        self.counts, self.domains = counts, domains
+        self.steps: list[Step] | None = None
+        self.project: Callable[[tuple], tuple] | None = None
+        self.seed_elems: Callable[[tuple], tuple] | None = None
+
+    def replan(self, new: "Program") -> None:
+        """Take the estimates of ``new``, a plan of the same order. The
+        compiled steps stay: a call step reads its threshold from ``keys``,
+        which keeps its identity, each time it runs."""
+        self.rows, self.counts, self.domains = new.rows, new.counts, new.domains
+        self.keys[:] = new.keys
 
 
 def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[int, int]],
                  eqs: list[tuple[int, int]], fresh: tuple[int, ...],
                  used_cols: list[int], fresh_elems: list[int]) -> Step:
-    """The step that extends each row with the fresh values of its
-    candidates. ``source(m, ctx)`` gives the candidates or, unless
-    ``row_key`` is None, the reader from ``row_key(row)`` to a row's
-    candidates. Candidate positions are compared: ``checks`` pairs one with
-    the row column its name is bound to, ``eqs`` pairs two that repeat one
-    fresh name. ``fresh`` holds the positions of the new columns; the fresh
-    element values among them (``fresh_elems``) must differ from each other
-    and from the row's element values (``used_cols``)."""
+    """The step that extends each row with the fresh values of its candidates.
+    ``source(m, ctx, n)``, for a step of ``n`` rows, gives the candidates
+    or, unless ``row_key`` is None, the reader from ``row_key(row)`` to a
+    row's candidates. Candidate positions are compared: ``checks`` pairs one
+    with the row column its name is bound to, ``eqs`` pairs two that repeat
+    one fresh name. ``fresh`` holds the positions of the new columns; the
+    fresh element values among them (``fresh_elems``) must differ from each
+    other and from the row's element values (``used_cols``)."""
     cand_key = tuple_getter(i for i, _ in checks) if checks else None
     bound_key = tuple_getter(j for _, j in checks)
     extract = tuple_getter(fresh)
@@ -189,13 +233,14 @@ def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[
 
     if row_key is not None and not (fresh or checks or tests):
         # the constraint only tests the row: keep the rows it has a candidate for
-        return lambda m, rows, ctx: list(compress(rows, map(source(m, ctx), map(row_key, rows))))
+        return lambda m, rows, ctx: list(compress(
+            rows, map(source(m, ctx, len(rows)), map(row_key, rows))))
 
     def step(m, rows: list, ctx) -> list:
         if row_key is not None:
-            fetch = source(m, ctx)
+            fetch = source(m, ctx, len(rows))
         else:
-            cands = source(m, ctx)
+            cands = source(m, ctx, len(rows))
             if static is not None:
                 cands = [c for c in cands if static(c)]
             if cand_key is not None:
@@ -233,7 +278,13 @@ class LocalSearchMatcher:
     def __init__(self, space: ModelSpace, patterns: Mapping[str, Pattern]):
         self.space = space
         self.patterns = dict(patterns)
-        self._plans: dict = {}
+        # compiled plans by (pattern, body, bound positions), and the space
+        # version from which on each may have drifted
+        self._plans: dict[tuple, Program] = {}
+        self._due: dict[tuple, int] = {}
+        # counts read at space.version == self._counted, by type
+        self._counts: dict[str | None, int] = {}
+        self._counted = -1
         # answers at space.version == self._version: unbound answer sets and
         # tables by pattern, bound searches by (pattern, positions, key)
         self._version = -1
@@ -272,25 +323,50 @@ class LocalSearchMatcher:
 
     def _program(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
         """The plan of body ``bidx`` of ``p`` with the parameters at
-        ``positions`` bound, and its steps: compiled once, or on every call
-        while ``shuffle`` is set."""
-        if self.shuffle is not None:
-            return self._compile(p, bidx, positions)
+        ``positions`` bound, and its steps: compiled on first use, and again
+        once a count it was planned with has changed by ``REPLAN_FACTOR``.
+        A cached plan costs one comparison of space versions until enough
+        changes have been made for a count to have drifted."""
         key = (p.name, bidx, positions)
         prog = self._plans.get(key)
-        if prog is None:
-            prog = self._plans[key] = self._compile(p, bidx, positions)
+        if prog is None or (self.space.version >= self._due[key] and self._drifted(prog, key)):
+            new = self._compile(p, bidx, positions)
+            if prog is not None and new.plan == prog.plan:
+                prog.replan(new)  # the same order: its steps stay
+            else:
+                prog = self._plans[key] = new
+            self._drifted(prog, key)  # only sets when its first test is due
         return prog
 
-    def _size_hint(self, c) -> int:
-        if isinstance(c, EntityC):
-            return self.space.count_of_type(c.type)
-        if isinstance(c, RelationC):
-            if c.type is None:
-                return self.space.relation_count()
-            return self.space.count_of_type(c.type)
-        # a call: a partly bound one ranks ahead of a type scan of 2 or more
-        return 1
+    def _count(self, type_name: str | None) -> int:
+        """How many elements conform to ``type_name`` (None: relations),
+        read once per space version."""
+        space = self.space
+        if self._counted != space.version:
+            self._counts.clear()
+            self._counted = space.version
+        n = self._counts.get(type_name)
+        if n is None:
+            n = self._counts[type_name] = (space.relation_count() if type_name is None
+                                           else space.count_of_type(type_name))
+        return n
+
+    def _drifted(self, prog: Program, key: tuple) -> bool:
+        """Whether a count ``prog`` was planned with has since changed by
+        ``REPLAN_FACTOR`` (from 0: by any element). If not, the plan is due
+        for the next test once as many changes have been made as the
+        nearest count is away from drifting; each change moves a count by
+        one (by more only for an element with two types of one subtype
+        closure, whose drift may then be seen a few changes late)."""
+        margin = None
+        for type_name, then in prog.counts:
+            now = self._count(type_name)
+            if now != then and (now >= REPLAN_FACTOR * then or REPLAN_FACTOR * now <= then):
+                return True
+            away = min(REPLAN_FACTOR * then - now, now - then // REPLAN_FACTOR) if then else 1
+            margin = away if margin is None else min(margin, away)
+        self._due[key] = self.space.version + (margin or 1)
+        return False
 
     # -- evaluation -----------------------------------------------------------
 
@@ -302,8 +378,10 @@ class LocalSearchMatcher:
             self._version = self.space.version
 
     def _solve(self, p: Pattern, positions: tuple[int, ...],
-               key: tuple) -> Collection[tuple]:
-        """The answers of ``p`` whose values at ``positions`` are ``key``."""
+               key: tuple, many: bool = False) -> Collection[tuple]:
+        """The answers of ``p`` whose values at ``positions`` are ``key``.
+        ``many``: the calling step has so many keys left that searching
+        each is estimated to create more rows than solving ``p`` unbound."""
         self._sync()
         held = self._held.get(p.name)
         if held is None and p.recursive:
@@ -316,10 +394,11 @@ class LocalSearchMatcher:
             hit = self._memo.get(memo_key)
             if hit is not None:
                 return hit
-            if self._enumerating and p.name in self._searched:
-                # an enumeration calls p bound with one more key: solve p
-                # unbound once and answer this call and the later ones from
-                # its index (a top-level bound query never gets here)
+            if self._enumerating and many and p.name in self._searched:
+                # an enumeration calls p bound with one more key, and many
+                # follow: solve p unbound once and answer this call and the
+                # later ones from its index (a top-level bound query never
+                # gets here)
                 self._solve(p, (), ())
                 return self._held[p.name].lookup(positions, key)
             self._searched.add(p.name)
@@ -342,7 +421,10 @@ class LocalSearchMatcher:
         """The parameter tuples of the matches of body ``bidx`` of ``p``
         whose values at ``positions`` are ``key``. ``ctx`` maps the members
         of a call cycle under tabling to the bases their calls read."""
-        prog = self._program(p, bidx, positions)
+        prog = (self._program(p, bidx, positions) if self.shuffle is None
+                else self._compile(p, bidx, positions, self.shuffle))
+        if prog.steps is None:
+            self._compile_steps(p, bidx, positions, prog)
         if prog.seed_elems is not None:
             vals = prog.seed_elems(key)
             if len(set(vals)) < len(vals):
@@ -354,29 +436,50 @@ class LocalSearchMatcher:
                 return ()
         return map(prog.project, rows)
 
-    def _compile(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
+    def _compile(self, p: Pattern, bidx: int, positions: tuple[int, ...],
+                 shuffle=None) -> Program:
         """Plan body ``bidx`` of ``p`` for the parameters at ``positions``
-        and compile the plan into steps over rows whose columns are ``cols``:
-        the seed's, then each variable a step binds, in that order."""
+        (at random under ``shuffle``), with its estimates."""
+        body = p.bodies[bidx]
+        counts: dict[str | None, int] = {}
+        estimate, size, domain = self._estimator(body, counts)
+        bound = [p.params[i] for i in positions]
+        plan = schedule(body.constraints, p.params, frozenset(bound), estimate, shuffle)
+        keys, have = [], set(bound)
+        for c in plan:
+            keys.append((1 + size(c)) / (1 + estimate(c, have))
+                        if isinstance(c, CALLS) else None)
+            if isinstance(c, POSITIVE):
+                have.update(constraint_vars(c))
+            elif isinstance(c, CountC):
+                have.add(c.out)
+        return Program(plan, plan_rows(plan, bound, estimate), keys,
+                       tuple(counts.items()), tuple(map(domain.get, p.params)))
+
+    def _compile_steps(self, p: Pattern, bidx: int, positions: tuple[int, ...],
+                       prog: Program) -> None:
+        """Compile ``prog``, the plan of body ``bidx`` of ``p`` for the
+        parameters at ``positions``, into steps over rows whose columns are
+        ``cols``: the seed's, then each variable a step binds, in that
+        order."""
         body = p.bodies[bidx]
         cols = [p.params[i] for i in positions]
-        plan = schedule(body.constraints, p.params, frozenset(cols),
-                        self._size_hint, shuffle=self.shuffle)
         elem = frozenset() if p.shareable else body.element_vars
         seed_elems = [k for k, v in enumerate(cols) if v in elem]
         steps = []
-        for c in plan:
+        for i, c in enumerate(prog.plan):
             col = {v: k for k, v in enumerate(cols)}
+            keys = (prog.keys, i)
             if isinstance(c, CheckC):
                 steps.append(self._check_step(c.expr, col))
                 continue
             if isinstance(c, NegC):
-                steps.append(self._neg_step(c, col))
+                steps.append(self._neg_step(c, col, keys))
                 continue
             # candidates align with ``names``; ``given``: their positions the
             # source already matched to the row
             names = (c.out,) if isinstance(c, CountC) else constraint_vars(c)
-            source, row_key, given = self._source(c, col)
+            source, row_key, given = self._source(c, col, keys)
             checks, eqs, fresh = [], [], {}
             for pos, v in enumerate(names):
                 if v in col:
@@ -400,8 +503,90 @@ class LocalSearchMatcher:
                 step = self._walk_or_scan(c, j, end == 1, step, scan)
             steps.append(step)
             cols.extend(fresh)
-        return Program(plan, steps, tuple_getter(cols.index(v) for v in p.params),
-                       tuple_getter(seed_elems) if len(seed_elems) > 1 else None)
+        prog.project = tuple_getter(cols.index(v) for v in p.params)
+        prog.seed_elems = tuple_getter(seed_elems) if len(seed_elems) > 1 else None
+        prog.steps = steps
+
+    # -- estimates ------------------------------------------------------------
+
+    def _estimator(self, body: Body, counts: dict) -> tuple[Callable, Callable, dict]:
+        """``estimate(c, have)``, the rows a positive constraint or a call
+        ``c`` of ``body`` creates for each row whose variables ``have`` are
+        bound; ``size(c)``, the rows it holds unbound; and the domain of
+        each variable that a positive constraint binds: the fewest values
+        one of them allows it. Each count read goes into ``counts``, and is
+        read from there when it is already in it.
+
+        A type scan creates ``count_of_type`` rows and a call the callee's
+        unbound rows (``_callee``). Each bound variable divides them by the
+        values it selects from: the least of those rows, the values of its
+        position (the type's count for an entity or a relation variable,
+        the callee's number of values for an argument, none known for a
+        relation's end) and the variable's domain. An untyped relation's
+        end may be any element, so it selects from as many values as there
+        are relations."""
+        def count(type_name: str | None) -> int:
+            n = counts.get(type_name)
+            if n is None:
+                n = counts[type_name] = self._count(type_name)
+            return n
+
+        sizes = []
+        for c in body.constraints:
+            if isinstance(c, EntityC):
+                n = count(c.type)
+                sizes.append((c, n, ((c.var, n),)))
+            elif isinstance(c, RelationC):
+                n = count(c.type)
+                sizes.append((c, n, ((c.rel, n), (c.src, None), (c.trg, None))))
+            elif isinstance(c, CALLS):
+                rows, distinct = self._callee(self.patterns[c.pattern], counts)
+                sizes.append((c, rows, tuple(zip(c.args, distinct))))
+        domain: dict[str, float] = {}
+        for c, _, ends in sizes:
+            if isinstance(c, POSITIVE):
+                for v, d in ends:
+                    if d is not None and d < domain.get(v, d + 1):
+                        domain[v] = d
+        # id(c) -> (rows unbound, (variable, values a bound one selects from))
+        table = {}
+        for c, n, ends in sizes:
+            anywhere = isinstance(c, RelationC) and c.type is None
+            table[id(c)] = (n, tuple(
+                (v, n if anywhere else min(n, domain.get(v, n), n if d is None else d))
+                for v, d in ends))
+
+        def estimate(c, have) -> float:
+            rows, ends = table[id(c)]
+            for v, d in ends:
+                if v in have:
+                    rows = rows / d if d else 0.0
+            return rows
+        return estimate, lambda c: table[id(c)][0], domain
+
+    @staticmethod
+    def _base(q: Pattern) -> list[int]:
+        """The bodies of ``q`` that call no member of its recursion cycle."""
+        return [b for b, body in enumerate(q.bodies) if not q.recursive or not any(
+            isinstance(c, FindC) and c.pattern in q.scc_members for c in body.constraints)]
+
+    def _callee(self, q: Pattern, counts: dict) -> tuple[float, tuple[float, ...]]:
+        """The rows ``q``'s unbound answer set is estimated to hold, those
+        its base bodies' unbound plans end with (a recursive pattern's
+        tabled rounds are not estimated); and the estimated number of values
+        of each parameter: its largest domain among those bodies, at most
+        the rows. The plans' counts go into ``counts``. A base body calls
+        only patterns below ``q``'s cycle, so planning them nests along the
+        call chain as deep as evaluating them does, and no deeper."""
+        rows, domains = 0.0, [0.0] * len(q.params)
+        for b in self._base(q):
+            prog = self._program(q, b, ())
+            for type_name, n in prog.counts:
+                counts.setdefault(type_name, n)
+            rows += next((r for r in reversed(prog.rows) if r is not None), 1.0)
+            domains = [None if d is None or e is None else max(d, e)
+                       for d, e in zip(domains, prog.domains)]
+        return rows, tuple(rows if d is None else min(rows, d) for d in domains)
 
     def _walk_or_scan(self, c: RelationC, j: int, out: bool, walk: Step,
                       scan: Step) -> Step:
@@ -428,14 +613,16 @@ class LocalSearchMatcher:
             return walk(m, rows, ctx)
         return step
 
-    def _source(self, c, col: dict[str, int]) -> tuple[Callable, Callable | None, set[int]]:
+    def _source(self, c, col: dict[str, int],
+                keys: tuple[list, int] | None = None) -> tuple[Callable, Callable | None, set[int]]:
         """The candidate source of a positive constraint or a count over
-        rows with columns ``col``: a function of the matcher and the tabling
-        bases ``(m, ctx)`` that gives the candidates or, unless the second
-        item is None, the reader from a key to a row's candidates, with that
-        item the getter of the key from a row; and the candidate positions
-        the reader matches to the row itself. What a step reads for every
-        row is resolved once, when the step starts."""
+        rows with columns ``col``: a function of the matcher, the tabling
+        bases and the step's row count ``(m, ctx, n)`` that gives the
+        candidates or, unless the second item is None, the reader from a key
+        to a row's candidates, with that item the getter of the key from a
+        row; and the candidate positions the reader matches to the row
+        itself. What a step reads for every row is resolved once, when the
+        step starts. ``keys`` locates a call's threshold (see ``_call``)."""
         if isinstance(c, (EntityC, RelationC)):
             space, type_name = self.space, c.type
             ends = (c.var,) if isinstance(c, EntityC) else (c.rel, c.src, c.trg)
@@ -449,60 +636,71 @@ class LocalSearchMatcher:
                 def read(key):
                     return [(e, anc) for (e,) in rows(key) for anc in ancestors(e)]
             if at is None:
-                return (lambda m, ctx: read(())), None, set()
-            return (lambda m, ctx: read), tuple_getter((col[ends[at]],)), {at}
+                return (lambda m, ctx, n: read(())), None, set()
+            return (lambda m, ctx, n: read), tuple_getter((col[ends[at]],)), {at}
 
-        positions, key, prepare = self._call(c, col)
+        positions, key, prepare = self._call(c, col, keys)
         if isinstance(c, CountC):
             consistent, answers = consistency_test(c.args), prepare
 
-            def prepare(m, ctx):
-                read = answers(m, ctx)
+            def prepare(m, ctx, n):
+                read = answers(m, ctx, n)
                 return lambda k: ((consistent_count(read(k), consistent),),)
         if not positions:
-            return (lambda m, ctx: prepare(m, ctx)(())), None, set()
+            return (lambda m, ctx, n: prepare(m, ctx, n)(())), None, set()
         return prepare, key, set() if isinstance(c, CountC) else set(positions)
 
-    def _call(self, c, col: dict[str, int]):
+    def _call(self, c, col: dict[str, int], keys: tuple[list, int]):
         """For a call whose bound arguments are the variables in ``col``:
         the bound argument positions (the callee's bound parameter
         positions), the getter of their values from a row, and
-        ``prepare(m, ctx)``, which gives the reader from such a key to the
-        callee's answers with it. The reader reads the tabling base ``ctx``
-        holds for the callee, else solves each key with the matcher ``m``
-        until the callee's answer set is held, and reads that set's index
-        from then on."""
+        ``prepare(m, ctx, n)``, which gives the reader from such a key to
+        the callee's answers with it, for a step of ``n`` rows. The reader
+        reads the tabling base ``ctx`` holds for the callee, else solves
+        each key with the matcher ``m`` until the callee's answer set is
+        held, and reads that set's index from then on.
+
+        ``keys`` is a plan's thresholds and this call's index among them,
+        read when the step starts: where searching key by key stops paying.
+        A search reads its seed row and creates the rows the call is
+        estimated to create for each row, an unbound solve reads one seed
+        row and creates the callee's unbound rows, so the keys left (this
+        one included) are worth an unbound solve once there are more than
+        the threshold; ``_solve`` is told so with each key."""
         callee = self.patterns[c.pattern]
         name = callee.name
         positions = tuple([j for j, a in enumerate(c.args) if a in col])
 
-        def prepare(m, ctx) -> Callable[[tuple], Collection[tuple]]:
+        thresholds, i = keys
+
+        def prepare(m, ctx, n: int) -> Callable[[tuple], Collection[tuple]]:
             if ctx is not None and name in ctx:
                 return ctx[name].reader(positions)
-            held, solve = m._held, m._solve
+            held, solve, limit = m._held, m._solve, thresholds[i]
             read = None
 
             def fetch(key: tuple) -> Collection[tuple]:
-                nonlocal read
+                nonlocal read, n
                 if read is None:
                     answers = held.get(name)
                     if answers is None:
-                        return solve(callee, positions, key)
+                        many, n = n > limit, n - 1
+                        return solve(callee, positions, key, many)
                     read = answers.reader(positions)
                 return read(key)
             return fetch
         return positions, tuple_getter(col[c.args[j]] for j in positions), prepare
 
-    def _neg_step(self, c: NegC, col: dict[str, int]) -> Step:
+    def _neg_step(self, c: NegC, col: dict[str, int], keys: tuple[list, int]) -> Step:
         """Keep the rows for which the callee has no consistent match."""
-        positions, key, prepare = self._call(c, col)
+        positions, key, prepare = self._call(c, col, keys)
         consistent = consistency_test(c.args)
         if not positions:
             return lambda m, rows, ctx: (
-                [] if consistent_count(prepare(m, ctx)(()), consistent) else rows)
+                [] if consistent_count(prepare(m, ctx, 1)(()), consistent) else rows)
 
         def step(m, rows: list, ctx) -> list:
-            read = prepare(m, ctx)
+            read = prepare(m, ctx, len(rows))
             return [r for r in rows if not consistent_count(read(key(r)), consistent)]
         return step
 

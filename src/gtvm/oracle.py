@@ -1,9 +1,10 @@
 """Independent oracles used by tests and the diff tool.
 
 Deliberately separate from both matchers: the enumerator below assigns body
-variables by nested loops in declaration order, testing every constraint on
-each prefix (unassigned positions are wildcards). No search plans, no Rete,
-no tabling. Reachability questions get their own closure-based oracles.
+variables by nested loops in one fixed order, whatever the model, testing on
+each prefix every positive constraint that reads the variable just assigned
+(unassigned positions are wildcards). No search plans, no Rete, no tabling.
+Reachability questions get their own closure-based oracles.
 """
 
 from __future__ import annotations
@@ -104,7 +105,13 @@ class BruteForce:
             else:
                 domains[v] &= dom
 
-        for c in body.constraints:
+        # variables are assigned in the order they are first met here: the
+        # relation constraints' (each relation before its ends), then the
+        # calls' arguments, then the entity constraints' variables, each kind
+        # in declaration order; so a relation or a call binds the variables
+        # the constraints after it only test
+        kinds = {RelationC: 0, FindC: 1, EntityC: 2}
+        for c in sorted(body.constraints, key=lambda c: kinds.get(type(c), 3)):
             if isinstance(c, EntityC):
                 narrow(c.var, set(space.elements_of_type(c.type)))
                 if c.in_var is not None:
@@ -196,6 +203,26 @@ class BruteForce:
                         return None
             return final
 
+        # the positive constraints that read each variable: assigning it can
+        # only make those fail, the others held on the shorter prefix; one
+        # that reads no enumerated variable is tested once, on no prefix
+        reading: dict[str, list] = {v: [] for v in enum_vars}
+        unread = []
+        for c in constraints:
+            if isinstance(c, EntityC):
+                names = {c.var, c.in_var}
+            elif isinstance(c, RelationC):
+                names = {c.rel, c.src, c.trg}
+            elif isinstance(c, FindC):
+                names = set(c.args)
+            else:
+                continue
+            names &= reading.keys()
+            for v in names:
+                reading[v].append(c)
+            if not names:
+                unread.append(c)
+
         def assign(k: int) -> None:
             if k == len(enum_vars):
                 final = final_checks()
@@ -208,12 +235,12 @@ class BruteForce:
                         env[u] for u in env if u in element_vars}:
                     continue
                 env[v] = cand
-                if all(self._consistent(c, env) for c in constraints
-                       if isinstance(c, (EntityC, RelationC, FindC))):
+                if all(self._consistent(c, env) for c in reading[v]):
                     assign(k + 1)
                 del env[v]
 
-        assign(0)
+        if all(self._consistent(c, env) for c in unread):
+            assign(0)
         return out
 
 

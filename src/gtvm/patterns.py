@@ -11,6 +11,7 @@ callee's own match set, so a shareable callee may alias internally.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional
@@ -371,17 +372,61 @@ def consistent_count(tuples: Collection[tuple], ok: Callable[[tuple], bool] | No
 
 # --- constraint scheduling (shared by both matchers) ------------------------
 
+POSITIVE = (EntityC, RelationC, FindC)
+CALLS = (FindC, NegC, CountC)
+
+
+def plan_rows(plan: Iterable[Constraint], bound: Iterable[str],
+              estimate: Callable[[Constraint, set[str]], float]) -> list[float | None]:
+    """The rows each step of ``plan`` creates from one seed row whose
+    variables are ``bound``. A positive constraint with a variable still
+    unbound creates ``estimate(c, have)`` rows for each row before it,
+    ``have`` being the variables bound by then. Every other step (a
+    positive constraint whose variables are all bound, a check, a ``neg``,
+    a count) is a filter: it creates none (None) and keeps the rows before
+    it."""
+    rows, have, out = 1.0, set(bound), []
+    for c in plan:
+        if isinstance(c, POSITIVE):
+            cvars = constraint_vars(c)
+            if have.issuperset(cvars):
+                out.append(None)
+            else:
+                rows *= estimate(c, have)
+                out.append(rows)
+            have.update(cvars)
+        else:
+            out.append(None)
+            if isinstance(c, CountC):
+                have.add(c.out)
+    return out
+
+
+def _tier(c: Constraint, have: set[str]) -> int:
+    """The fixed rank of a positive constraint when no model is at hand."""
+    if isinstance(c, RelationC):
+        if c.rel in have:
+            return 0
+        if c.src in have or c.trg in have:
+            return 1
+        return 3 if c.type is not None else 5
+    if isinstance(c, EntityC):
+        return 0 if c.var in have else 2
+    if all(a in have for a in c.args):
+        return 0
+    return 2 if any(a in have for a in c.args) else 4
+
 
 def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
              bound: frozenset[str],
-             size_hint: Callable[[Constraint], int] | None = None,
+             estimate: Callable[[Constraint, set[str]], float] | None = None,
              shuffle=None) -> list[Constraint]:
     """Order constraints so every one only reads already-bound variables.
 
-    Positive constraints are picked greedily (cheapest extension first);
-    checks, negs, and counts are inserted as soon as their bound-variable
-    requirements are met. ``shuffle`` (a random.Random) randomizes positive
-    picks for plan-independence testing.
+    Checks, negs, and counts are inserted as soon as their bound-variable
+    requirements are met. Positive constraints are picked one at a time:
+    at random under ``shuffle`` (a random.Random, for plan-independence
+    testing), else the one that ranks first, the earliest on a tie.
 
     Connected first: once any variable is bound, a positive constraint that
     shares no variable with the bound set (an entity scan, a relation with
@@ -389,82 +434,111 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
     that does, so no plan takes a Cartesian product while a connected
     constraint is ready. A disconnected body still schedules, its parts one
     after the other.
+
+    Without ``estimate`` (the Rete, which plans without a model) picks rank
+    by fixed tiers: a bound relation, entity or call first, then a relation
+    at a bound end, an entity scan or a partly bound call, a typed relation
+    scan, an unbound call and an untyped relation scan. With ``estimate``
+    (local search) a pick ranks by the rows it creates for each row,
+    ``estimate(c, have)``, a filter none; and the plan is the greedy one,
+    unless a greedy plan that starts with another constraint that may come
+    first creates fewer rows in all (``plan_rows``; such a plan is dropped
+    as soon as it creates as many). So a relation scan that binds both its
+    ends, and turns their type checks into filters, beats a start with the
+    smaller type scan of one end whose walk then creates the relation's
+    rows again. For n positive constraints that takes O(n^3) estimates.
     """
     constraints = list(body_constraints)
-    positive = [c for c in constraints if isinstance(c, (EntityC, RelationC, FindC))]
-    deferred = [c for c in constraints if not isinstance(c, (EntityC, RelationC, FindC))]
-    positive_vars: set[str] = set()
-    for c in positive:
-        positive_vars.update(constraint_vars(c))
-
-    def ready(c: Constraint, have: set[str]) -> bool:
+    cvars = [frozenset(constraint_vars(c)) for c in constraints]
+    positive = [i for i, c in enumerate(constraints) if isinstance(c, POSITIVE)]
+    positive_vars = frozenset().union(*(cvars[i] for i in positive))
+    # what a check, neg or count needs bound: the variables a check reads;
+    # the arguments of a neg or count that have a positive binder (or are
+    # params), the rest being existential inside the sub-query, one
+    # quantifier per neg/count, as in the library's isolatedNode
+    need: dict[int, set[str]] = {}
+    for i, c in enumerate(constraints):
         if isinstance(c, CheckC):
-            return ex.expr_vars(c.expr) <= have
-        # neg/count: every arg that has a positive binder (or is a param)
-        # must be bound; the rest are existential inside the sub-query, one
-        # quantifier per neg/count, as in the library's isolatedNode
-        need = {a for a in c.args if a in positive_vars or a in params}
-        if isinstance(c, CountC):
-            need.discard(c.out)
-        return need <= have
+            need[i] = ex.expr_vars(c.expr)
+        elif not isinstance(c, POSITIVE):
+            need[i] = {a for a in c.args if a in positive_vars or a in params}
+            if isinstance(c, CountC):
+                need[i].discard(c.out)
 
-    def cost(c: Constraint, have: set[str]) -> tuple:
-        # (apart, tier, size); apart: shares no variable with a non-empty
-        # bound set, so picking it would take a Cartesian product (a
-        # constraint without variables, such as `find p()`, is a filter)
-        cvars = constraint_vars(c)
-        apart = bool(have) and bool(cvars) and have.isdisjoint(cvars)
-        size = size_hint(c) if size_hint else 0
-        if isinstance(c, RelationC):
-            if c.rel in have:
-                return (apart, 0, 0)
-            if c.src in have or c.trg in have:
-                return (apart, 1, 0)
-            return (apart, 3, size) if c.type is not None else (apart, 5, size)
-        if isinstance(c, EntityC):
-            if c.var in have:
-                return (apart, 0, 0)
-            return (apart, 2, size)
-        if isinstance(c, FindC):
-            if all(a in have for a in c.args):
-                return (apart, 0, 0)
-            if any(a in have for a in c.args):
-                return (apart, 2, size)
-            return (apart, 4, size)
-        raise AssertionError(c)
+    def apart(i: int, have: set[str]) -> bool:
+        # shares no variable with a non-empty bound set, so picking it would
+        # take a Cartesian product (a constraint without variables, such as
+        # `find p()`, is a filter)
+        return bool(have) and bool(cvars[i]) and have.isdisjoint(cvars[i])
 
-    plan: list[Constraint] = []
-    have = set(bound)
+    def rank(i: int, have: set[str]) -> tuple:
+        if estimate is None:
+            return apart(i, have), _tier(constraints[i], have)
+        return apart(i, have), 0.0 if cvars[i] <= have else estimate(constraints[i], have)
 
-    def pull_deferred():
-        # until nothing more is placed: a count placed here binds the output
-        # that a check written before it reads
-        nonlocal deferred
-        placed = True
-        while placed:
-            rest = []
-            for c in deferred:
-                if ready(c, have):
-                    plan.append(c)
-                    if isinstance(c, CountC):
-                        have.add(c.out)
-                else:
-                    rest.append(c)
-            placed = len(rest) < len(deferred)
-            deferred = rest
+    def greedy(first: int | None = None,
+               limit: float = math.inf) -> tuple[list[Constraint], float] | None:
+        """The plan that picks constraint ``first`` first, if it may come
+        first, and each later positive constraint by rank; and, with
+        ``estimate``, the rows it creates in all, as ``plan_rows`` counts
+        them. None when ``first`` may not come first or the plan creates
+        ``limit`` rows or more."""
+        plan: list[Constraint] = []
+        have = set(bound)
+        deferred = list(need)
+        rows, created = 1.0, 0.0
 
-    pull_deferred()
-    remaining = list(positive)
-    while remaining:
-        if shuffle is not None:
-            pick = remaining[shuffle.randrange(len(remaining))]
-        else:
-            pick = min(remaining, key=lambda c: cost(c, have) + (remaining.index(c),))
-        remaining.remove(pick)
-        plan.append(pick)
-        have.update(constraint_vars(pick))
+        def pull_deferred():
+            # until nothing more is placed: a count placed here binds the
+            # output that a check written before it reads
+            nonlocal deferred
+            placed = True
+            while placed:
+                rest = []
+                for i in deferred:
+                    if need[i] <= have:
+                        c = constraints[i]
+                        plan.append(c)
+                        if isinstance(c, CountC):
+                            have.add(c.out)
+                    else:
+                        rest.append(i)
+                placed = len(rest) < len(deferred)
+                deferred = rest
+
         pull_deferred()
-    if deferred:
-        names = [type(c).__name__ for c in deferred]
-        raise PatternError(f"constraints cannot be scheduled: {names}")
+        remaining = list(positive)
+        if first is not None and apart(first, have) and not all(
+                apart(i, have) for i in remaining):
+            return None
+        while remaining:
+            if first is not None:
+                pick, first = first, None
+            elif shuffle is not None:
+                pick = remaining[shuffle.randrange(len(remaining))]
+            else:
+                pick = min(remaining, key=lambda i: rank(i, have))
+            remaining.remove(pick)
+            if estimate is not None and not cvars[pick] <= have:
+                rows *= rank(pick, have)[1]
+                created += rows
+                if created >= limit:
+                    return None
+            plan.append(constraints[pick])
+            have |= cvars[pick]
+            pull_deferred()
+        if deferred:
+            names = [type(constraints[i]).__name__ for i in deferred]
+            raise PatternError(f"constraints cannot be scheduled: {names}")
+        return plan, created
+
+    if estimate is None or shuffle is not None or len(positive) < 2:
+        return greedy()[0]
+    # the plain greedy plan wins a tie; a start that is a filter at once is
+    # no other plan than that
+    plan, least = greedy()
+    for i in positive:
+        found = None if cvars[i] <= bound else greedy(i, least)
+        if found is not None:
+            plan, least = found
     return plan

@@ -15,9 +15,10 @@ import pytest
 
 from editscripts import run_script
 from gtvm import corpus
-from gtvm.corpus.fixtures import G1, load_fixture
+from gtvm.corpus.fixtures import ESTRING, G1, load_fixture
 from gtvm.matcher_ls import LocalSearchMatcher
 from gtvm.oracle import BruteForce, edge_pairs, transitive_connected
+from gtvm.vtcl import link, parse
 
 TC = "graphPatterns.transitiveConnected"
 TEM = "graphPatterns.transitiveEdgeMissing"
@@ -60,8 +61,10 @@ def assert_agrees(space, patterns, names):
 
 
 @pytest.mark.parametrize("n,e,seed", [(8, 16, 1), (8, 16, 2), (8, 10, 3),
-                                      (100, 100, 1)])
+                                      (100, 100, 1), (100, 200, 1)])
 def test_both_paths_agree_with_the_oracle(n, e, seed):
+    """n=100 e=200 is the density of the benchmark's models, where plans
+    are chosen from counts like theirs."""
     space = load_fixture("random", n=n, e=e, seed=seed)
     patterns, names = library(space)
     assert_agrees(space, patterns, names)
@@ -112,9 +115,9 @@ def reads(monkeypatch):
 
 
 def test_an_unbound_solve_scans_the_relation_once(model, reads):
-    """``srcAndRelForEdge`` plans a Node scan, then ``Edge.src`` at its
-    bound target: the nodes' in-relations outnumber the ``Edge.src`` ones,
-    so the step reads ``Edge.src`` in one scan and walks no node."""
+    """``srcAndRelForEdge`` plans the ``Edge.src`` scan first, which binds
+    both ends, so its node and edge checks are filters: it reads
+    ``Edge.src`` in one scan and walks no node."""
     space, patterns, brute = model
     name = "graphPatterns.srcAndRelForEdge"
     want = brute.match_set(name)
@@ -136,18 +139,35 @@ def test_a_bound_solve_walks(model, reads):
     assert log == [("walk", x), ("walk", x)]
 
 
+NAMED_SOURCE = """
+import nemf.packages;
+machine walks {
+  pattern namedSource(E, X, N) = {
+    graph1.Node.name(NR, X, N);
+    graph1.Edge.src(R, E, X);
+  }
+}
+"""
+
+
 def test_a_walk_that_reads_as_many_as_the_type_holds_is_kept(reads):
-    """Nodes outside any graph and edges with a source only: the walk from
-    every node reads exactly the ``Edge.src`` relations, so it walks. One
-    ``Edge.trg`` into a node makes it read one more, so it scans."""
+    """Three named nodes outside any graph and four edges with a source
+    only: ``namedSource`` scans the three names, then reads ``Edge.src`` at
+    each name's node, and the walk from the nodes reads exactly the
+    ``Edge.src`` relations, so it walks. One ``Edge.trg`` into a node makes
+    it read one more, so it scans."""
     space = load_fixture("empty")
     nodes = [space.new_entity(G1 + "Node") for _ in range(3)]
+    for node in nodes:
+        space.new_relation(G1 + "Node.name", node, space.new_entity(ESTRING))
     for k in range(4):
         space.new_relation(G1 + "Edge.src", space.new_entity(G1 + "Edge"), nodes[k % 3])
-    patterns, _ = library(space)
-    name = "graphPatterns.srcAndRelForEdge"
+    patterns = link([corpus.load_machine("graphPatterns"), parse(NAMED_SOURCE)],
+                    space.registry).patterns
+    name = "walks.namedSource"
     log = reads(space)
     walked = LocalSearchMatcher(space, patterns).match_set(name)
+    assert log[0] == ("scan", G1 + "Node.name")
     assert ("scan", G1 + "Edge.src") not in log
     assert sorted(r[1] for r in log if r[0] == "walk") == sorted(nodes)
     edge = space.new_entity(G1 + "Edge")
@@ -157,4 +177,3 @@ def test_a_walk_that_reads_as_many_as_the_type_holds_is_kept(reads):
     assert ("scan", G1 + "Edge.src") in log
     assert not [r for r in log if r[0] == "walk"]
     assert len(walked) == 4 and scanned == walked
-

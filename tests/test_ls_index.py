@@ -293,9 +293,11 @@ def test_partly_bound_call_ranks_ahead_of_a_type_scan():
     space = load_fixture("random", n=8, e=16, seed=1)
     ls = matcher_for(space)
     p = ls.patterns["graphPatterns.edgeFromToInternal"]
-    plan = ls._program(p, 0, ()).plan
-    # one node scan, then both calls through the bound endpoint and edge
-    assert [type(c) for c in plan] == [EntityC, FindC, FindC, EntityC]
+    prog = ls._program(p, 0, ())
+    # one call unbound, the other through the bound edge; both node
+    # constraints are then filters, so no node type is scanned
+    assert [type(c) for c in prog.plan] == [FindC, EntityC, FindC, EntityC]
+    assert [r is None for r in prog.rows] == [False, True, False, True]
 
 
 def supers_conforms(space, eid, type_name):

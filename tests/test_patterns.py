@@ -228,40 +228,49 @@ EDGE_BODY = (EntityC(NODE, "From"), EntityC(NODE, "To"),
              FindC("trg", ("Edge", "To", "TR")))
 
 
-@pytest.mark.parametrize("size_hint", [None, lambda c: 1000 if isinstance(
+@pytest.mark.parametrize("estimate", [None, lambda c, have: 1000 if isinstance(
     c, FindC) else 1], ids=["no-hint", "cheap-scans"])
-def test_schedule_takes_connected_constraints_first(size_hint):
-    plan = schedule(EDGE_BODY, ("Edge", "From", "To"), frozenset(), size_hint)
-    assert plan == [EDGE_BODY[0], EDGE_BODY[2], EDGE_BODY[3], EDGE_BODY[1]]
+def test_schedule_takes_connected_constraints_first(estimate):
+    """The fixed tiers give the plans below. An estimate gives the plan of
+    fewest rows among the greedy ones, always connected first: here one
+    call unbound, which makes its node check a filter, then the other
+    through the bound edge."""
+    tiers = estimate is None
+    plan = schedule(EDGE_BODY, ("Edge", "From", "To"), frozenset(), estimate)
+    order = [0, 2, 3, 1] if tiers else [2, 0, 3, 1]
+    assert plan == [EDGE_BODY[k] for k in order]
     # a relation with no bound end waits for the relation that has one
     body = (EntityC(NODE, "X"), RelationC(SRC, "R2", "E2", "Y"),
             RelationC(SRC, "R1", "E1", "X"), RelationC(SRC, "R3", "E1", "Y"))
-    plan = schedule(body, ("X", "Y"), frozenset(), size_hint)
-    assert plan == [body[0], body[2], body[3], body[1]]
+    plan = schedule(body, ("X", "Y"), frozenset(), estimate)
+    assert connected_first(plan, ())
+    assert plan == [body[0], body[2], body[3], body[1]] or not tiers
     # a call without arguments is a filter: it does not wait for the others
     body = (EntityC(NODE, "X"), RelationC(SRC, "R", "E", "X"), FindC("p", ()))
-    plan = schedule(body, ("X",), frozenset({"X"}), size_hint)
+    plan = schedule(body, ("X",), frozenset({"X"}), estimate)
     assert plan == [body[0], body[2], body[1]]
     for bound in [frozenset(), frozenset({"To"}), frozenset({"Edge"})]:
-        plan = schedule(EDGE_BODY, ("Edge", "From", "To"), bound, size_hint)
+        plan = schedule(EDGE_BODY, ("Edge", "From", "To"), bound, estimate)
         assert sorted(map(repr, plan)) == sorted(map(repr, EDGE_BODY))
         assert connected_first(plan, bound)
 
 
-@pytest.mark.parametrize("size_hint", [None, lambda c: 5], ids=["no-hint", "hint"])
-def test_schedule_keeps_a_disconnected_body(size_hint):
+@pytest.mark.parametrize("estimate", [None, lambda c, have: 5], ids=["no-hint", "hint"])
+def test_schedule_keeps_a_disconnected_body(estimate):
     body = (EntityC(NODE, "A"), EntityC(GRAPH, "B"))
-    assert schedule(body, ("A", "B"), frozenset(), size_hint) == list(body)
-    assert schedule(body, ("A", "B"), frozenset({"B"}), size_hint) == [body[1], body[0]]
-    # each part is taken whole before the next one starts
+    assert schedule(body, ("A", "B"), frozenset(), estimate) == list(body)
+    assert schedule(body, ("A", "B"), frozenset({"B"}), estimate) == [body[1], body[0]]
+    # each part is taken whole before the next one starts; with an estimate
+    # the relation scan comes first, and its node check is a filter
     body = (EntityC(NODE, "A"), EntityC(GRAPH, "B"),
             RelationC(SRC, "R", "E", "A"), RelationC(SRC, "S", "F", "B"))
-    plan = schedule(body, ("A", "B"), frozenset(), size_hint)
-    assert plan == [body[0], body[2], body[1], body[3]]
+    plan = schedule(body, ("A", "B"), frozenset(), estimate)
+    order = [0, 2, 1, 3] if estimate is None else [2, 0, 1, 3]
+    assert plan == [body[k] for k in order]
 
 
-@pytest.mark.parametrize("size_hint", [None, lambda c: 3], ids=["no-hint", "hint"])
-def test_schedule_places_neg_count_and_check_as_soon_as_ready(size_hint):
+@pytest.mark.parametrize("estimate", [None, lambda c, have: 3], ids=["no-hint", "hint"])
+def test_schedule_places_neg_count_and_check_as_soon_as_ready(estimate):
     from gtvm import expr as ex
     first = CheckC(ex.BinOp("==", ex.ValueOf(ex.Var("X")), ex.Lit("n1")))
     neg = NegC("p", ("X", "Z"))          # Z is existential inside the neg
@@ -269,28 +278,31 @@ def test_schedule_places_neg_count_and_check_as_soon_as_ready(size_hint):
     on_count = CheckC(ex.BinOp("==", ex.Var("N"), ex.Lit(2)))
     rel, node = RelationC(SRC, "R", "X", "Y"), EntityC(NODE, "X")
     body = (first, rel, neg, count, on_count, node)
-    plan = schedule(body, ("X", "N"), frozenset(), size_hint)
-    assert plan == [node, first, neg, count, on_count, rel]
-    plan = schedule(body, ("X", "N"), frozenset({"X"}), size_hint)
+    plan = schedule(body, ("X", "N"), frozenset(), estimate)
+    # the tiers take the node scan first; an estimate the relation scan,
+    # after which the node check is a filter
+    start, last = (node, rel) if estimate is None else (rel, node)
+    assert plan == [start, first, neg, count, on_count, last]
+    plan = schedule(body, ("X", "N"), frozenset({"X"}), estimate)
     assert plan == [first, neg, count, on_count, node, rel]
     with pytest.raises(PatternError):
         schedule((EntityC(NODE, "X"), NegC("p", ("Y",))), ("X", "Y"), frozenset())
 
 
-@pytest.mark.parametrize("size_hint", [None, lambda c: 3], ids=["no-hint", "hint"])
-def test_schedule_places_a_check_written_before_the_count_it_reads(size_hint):
+@pytest.mark.parametrize("estimate", [None, lambda c, have: 3], ids=["no-hint", "hint"])
+def test_schedule_places_a_check_written_before_the_count_it_reads(estimate):
     from gtvm import expr as ex
     on_count = CheckC(ex.BinOp("==", ex.Var("N"), ex.Lit(2)))
     node, count = EntityC(NODE, "X"), CountC("edgeOf", ("X", "E"), "N")
     body = (on_count, node, count)     # twoOut(X): check(N == 2); Node(X); # N
-    plan = schedule(body, ("X",), frozenset(), size_hint)
+    plan = schedule(body, ("X",), frozenset(), estimate)
     assert plan == [node, count, on_count]
-    plan = schedule(body, ("X",), frozenset({"X"}), size_hint)
+    plan = schedule(body, ("X",), frozenset({"X"}), estimate)
     assert plan == [count, on_count, node]
     # the check follows its count at once, ahead of the next positive pick
     rel = RelationC(SRC, "R", "X", "Y")
     body = (on_count, rel, node, count)
-    plan = schedule(body, ("X",), frozenset({"X"}), size_hint)
+    plan = schedule(body, ("X",), frozenset({"X"}), estimate)
     assert plan == [count, on_count, node, rel]
 
 
