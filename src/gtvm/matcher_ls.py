@@ -14,9 +14,10 @@ rows; a relation walked from a bound end its type's count over its end's
 type count; a ``find`` the callee's estimated unbound rows (those its own
 unbound plans end with) over the values of its bound arguments; a step whose
 variables are all bound is a filter and creates none. A plan records the
-counts it read and is compiled again once one of them has grown or shrunk by
-``REPLAN_FACTOR``; until enough changes have been made for that, a cached
-plan costs one comparison of space versions.
+counts it read and is replaced by a new plan once one of them has grown or
+shrunk by ``REPLAN_FACTOR`` (each count taken plus one, so that counts of 0
+and 1 do not drift at every change); until enough changes have been made
+for that, a cached plan costs one comparison of space versions.
 
 Each plan is compiled into a step program when it first runs, cached with it
 (a callee's plan that only serves its callers' estimates is never compiled).
@@ -52,13 +53,13 @@ bound call whose pattern has no unbound set held is searched with its
 binding as the seed row, and its answers are memoized by binding. Below an
 enumeration (an unbound solve or a tabling fixpoint on the stack), from the
 second bound search of a pattern in one version on, a call whose step has
-many keys left solves that pattern unbound instead, and its index answers
-that call and every later one: many, when its keys left, each searched from
-a seed row that creates the rows the call is estimated to create per key,
-would make more rows than one unbound solve from one seed row. A top-level
-bound query never builds an unbound set. The tabling bases (table and delta
-of each cycle member) are indexed the same way, and an index of a growing
-table takes each added tuple, so none serves a stale set.
+many distinct keys left to ask solves that pattern unbound instead, and its
+index answers that call and every later one: many, when those keys, each
+searched from a seed row that creates the rows the call is estimated to
+create per key, would make more rows than one unbound solve from one seed
+row. A top-level bound query never builds an unbound set. The tabling bases
+(table and delta of each cycle member) are indexed the same way, and an
+index of a growing table takes each added tuple, so none serves a stale set.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, Ne
                        constraint_vars, equal_pairs, plan_rows, schedule,
                        tuple_getter)
 
-# a cached plan is compiled again once a count it was planned with has grown
-# or shrunk by this factor
+# a cached plan is planned afresh once a count it was planned with, plus one,
+# has grown or shrunk by this factor
 REPLAN_FACTOR = 2
 
 
@@ -176,14 +177,14 @@ class Program:
 
     ``rows`` holds the rows each step is estimated to create from one seed
     row (``plan_rows``; None for a filter); ``keys``, for each call, how
-    many keys must be left for an unbound solve to pay (see ``_call``;
-    None for other steps); ``counts`` the model counts the estimates read,
-    as ``(type name or None for every relation, count)``; ``domains`` the
-    estimated number of values of each parameter in the body (None when no
-    type or call constrains it). Once compiled, ``steps`` run in turn,
-    ``project`` maps a last row onto the parameters and ``seed_elems``
-    reads the seed's element values, which must be distinct (None when
-    there are fewer than two)."""
+    many distinct keys must be left for an unbound solve to pay (see
+    ``_call``; None for other steps); ``counts`` the model counts the
+    estimates read, as ``(type name or None for every relation, count)``;
+    ``domains`` the estimated number of values of each parameter in the
+    body (None when no type or call constrains it). Once compiled,
+    ``steps`` run in turn, ``project`` maps a last row onto the parameters
+    and ``seed_elems`` reads the seed's element values, which must be
+    distinct (None when there are fewer than two)."""
 
     __slots__ = ("plan", "rows", "keys", "counts", "domains",
                  "steps", "project", "seed_elems")
@@ -196,19 +197,12 @@ class Program:
         self.project: Callable[[tuple], tuple] | None = None
         self.seed_elems: Callable[[tuple], tuple] | None = None
 
-    def replan(self, new: "Program") -> None:
-        """Take the estimates of ``new``, a plan of the same order. The
-        compiled steps stay: a call step reads its threshold from ``keys``,
-        which keeps its identity, each time it runs."""
-        self.rows, self.counts, self.domains = new.rows, new.counts, new.domains
-        self.keys[:] = new.keys
-
 
 def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[int, int]],
                  eqs: list[tuple[int, int]], fresh: tuple[int, ...],
                  used_cols: list[int], fresh_elems: list[int]) -> Step:
     """The step that extends each row with the fresh values of its candidates.
-    ``source(m, ctx, n)``, for a step of ``n`` rows, gives the candidates
+    ``source(m, ctx, rows)``, for a step over ``rows``, gives the candidates
     or, unless ``row_key`` is None, the reader from ``row_key(row)`` to a
     row's candidates. Candidate positions are compared: ``checks`` pairs one
     with the row column its name is bound to, ``eqs`` pairs two that repeat
@@ -234,13 +228,13 @@ def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[
     if row_key is not None and not (fresh or checks or tests):
         # the constraint only tests the row: keep the rows it has a candidate for
         return lambda m, rows, ctx: list(compress(
-            rows, map(source(m, ctx, len(rows)), map(row_key, rows))))
+            rows, map(source(m, ctx, rows), map(row_key, rows))))
 
     def step(m, rows: list, ctx) -> list:
         if row_key is not None:
-            fetch = source(m, ctx, len(rows))
+            fetch = source(m, ctx, rows)
         else:
-            cands = source(m, ctx, len(rows))
+            cands = source(m, ctx, rows)
             if static is not None:
                 cands = [c for c in cands if static(c)]
             if cand_key is not None:
@@ -323,18 +317,15 @@ class LocalSearchMatcher:
 
     def _program(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
         """The plan of body ``bidx`` of ``p`` with the parameters at
-        ``positions`` bound, and its steps: compiled on first use, and again
-        once a count it was planned with has changed by ``REPLAN_FACTOR``.
-        A cached plan costs one comparison of space versions until enough
-        changes have been made for a count to have drifted."""
+        ``positions`` bound: planned on first use, and planned afresh (its
+        steps compiled again when it runs) once a count it was planned with
+        has drifted (``_drifted``). A cached plan costs one comparison of
+        space versions until enough changes have been made for a count to
+        have drifted."""
         key = (p.name, bidx, positions)
         prog = self._plans.get(key)
         if prog is None or (self.space.version >= self._due[key] and self._drifted(prog, key)):
-            new = self._compile(p, bidx, positions)
-            if prog is not None and new.plan == prog.plan:
-                prog.replan(new)  # the same order: its steps stay
-            else:
-                prog = self._plans[key] = new
+            prog = self._plans[key] = self._compile(p, bidx, positions)
             self._drifted(prog, key)  # only sets when its first test is due
         return prog
 
@@ -353,18 +344,23 @@ class LocalSearchMatcher:
 
     def _drifted(self, prog: Program, key: tuple) -> bool:
         """Whether a count ``prog`` was planned with has since changed by
-        ``REPLAN_FACTOR`` (from 0: by any element). If not, the plan is due
-        for the next test once as many changes have been made as the
-        nearest count is away from drifting; each change moves a count by
-        one (by more only for an element with two types of one subtype
-        closure, whose drift may then be seen a few changes late)."""
+        ``REPLAN_FACTOR``, both counts taken plus one: a count of k drifts at
+        2k + 1 and at (k - 1) / 2, so 0 drifts at its first element and 1 at
+        3 or 0, and counts that small do not drift at every change. If not,
+        the plan is due for the next test once as many changes have been
+        made as the nearest count is away from drifting; each change moves
+        a count by one (by more only for an element with two types of one
+        subtype closure, whose drift may then be seen a few changes late)."""
         margin = None
         for type_name, then in prog.counts:
-            now = self._count(type_name)
-            if now != then and (now >= REPLAN_FACTOR * then or REPLAN_FACTOR * now <= then):
+            now, then = self._count(type_name) + 1, then + 1
+            # changes left until now >= R * then, and until R * now <= then
+            up, down = REPLAN_FACTOR * then - now, now - then // REPLAN_FACTOR
+            if up <= 0 or down <= 0:
                 return True
-            away = min(REPLAN_FACTOR * then - now, now - then // REPLAN_FACTOR) if then else 1
-            margin = away if margin is None else min(margin, away)
+            away = up if up < down else down
+            if margin is None or away < margin:
+                margin = away
         self._due[key] = self.space.version + (margin or 1)
         return False
 
@@ -380,8 +376,9 @@ class LocalSearchMatcher:
     def _solve(self, p: Pattern, positions: tuple[int, ...],
                key: tuple, many: bool = False) -> Collection[tuple]:
         """The answers of ``p`` whose values at ``positions`` are ``key``.
-        ``many``: the calling step has so many keys left that searching
-        each is estimated to create more rows than solving ``p`` unbound."""
+        ``many``: the calling step has so many distinct keys left that
+        searching each is estimated to create more rows than solving ``p``
+        unbound."""
         self._sync()
         held = self._held.get(p.name)
         if held is None and p.recursive:
@@ -467,19 +464,18 @@ class LocalSearchMatcher:
         elem = frozenset() if p.shareable else body.element_vars
         seed_elems = [k for k, v in enumerate(cols) if v in elem]
         steps = []
-        for i, c in enumerate(prog.plan):
+        for c, limit in zip(prog.plan, prog.keys):
             col = {v: k for k, v in enumerate(cols)}
-            keys = (prog.keys, i)
             if isinstance(c, CheckC):
                 steps.append(self._check_step(c.expr, col))
                 continue
             if isinstance(c, NegC):
-                steps.append(self._neg_step(c, col, keys))
+                steps.append(self._neg_step(c, col, limit))
                 continue
             # candidates align with ``names``; ``given``: their positions the
             # source already matched to the row
             names = (c.out,) if isinstance(c, CountC) else constraint_vars(c)
-            source, row_key, given = self._source(c, col, keys)
+            source, row_key, given = self._source(c, col, limit)
             checks, eqs, fresh = [], [], {}
             for pos, v in enumerate(names):
                 if v in col:
@@ -614,15 +610,15 @@ class LocalSearchMatcher:
         return step
 
     def _source(self, c, col: dict[str, int],
-                keys: tuple[list, int] | None = None) -> tuple[Callable, Callable | None, set[int]]:
+                limit: float | None = None) -> tuple[Callable, Callable | None, set[int]]:
         """The candidate source of a positive constraint or a count over
         rows with columns ``col``: a function of the matcher, the tabling
-        bases and the step's row count ``(m, ctx, n)`` that gives the
+        bases and the step's rows ``(m, ctx, rows)`` that gives the
         candidates or, unless the second item is None, the reader from a key
         to a row's candidates, with that item the getter of the key from a
         row; and the candidate positions the reader matches to the row
         itself. What a step reads for every row is resolved once, when the
-        step starts. ``keys`` locates a call's threshold (see ``_call``)."""
+        step starts. ``limit`` is a call's threshold (see ``_call``)."""
         if isinstance(c, (EntityC, RelationC)):
             space, type_name = self.space, c.type
             ends = (c.var,) if isinstance(c, EntityC) else (c.rel, c.src, c.trg)
@@ -636,71 +632,76 @@ class LocalSearchMatcher:
                 def read(key):
                     return [(e, anc) for (e,) in rows(key) for anc in ancestors(e)]
             if at is None:
-                return (lambda m, ctx, n: read(())), None, set()
-            return (lambda m, ctx, n: read), tuple_getter((col[ends[at]],)), {at}
+                return (lambda m, ctx, rows: read(())), None, set()
+            return (lambda m, ctx, rows: read), tuple_getter((col[ends[at]],)), {at}
 
-        positions, key, prepare = self._call(c, col, keys)
+        positions, key, prepare = self._call(c, col, limit)
         if isinstance(c, CountC):
             consistent, answers = consistency_test(c.args), prepare
 
-            def prepare(m, ctx, n):
-                read = answers(m, ctx, n)
+            def prepare(m, ctx, rows):
+                read = answers(m, ctx, rows)
                 return lambda k: ((consistent_count(read(k), consistent),),)
         if not positions:
-            return (lambda m, ctx, n: prepare(m, ctx, n)(())), None, set()
+            return (lambda m, ctx, rows: prepare(m, ctx, rows)(())), None, set()
         return prepare, key, set() if isinstance(c, CountC) else set(positions)
 
-    def _call(self, c, col: dict[str, int], keys: tuple[list, int]):
+    def _call(self, c, col: dict[str, int], limit: float):
         """For a call whose bound arguments are the variables in ``col``:
         the bound argument positions (the callee's bound parameter
         positions), the getter of their values from a row, and
-        ``prepare(m, ctx, n)``, which gives the reader from such a key to
-        the callee's answers with it, for a step of ``n`` rows. The reader
+        ``prepare(m, ctx, rows)``, which gives the reader from such a key to
+        the callee's answers with it, for a step over ``rows``. The reader
         reads the tabling base ``ctx`` holds for the callee, else solves
         each key with the matcher ``m`` until the callee's answer set is
         held, and reads that set's index from then on.
 
-        ``keys`` is a plan's thresholds and this call's index among them,
-        read when the step starts: where searching key by key stops paying.
-        A search reads its seed row and creates the rows the call is
-        estimated to create for each row, an unbound solve reads one seed
-        row and creates the callee's unbound rows, so the keys left (this
-        one included) are worth an unbound solve once there are more than
-        the threshold; ``_solve`` is told so with each key."""
+        ``limit`` is the plan's threshold for this call: where searching key
+        by key stops paying. A search reads its seed row and creates the
+        rows the call is estimated to create for each row, an unbound solve
+        reads one seed row and creates the callee's unbound rows, so the
+        distinct keys the step has not asked yet (this one included) are
+        worth an unbound solve once there are more than ``limit``;
+        ``_solve`` is told so with each new key. A key asked again is a
+        memo hit, and is told nothing."""
         callee = self.patterns[c.pattern]
         name = callee.name
         positions = tuple([j for j, a in enumerate(c.args) if a in col])
+        row_key = tuple_getter(col[c.args[j]] for j in positions)
 
-        thresholds, i = keys
-
-        def prepare(m, ctx, n: int) -> Callable[[tuple], Collection[tuple]]:
+        def prepare(m, ctx, rows: list) -> Callable[[tuple], Collection[tuple]]:
             if ctx is not None and name in ctx:
                 return ctx[name].reader(positions)
-            held, solve, limit = m._held, m._solve, thresholds[i]
-            read = None
+            held, solve = m._held, m._solve
+            read, left, asked = None, None, set()
 
             def fetch(key: tuple) -> Collection[tuple]:
-                nonlocal read, n
+                nonlocal read, left
                 if read is None:
                     answers = held.get(name)
                     if answers is None:
-                        many, n = n > limit, n - 1
+                        if key in asked:
+                            return solve(callee, positions, key)
+                        if left is None:
+                            left = len(set(map(row_key, rows)))
+                        asked.add(key)
+                        many, left = left > limit, left - 1
                         return solve(callee, positions, key, many)
                     read = answers.reader(positions)
                 return read(key)
             return fetch
-        return positions, tuple_getter(col[c.args[j]] for j in positions), prepare
+        return positions, row_key, prepare
 
-    def _neg_step(self, c: NegC, col: dict[str, int], keys: tuple[list, int]) -> Step:
+    def _neg_step(self, c: NegC, col: dict[str, int], limit: float) -> Step:
         """Keep the rows for which the callee has no consistent match."""
-        positions, key, prepare = self._call(c, col, keys)
+        positions, key, prepare = self._call(c, col, limit)
         consistent = consistency_test(c.args)
         if not positions:
             return lambda m, rows, ctx: (
-                [] if consistent_count(prepare(m, ctx, 1)(()), consistent) else rows)
+                [] if consistent_count(prepare(m, ctx, rows)(()), consistent) else rows)
 
         def step(m, rows: list, ctx) -> list:
-            read = prepare(m, ctx, len(rows))
+            read = prepare(m, ctx, rows)
             return [r for r in rows if not consistent_count(read(key(r)), consistent)]
         return step
 

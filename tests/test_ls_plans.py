@@ -2,8 +2,8 @@
 
 ``schedule`` orders each body for the fewest estimated rows, the same
 estimate tells an enumeration when a callee is worth solving unbound, and a
-cached plan is compiled again once a count it read has changed by
-``REPLAN_FACTOR``. These tests pin the plans and the materialization the
+cached plan is planned afresh once a count it read, plus one, has changed
+by ``REPLAN_FACTOR``. These tests pin the plans and the materialization the
 estimate gives on the benchmark's n=300 model, the re-plan rule, and that
 the Rete, which plans without a model, builds the networks it built before.
 """
@@ -128,6 +128,28 @@ def test_a_call_with_many_keys_left_is_solved_unbound(model):
     assert len([key for key in ls._memo if key[0] in (SRC, TRG)]) == 1
 
 
+def test_a_call_counts_the_distinct_keys_left_not_the_rows(model, monkeypatch):
+    """Four rows with two keys, against a threshold of 2.5 keys: the keys
+    left are never more than the threshold, so no key is told ``many``
+    (the rows left would be, at the first key). A key asked again is a
+    memo hit and is told nothing."""
+    space, patterns = model
+    ls = LocalSearchMatcher(space, patterns)
+    told = []
+
+    def solve(p, positions, key, many=None):
+        told.append((key, many))
+        return ()
+    monkeypatch.setattr(ls, "_solve", solve)
+    _, row_key, prepare = ls._call(FindC(TRG, ("Edge", "To", "R")), {"To": 0}, 2.5)
+    a, b = sorted(space.elements_of_type(G1 + "Node"))[:2]
+    rows = [(a,), (a,), (b,), (a,)]
+    fetch = prepare(ls, None, rows)
+    for row in rows:
+        fetch(row_key(row))
+    assert told == [((a,), False), ((a,), None), ((b,), False), ((a,), None)]
+
+
 def simple_node_plans(space, monkeypatch):
     """A matcher with the plan of ``SimpleNode`` compiled, the plan, and
     the list of the matcher's ``schedule`` calls from then on."""
@@ -144,31 +166,32 @@ def simple_node_plans(space, monkeypatch):
 
 
 def test_a_plan_is_compiled_again_once_a_count_it_read_doubles_or_halves(monkeypatch):
-    """``SimpleNode``'s plan read the Node count k = 8: it is kept while the
-    space holds 9 to 15 nodes, or 5 to 7, and planned again at 16 and at
-    4. A plan of the same order keeps its compiled steps and takes the new
-    estimates."""
+    """``SimpleNode``'s plan read the Node count k = 8, so k + 1 = 9: it is
+    kept while the space holds 9 to 16 nodes, or 4 to 7, and planned again
+    at 17 (18 = 2 * 9) and at 3 (2 * 4 <= 9). The new plan replaces the old
+    one and is compiled when it runs."""
     assert REPLAN_FACTOR == 2
+    key = (GP + "SimpleNode", 0, ())
     space = load_fixture("empty")
     nodes = [space.new_entity(G1 + "Node") for _ in range(8)]
     ls, prog, calls = simple_node_plans(space, monkeypatch)
-    steps = prog.steps
     assert dict(prog.counts) == {G1 + "Node": 8}
-    for k in range(9, 17):
+    for k in range(9, 18):
         nodes.append(space.new_entity(G1 + "Node"))
         assert ls.count(GP + "SimpleNode") == k
-        assert len(calls) == (k >= 16), k
-    assert ls._plans[(GP + "SimpleNode", 0, ())] is prog and prog.steps is steps
-    assert dict(prog.counts) == {G1 + "Node": 16} and prog.rows == [16]
+        assert len(calls) == (k >= 17), k
+    new = ls._plans[key]
+    assert new is not prog and new.steps is not None
+    assert dict(new.counts) == {G1 + "Node": 17} and new.rows == [17]
 
     space = load_fixture("empty")
     nodes = [space.new_entity(G1 + "Node") for _ in range(8)]
     ls, prog, calls = simple_node_plans(space, monkeypatch)
-    for k in range(7, 3, -1):
+    for k in range(7, 2, -1):
         space.delete(nodes.pop())
         assert ls.count(GP + "SimpleNode") == k
-        assert len(calls) == (k <= 4), k
-    assert dict(prog.counts) == {G1 + "Node": 4}
+        assert len(calls) == (k <= 3), k
+    assert dict(ls._plans[key].counts) == {G1 + "Node": 3}
 
 
 def test_a_plan_of_another_order_replaces_the_old_one():
@@ -196,12 +219,21 @@ def test_a_plan_of_another_order_replaces_the_old_one():
 
 
 def test_a_plan_from_an_empty_type_is_compiled_again_at_its_first_element(monkeypatch):
+    """A count of 0 drifts at the first element; a count of 1 not at the
+    second, but at the third, or when the type is empty again."""
+    key = (GP + "SimpleNode", 0, ())
     space = load_fixture("empty")
     ls, prog, calls = simple_node_plans(space, monkeypatch)
     assert dict(prog.counts) == {G1 + "Node": 0}
-    space.new_entity(G1 + "Node")
+    nodes = [space.new_entity(G1 + "Node")]
     assert ls.count(GP + "SimpleNode") == 1
-    assert len(calls) == 1 and dict(prog.counts) == {G1 + "Node": 1}
+    assert len(calls) == 1 and dict(ls._plans[key].counts) == {G1 + "Node": 1}
+    nodes.append(space.new_entity(G1 + "Node"))
+    assert ls.count(GP + "SimpleNode") == 2 and len(calls) == 1
+    space.delete(nodes.pop())
+    space.delete(nodes.pop())
+    assert ls.count(GP + "SimpleNode") == 0
+    assert len(calls) == 2 and dict(ls._plans[key].counts) == {G1 + "Node": 0}
 
 
 def test_the_drift_test_reads_no_count_until_one_may_have_drifted(monkeypatch):

@@ -239,12 +239,15 @@ def test_schedule_takes_connected_constraints_first(estimate):
     plan = schedule(EDGE_BODY, ("Edge", "From", "To"), frozenset(), estimate)
     order = [0, 2, 3, 1] if tiers else [2, 0, 3, 1]
     assert plan == [EDGE_BODY[k] for k in order]
-    # a relation with no bound end waits for the relation that has one
+    # a relation with no bound end waits for the relation that has one. The
+    # tiers start with the node scan; the estimate with a relation scan (3
+    # rows in all against 4 for the node-first plan), after which the node
+    # check is a filter
     body = (EntityC(NODE, "X"), RelationC(SRC, "R2", "E2", "Y"),
             RelationC(SRC, "R1", "E1", "X"), RelationC(SRC, "R3", "E1", "Y"))
     plan = schedule(body, ("X", "Y"), frozenset(), estimate)
-    assert connected_first(plan, ())
-    assert plan == [body[0], body[2], body[3], body[1]] or not tiers
+    order = [0, 2, 3, 1] if tiers else [1, 3, 2, 0]
+    assert plan == [body[k] for k in order]
     # a call without arguments is a filter: it does not wait for the others
     body = (EntityC(NODE, "X"), RelationC(SRC, "R", "E", "X"), FindC("p", ()))
     plan = schedule(body, ("X",), frozenset({"X"}), estimate)
