@@ -1,4 +1,4 @@
-"""Expression IR and evaluator for check() constraints and rule bodies.
+"""Expression IR and its compiler for check() constraints and rule bodies.
 
 The language is the closed subset the transformation corpus uses: literals,
 variables, value()/name() reads, `+` (integer addition or string
@@ -8,6 +8,7 @@ as the literal string "undef" when concatenated.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -64,48 +65,54 @@ def as_text(v) -> str:
     return "undef" if v is UNDEF else str(v)
 
 
-def _int_sum(a: int, b: int) -> int:
-    n = a + b
-    # 10**d has more than 3*d bits, so the power is only built for a sum
-    # that may reach it
-    if (_MAX_DIGITS and n.bit_length() > 3 * _MAX_DIGITS
-            and abs(n) >= 10 ** _MAX_DIGITS):
-        raise ExecError(f"integer sum has more than {_MAX_DIGITS} digits")
-    return n
+def _plus(lv, rv):
+    if type(lv) is int and type(rv) is int:  # a bool is no number
+        n = lv + rv
+        # 10**d has more than 3*d bits, so the power is only built for a sum
+        # that may reach it
+        if (_MAX_DIGITS and n.bit_length() > 3 * _MAX_DIGITS
+                and abs(n) >= 10 ** _MAX_DIGITS):
+            raise ExecError(f"integer sum has more than {_MAX_DIGITS} digits")
+        return n
+    if isinstance(lv, str) or isinstance(rv, str):
+        return as_text(lv) + as_text(rv)
+    raise ExecError(f"cannot add {as_text(lv)} and {as_text(rv)}")
 
 
-def eval_expr(e: Expr, lookup, space):
-    """Evaluate ``e``; ``lookup(name)`` supplies variable values."""
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "+": _plus}
+
+
+def compile_expr(e: Expr):
+    """``e`` as a function ``run(lookup, space)`` that evaluates it, where
+    ``lookup(name)`` supplies variable values. The node kinds are told apart
+    here, once, and not at each evaluation."""
     if isinstance(e, Lit):
-        return e.value
+        value = e.value
+        return lambda lookup, space: value
     if isinstance(e, Var):
-        return lookup(e.name)
+        name = e.name
+        return lambda lookup, space: lookup(name)
     if isinstance(e, ValueOf):
-        return space.value(live_element(e.arg, lookup, space, "value()"))
+        arg = compile_element(e.arg, "value()")
+        return lambda lookup, space: space.value(arg(lookup, space))
     if isinstance(e, NameOf):
-        return space.name(live_element(e.arg, lookup, space, "name()"))
+        arg = compile_element(e.arg, "name()")
+        return lambda lookup, space: space.name(arg(lookup, space))
     if isinstance(e, BinOp):
-        lv = eval_expr(e.left, lookup, space)
-        rv = eval_expr(e.right, lookup, space)
-        if e.op == "==":
-            return lv == rv
-        if e.op == "!=":
-            return lv != rv
-        if e.op == "+":
-            if type(lv) is int and type(rv) is int:  # a bool is no number
-                return _int_sum(lv, rv)
-            if isinstance(lv, str) or isinstance(rv, str):
-                return as_text(lv) + as_text(rv)
-            raise ExecError(f"cannot add {as_text(lv)} and {as_text(rv)}")
-        raise ExecError(f"unknown operator {e.op!r}")
+        op = _OPERATORS.get(e.op)
+        if op is None:
+            raise ExecError(f"unknown operator {e.op!r}")
+        left, right = compile_expr(e.left), compile_expr(e.right)
+        return lambda lookup, space: op(left(lookup, space), right(lookup, space))
     raise ExecError(f"cannot evaluate {e!r}")
 
 
-def holds(e: Expr, lookup, space) -> bool:
-    """Whether ``e`` evaluates to True; a check that fails to evaluate (an
-    ``ExecError``, e.g. adding undef) does not hold."""
+def holds(test, lookup, space) -> bool:
+    """Whether ``test``, a compiled expression, evaluates to True; a check
+    that fails to evaluate (an ``ExecError``, e.g. adding undef) does not
+    hold."""
     try:
-        return eval_expr(e, lookup, space) is True
+        return test(lookup, space) is True
     except ExecError:
         return False
 
@@ -119,14 +126,20 @@ def is_element(v, space) -> bool:
 def element_value(v, space, what: str) -> int:
     """``v``, which must be a live element; ``what`` names the reader in
     the error."""
-    if not is_element(v, space):
+    if type(v) is not int or not space.is_live(v):  # as is_element tests
         raise ExecError(f"{what} needs a live element, got {as_text(v)}")
     return v
 
 
-def live_element(e: Expr, lookup, space, what: str) -> int:
-    """The value of ``e``, which must be a live element."""
-    return element_value(eval_expr(e, lookup, space), space, what)
+def compile_element(e: Expr, what: str):
+    """``e`` compiled as by ``compile_expr``, to a function that also checks
+    that the value is a live element; ``what`` names the reader in the
+    error."""
+    if isinstance(e, Var):
+        name = e.name
+        return lambda lookup, space: element_value(lookup(name), space, what)
+    value = compile_expr(e)
+    return lambda lookup, space: element_value(value(lookup, space), space, what)
 
 
 def _comparison(e: Expr) -> bool:

@@ -710,9 +710,10 @@ class LocalSearchMatcher:
         space = self.space
         names = tuple(ex.expr_vars(expr))
         values = tuple_getter(col[v] for v in names)
+        test = ex.compile_expr(expr)
         return lambda m, rows, ctx: [
             r for r in rows
-            if ex.holds(expr, dict(zip(names, values(r))).__getitem__, space)]
+            if ex.holds(test, dict(zip(names, values(r))).__getitem__, space)]
 
     # -- recursion ------------------------------------------------------------
 

@@ -106,12 +106,19 @@ class BruteForce:
                 domains[v] &= dom
 
         # variables are assigned in the order they are first met here: the
-        # relation constraints' (each relation before its ends), then the
-        # calls' arguments, then the entity constraints' variables, each kind
-        # in declaration order; so a relation or a call binds the variables
-        # the constraints after it only test
+        # typed relation constraints' (each relation before its ends), then
+        # the calls' arguments, then the entity constraints' variables, then
+        # the untyped relations', each kind in declaration order; so a typed
+        # relation or a call binds the variables the constraints after it
+        # only test, and an untyped relation, which every relation of the
+        # model fits, is tried only at the ends assigned before it
         kinds = {RelationC: 0, FindC: 1, EntityC: 2}
-        for c in sorted(body.constraints, key=lambda c: kinds.get(type(c), 3)):
+
+        def kind(c) -> int:
+            if isinstance(c, RelationC) and c.type is None:
+                return 3
+            return kinds.get(type(c), 4)
+        for c in sorted(body.constraints, key=kind):
             if isinstance(c, EntityC):
                 narrow(c.var, set(space.elements_of_type(c.type)))
                 if c.in_var is not None:
@@ -184,9 +191,12 @@ class BruteForce:
         out: set[tuple] = set()
         env: dict[str, object] = {}
 
+        tests = [ex.compile_expr(c.expr) if isinstance(c, CheckC) else None
+                 for c in constraints]
+
         def final_checks() -> dict | None:
             final = dict(env)
-            for c in constraints:
+            for c, test in zip(constraints, tests):
                 if isinstance(c, NegC):
                     hit = any(True for _ in self._agreeing(c.pattern, c.args, final))
                     if hit:
@@ -198,8 +208,8 @@ class BruteForce:
                             return None
                     else:
                         final[c.out] = n
-                elif isinstance(c, CheckC):
-                    if not ex.holds(c.expr, final.__getitem__, space):
+                elif test is not None:
+                    if not ex.holds(test, final.__getitem__, space):
                         return None
             return final
 

@@ -260,7 +260,7 @@ class CheckNode(Node):
 
     def __init__(self, engine, left: Node | None, expr: ex.Expr):
         super().__init__(engine, () if left is None else left.schema)
-        self.expr = expr
+        self.test = ex.compile_expr(expr)
         self.mem: dict[tuple, bool] = {
             lt: self._passes(lt) for lt in ([()] if left is None else left.all_tuples())}
         if left is not None:
@@ -269,7 +269,7 @@ class CheckNode(Node):
 
     def _passes(self, lt) -> bool:
         env = dict(zip(self.schema, lt))
-        return ex.holds(self.expr, env.__getitem__, self.space)
+        return ex.holds(self.test, env.__getitem__, self.space)
 
     def on_left(self, t, sign):
         if sign > 0:

@@ -7,6 +7,12 @@ by an edit script computed once at link time from the flattened
 postcondition, and made of its constraints: what it binds beyond the
 precondition is created, each end of a kept relation that differs is moved,
 and a negated kept element is deleted.
+
+A VM runs a rule body or GT action as nested closures ``run(vm, frame)``,
+one per statement, with its expressions compiled by ``expr.compile_expr``.
+Each body is compiled the first time the VM enters it and cached on that VM
+only, never on the shared ``LinkedProgram``, so no compiled code outlives
+the VM it was made for.
 """
 
 from __future__ import annotations
@@ -24,10 +30,14 @@ from .patterns import (MAX_CALL_DEPTH, CheckC, CountC, EntityC, NegC, Pattern,
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
-# statement executions nest at most this deep, through rule calls and GT
-# actions. Each level takes at most three interpreter frames, so a run stops
-# with an ExecError well inside Python's default recursion limit of 1000 and
-# leaves room for the matchers and for Rete propagation.
+# statements nest at most this deep, counted through rule calls and GT
+# actions. A body's static nesting (its deepest statement) is checked once, on
+# entry, so the error comes before a branch that would nest too deep runs. A
+# level takes one interpreter frame, and at most three (a choose or forall
+# that applies a GT rule: its closure, its step into the body and the GT
+# application), so a run stops with an ExecError well inside Python's default
+# recursion limit of 1000 and leaves room for the matchers and for Rete
+# propagation.
 MAX_EXEC_DEPTH = 240
 
 
@@ -372,12 +382,9 @@ class ChooseFailed(Exception):
 class Frame:
     __slots__ = ("vars", "parent")
 
-    def __init__(self, parent: Optional["Frame"] = None):
-        self.vars: dict[str, object] = {}
+    def __init__(self, parent: Optional["Frame"] = None, vars: dict | None = None):
+        self.vars: dict[str, object] = {} if vars is None else vars
         self.parent = parent
-
-    def declare(self, name: str, value) -> None:
-        self.vars[name] = value
 
     def lookup(self, name: str):
         f = self
@@ -443,7 +450,9 @@ class VM:
         self._rete = None
         self.report: ExecutionReport | None = None  # of the open run
         self.call_depth = 0  # rule calls open, see MAX_CALL_DEPTH
-        self.exec_depth = 0  # statement executions open, see MAX_EXEC_DEPTH
+        self.exec_depth = 0  # depths of the open call sites, see MAX_EXEC_DEPTH
+        # the rule bodies and GT actions run so far, compiled: see _code
+        self.code: dict[str, tuple[object, int]] = {}
 
     # -- pattern queries -----------------------------------------------------
 
@@ -489,12 +498,12 @@ class VM:
     def run(self, machine_name: str) -> ExecutionReport:
         if machine_name not in self.program.machines:
             raise ExecError(f"machine {machine_name} is not loaded")
-        main = self.program.rules.get(f"{machine_name}.main")
-        if main is None:
+        main = f"{machine_name}.main"
+        if main not in self.program.rules:
             raise ExecError(f"machine {machine_name} has no main rule")
         report = self.report = ExecutionReport(machine_name)
-        try:
-            _call_rule(self, main, (), Frame())
+        try:  # a call of main from depth 0, outside every body
+            _compile(self.program, Call(main, ()), 0, [0])(self, Frame())
         except ChooseFailed:
             raise ExecError("choose failed outside try") from None
         report.results = collect_results(self.space)
@@ -509,7 +518,7 @@ class VM:
         if match is None:
             return None
         self.report = report or ExecutionReport(gt.machine)
-        return _apply_gt_match(self, gt, match)
+        return _apply_gt_match(self, gt, match, 0)
 
 
 def execute_machine(program: LinkedProgram, machine_name: str, space: ModelSpace,
@@ -518,172 +527,219 @@ def execute_machine(program: LinkedProgram, machine_name: str, space: ModelSpace
     return VM(program, space, matcher=matcher, **vm_options).run(machine_name)
 
 
-def _eval(vm: VM, frame: Frame, e: ex.Expr):
-    return ex.eval_expr(e, frame.lookup, vm.space)
+def _code(vm: VM, key: str, body, depth: int):
+    """The closure of ``body``, a rule body or GT action that a statement
+    ``depth`` levels deep in the running body enters. It is compiled on its
+    first run and cached on ``vm`` under ``key`` with its static nesting,
+    which is checked against the limit here and not at each statement."""
+    code = vm.code.get(key)
+    if code is None:
+        nesting = [0]
+        code = vm.code[key] = (_compile(vm.program, body, 1, nesting), nesting[0])
+    if vm.exec_depth + depth + code[1] > MAX_EXEC_DEPTH:
+        raise ExecError(f"statements nested deeper than {MAX_EXEC_DEPTH} "
+                        f"(rule bodies included)")
+    return code[0]
 
 
-def _live_match(vm: VM, pattern: Pattern, match: dict) -> bool:
-    return all(param in pattern.int_params or vm.space.is_live(match[param])
-               for param in pattern.params)
-
-
-def _call_rule(vm: VM, rule: AsmRule, args, caller: Frame):
-    if vm.call_depth >= MAX_CALL_DEPTH:
-        raise ExecError(f"rule calls nested deeper than {MAX_CALL_DEPTH} "
-                        f"(calling {rule.name})")
-    frame = Frame()
-    for param, arg in zip(rule.params, args):
-        frame.declare(param.name, _eval(vm, caller, arg) if param.mode == "in" else None)
-    vm.call_depth += 1
-    try:
-        _exec(vm, frame, rule.body)
-    finally:
-        vm.call_depth -= 1
-    for param, arg in zip(rule.params, args):
-        if param.mode == "out":
-            caller.assign(arg.name, frame.lookup(param.name))
-
-
-def _apply_gt_match(vm: VM, gt: CompiledGt, match: dict) -> dict:
+def _apply_gt_match(vm: VM, gt: CompiledGt, match: dict, depth: int) -> dict:
     binding = dict(match)
     if gt.script is not None:
         apply_diff(gt.script, vm.space, binding)
     if gt.action is not None:
-        frame = Frame()
-        for name in gt.scope_names:
-            frame.declare(name, binding.get(name))
-        _exec(vm, frame, gt.action)
+        run = _code(vm, gt.name + "$action", gt.action, depth)
+        vm.exec_depth += depth
+        try:
+            run(vm, Frame(None, {name: binding.get(name) for name in gt.scope_names}))
+        finally:
+            vm.exec_depth -= depth
     return binding
 
 
-def _source(vm: VM, frame: Frame, stmt: Choose | Forall):
-    """What a ``choose``/``forall`` source reads: the pattern to match, the
-    binding of its parameters from ``frame``, the arguments whose repeated
-    variables a match must honour, and the step that turns a match into the
-    frame of the body (for ``apply``, by applying the GT rule first)."""
-    src = stmt.source
-    if isinstance(src, FindSource):
-        pattern = vm.program.patterns[src.ref]
-        pairs = tuple(zip(pattern.params, src.args))
-        binding = {param: frame.lookup(arg) for param, arg in pairs
-                   if arg not in stmt.vars}
+def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
+    """``s``, a statement ``depth`` levels deep in its body, as a closure
+    ``run(vm, frame)``; ``nesting[0]`` keeps the deepest level met. The
+    statement kinds are told apart here, once. A closure holds parts of its
+    statement and never a VM or a space, so a dropped VM is freed at once."""
+    nesting[0] = max(nesting[0], depth)
 
-        def enter(match: dict) -> Frame:
+    def inner(x):
+        return _compile(program, x, depth + 1, nesting)
+    compile_expr, element, element_value = ex.compile_expr, ex.compile_element, ex.element_value
+    if isinstance(s, Seq):
+        stmts = tuple(map(inner, s.stmts))
+
+        def run(vm, frame):
+            for stmt in stmts:
+                stmt(vm, frame)
+    elif isinstance(s, Let):
+        inits = tuple((name, compile_expr(e)) for name, e in s.inits)
+        body = inner(s.body)
+
+        def run(vm, frame):
             child = Frame(frame)
-            for param, arg in pairs:
-                if arg in stmt.vars:
-                    child.vars.setdefault(arg, match[param])
-            return child
-        return pattern, binding, src.args, enter
+            for name, value in inits:
+                child.vars[name] = value(child.lookup, vm.space)
+            body(vm, child)
+    elif isinstance(s, Update):
+        var, value = s.var, compile_expr(s.expr)
+        run = lambda vm, frame: frame.assign(var, value(frame.lookup, vm.space))
+    elif isinstance(s, If):
+        cond, then = compile_expr(s.cond), inner(s.then)
+        els = None if s.els is None else inner(s.els)
 
-    gt = vm.program.gtrules[src.ref]
-    pairs = tuple(zip(gt.params, src.args))
-    binding = {param.name: frame.lookup(arg) for param, arg in pairs
-               if param.mode == "in"}
-
-    def enter(match: dict) -> Frame:
-        result = _apply_gt_match(vm, gt, match)
-        child = Frame(frame)
-        for param, arg in pairs:
-            if param.mode == "out":
-                if arg in stmt.vars:
-                    child.vars[arg] = result.get(param.name)
-                else:
-                    frame.assign(arg, result.get(param.name))
-        return child
-    return vm.program.patterns[gt.pre_pattern], binding, (), enter
-
-
-def _exec(vm: VM, frame: Frame, stmt) -> None:
-    if vm.exec_depth >= MAX_EXEC_DEPTH:
-        raise ExecError(f"statements nested deeper than {MAX_EXEC_DEPTH} "
-                        f"(rule bodies included)")
-    vm.exec_depth += 1
-    try:
-        space = vm.space
-        if isinstance(stmt, Seq):
-            for s in stmt.stmts:
-                _exec(vm, frame, s)
-        elif isinstance(stmt, Let):
-            child = Frame(frame)
-            for name, init in stmt.inits:
-                child.declare(name, ex.eval_expr(init, child.lookup, space))
-            _exec(vm, child, stmt.body)
-        elif isinstance(stmt, Update):
-            frame.assign(stmt.var, _eval(vm, frame, stmt.expr))
-        elif isinstance(stmt, If):
-            cond = _eval(vm, frame, stmt.cond)
-            if not isinstance(cond, bool):
+        def run(vm, frame):
+            holds = cond(frame.lookup, vm.space)
+            if holds is True:
+                then(vm, frame)
+            elif holds is not False:
                 raise ExecError("if condition must be a comparison")
-            if cond:
-                _exec(vm, frame, stmt.then)
-            elif stmt.els is not None:
-                _exec(vm, frame, stmt.els)
-        elif isinstance(stmt, Try):
-            try:
-                _exec(vm, frame, stmt.inner)
-            except ChooseFailed:
-                pass
-        elif isinstance(stmt, Choose):
-            pattern, binding, args, enter = _source(vm, frame, stmt)
-            match = vm.query_first(pattern.name, binding, args)
-            if match is None:
-                raise ChooseFailed()
-            _exec(vm, enter(match), stmt.do)
-        elif isinstance(stmt, Forall):
-            pattern, binding, args, enter = _source(vm, frame, stmt)
-            for match in vm.query_all(pattern.name, binding, args):
-                if _live_match(vm, pattern, match):  # else an earlier step removed it
-                    _exec(vm, enter(match), stmt.do)
-        elif isinstance(stmt, Iterate):
-            steps = 0
-            while True:
+            elif els is not None:
+                els(vm, frame)
+    elif isinstance(s, (Try, Iterate)):
+        body, forever = inner(s.inner), isinstance(s, Iterate)
+
+        def run(vm, frame):
+            # try: run the body once; iterate: until a choose fails
+            for _ in range(vm.step_budget + 1 if forever else 1):
                 try:
-                    _exec(vm, frame, stmt.inner)
+                    body(vm, frame)
                 except ChooseFailed:
-                    break
-                steps += 1
-                if steps > vm.step_budget:
-                    raise DivergenceError(
-                        f"iterate exceeded the step budget ({vm.step_budget})")
-        elif isinstance(stmt, Call):
-            _call_rule(vm, vm.program.rules[stmt.ref], stmt.args, frame)
-        elif isinstance(stmt, Println):
-            text = ex.as_text(_eval(vm, frame, stmt.expr))
+                    return
+            if forever:
+                raise DivergenceError(f"iterate exceeded the step budget ({vm.step_budget})")
+    elif isinstance(s, (Choose, Forall)):
+        # the pattern to match, the (parameter, variable) pairs that bind it
+        # from the frame, the arguments whose repeated variables a match must
+        # honour, and the step from a match to the frame of the body
+        src, do = s.source, inner(s.do)
+        if isinstance(src, FindSource):
+            pattern = program.patterns[src.ref]
+            pairs = tuple(zip(pattern.params, src.args))
+            bound, args = tuple(p for p in pairs if p[1] not in s.vars), src.args
+            # a variable the arguments repeat takes its first value
+            fresh = tuple({arg: param for param, arg in reversed(pairs) if arg in s.vars}.items())
+
+            def enter(vm, frame, match):
+                child = Frame(frame)
+                for arg, param in fresh:
+                    child.vars[arg] = match[param]
+                return child
+        else:  # apply: the GT rule is applied to the match first
+            gt = program.gtrules[src.ref]
+            pattern = program.patterns[gt.pre_pattern]
+            pairs = tuple(zip(gt.params, src.args))
+            bound, args = tuple((p.name, a) for p, a in pairs if p.mode == "in"), ()
+            outs = tuple((p.name, a, a in s.vars) for p, a in pairs if p.mode == "out")
+
+            def enter(vm, frame, match):
+                result = _apply_gt_match(vm, gt, match, depth)
+                child = Frame(frame)
+                for name, arg, chosen in outs:
+                    if chosen:  # one of the statement's variables
+                        child.vars[arg] = result.get(name)
+                    else:
+                        frame.assign(arg, result.get(name))
+                return child
+        name = pattern.name
+        if isinstance(s, Choose):
+            def run(vm, frame):
+                lookup = frame.lookup
+                match = vm.query_first(name, {p: lookup(a) for p, a in bound}, args)
+                if match is None:
+                    raise ChooseFailed()
+                do(vm, enter(vm, frame, match))
+        else:
+            elements = tuple(p for p in pattern.params if p not in pattern.int_params)
+
+            def run(vm, frame):
+                lookup, is_live = frame.lookup, vm.space.is_live
+                for match in vm.query_all(name, {p: lookup(a) for p, a in bound}, args):
+                    for p in elements:
+                        if not is_live(match[p]):
+                            break  # an earlier step removed an element of the match
+                    else:
+                        do(vm, enter(vm, frame, match))
+    elif isinstance(s, Call):
+        # the callee's closure is looked up on the VM at each call, so the
+        # closures of a recursive rule do not hold each other
+        ref, rule = s.ref, program.rules[s.ref]
+        pairs = tuple(zip(rule.params, s.args))
+        ins = tuple((p.name, compile_expr(a if p.mode == "in" else ex.Lit(None)))
+                    for p, a in pairs)
+        outs = tuple((p.name, a.name) for p, a in pairs if p.mode == "out")
+
+        def run(vm, frame):
+            if vm.call_depth >= MAX_CALL_DEPTH:
+                raise ExecError(f"rule calls nested deeper than {MAX_CALL_DEPTH} "
+                                f"(calling {rule.name})")
+            lookup, space = frame.lookup, vm.space
+            callee = Frame(None, {param: value(lookup, space) for param, value in ins})
+            body = _code(vm, ref, rule.body, depth)
+            vm.call_depth += 1
+            vm.exec_depth += depth
+            try:
+                body(vm, callee)
+            finally:
+                vm.call_depth -= 1
+                vm.exec_depth -= depth
+            for param, var in outs:
+                frame.assign(var, callee.vars[param])
+    elif isinstance(s, Println):
+        value = compile_expr(s.expr)
+
+        def run(vm, frame):
+            text = ex.as_text(value(frame.lookup, vm.space))
             vm.report.log.append(text)
             if vm.echo:
                 print(text)
-        elif isinstance(stmt, Skip):
-            pass
-        elif isinstance(stmt, NewEntity):
-            if stmt.in_var is None:
-                parent = ROOT_ID
-            else:
-                parent = ex.element_value(frame.lookup(stmt.in_var), space, "new")
-            frame.assign(stmt.var, space.new_entity(stmt.type, parent))
-        elif isinstance(stmt, NewRelation):
-            src = ex.element_value(frame.lookup(stmt.src), space, "new")
-            trg = ex.element_value(frame.lookup(stmt.trg), space, "new")
-            frame.assign(stmt.var, space.new_relation(stmt.type, src, trg))
-        elif isinstance(stmt, NewInstanceOf):
-            space.add_type(ex.element_value(frame.lookup(stmt.var), space, "new"), stmt.type)
-        elif isinstance(stmt, DeleteInstanceOf):
-            space.remove_type(ex.element_value(frame.lookup(stmt.var), space, "delete"),
-                              stmt.type)
-        elif isinstance(stmt, DeleteStmt):
-            space.delete(ex.live_element(stmt.expr, frame.lookup, space, "delete"))
-        elif isinstance(stmt, SetValueStmt):
-            space.set_value(ex.live_element(stmt.target, frame.lookup, space, "setValue"),
-                            _eval(vm, frame, stmt.value))
-        elif isinstance(stmt, SetToStmt):
-            space.set_target(ex.live_element(stmt.rel, frame.lookup, space, "setTo"),
-                             ex.live_element(stmt.target, frame.lookup, space, "setTo"))
-        elif isinstance(stmt, RenameStmt):
-            name = _eval(vm, frame, stmt.name)
+    elif isinstance(s, Skip):
+        run = lambda vm, frame: None
+    elif isinstance(s, NewEntity):
+        type_name, var, parent = s.type, s.var, s.in_var
+
+        def run(vm, frame):
+            space = vm.space
+            frame.assign(var, space.new_entity(type_name, ROOT_ID if parent is None else
+                                               element_value(frame.lookup(parent), space, "new")))
+    elif isinstance(s, NewRelation):
+        type_name, var, src, trg = s.type, s.var, s.src, s.trg
+
+        def run(vm, frame):
+            space, lookup = vm.space, frame.lookup
+            frame.assign(var, space.new_relation(
+                type_name, element_value(lookup(src), space, "new"),
+                element_value(lookup(trg), space, "new")))
+    elif isinstance(s, (NewInstanceOf, DeleteInstanceOf)):
+        method, what = (("add_type", "new") if isinstance(s, NewInstanceOf)
+                        else ("remove_type", "delete"))
+        var, type_name = s.var, s.type
+
+        def run(vm, frame):
+            space = vm.space
+            getattr(space, method)(element_value(frame.lookup(var), space, what), type_name)
+    elif isinstance(s, DeleteStmt):
+        target = element(s.expr, "delete")
+        run = lambda vm, frame: vm.space.delete(target(frame.lookup, vm.space))
+    elif isinstance(s, (SetValueStmt, SetToStmt)):
+        # setValue(element, value); setTo(relation, element): its new target
+        if isinstance(s, SetValueStmt):
+            target, value, method = element(s.target, "setValue"), compile_expr(s.value), "set_value"
+        else:
+            target, value, method = element(s.rel, "setTo"), element(s.target, "setTo"), "set_target"
+
+        def run(vm, frame):
+            space, lookup = vm.space, frame.lookup
+            getattr(space, method)(target(lookup, space), value(lookup, space))
+    elif isinstance(s, RenameStmt):
+        text, target = compile_expr(s.name), element(s.target, "rename")
+
+        def run(vm, frame):
+            space, lookup = vm.space, frame.lookup
+            name = text(lookup, space)
             if not isinstance(name, str):
                 raise ExecError("rename needs a string name")
-            space.rename(ex.live_element(stmt.target, frame.lookup, space, "rename"), name)
-        else:
-            raise ExecError(f"cannot execute {stmt!r}")
-    finally:
-        vm.exec_depth -= 1
+            space.rename(target(lookup, space), name)
+    else:
+        raise ExecError(f"cannot execute {s!r}")
+    return run
