@@ -13,11 +13,9 @@ set) through ``patterns.schedule``: a type scan creates ``count_of_type``
 rows; a relation walked from a bound end its type's count over its end's
 type count; a ``find`` the callee's estimated unbound rows (those its own
 unbound plans end with) over the values of its bound arguments; a step whose
-variables are all bound is a filter and creates none. A plan records the
-counts it read and is replaced by a new plan once one of them has grown or
-shrunk by ``REPLAN_FACTOR`` (each count taken plus one, so that counts of 0
-and 1 do not drift at every change); until enough changes have been made
-for that, a cached plan costs one comparison of space versions.
+variables are all bound is a filter and creates none. A plan is made once,
+on the model at its first use, and kept for the matcher's life: after the
+counts change it still gives the same answers, if perhaps more slowly.
 
 Each plan is compiled into a step program when it first runs, cached with it
 (a callee's plan that only serves its callers' estimates is never compiled).
@@ -74,10 +72,6 @@ from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, Ne
                        Pattern, RelationC, consistency_test, consistent_count,
                        constraint_vars, equal_pairs, plan_rows, schedule,
                        tuple_getter)
-
-# a cached plan is planned afresh once a count it was planned with, plus one,
-# has grown or shrunk by this factor
-REPLAN_FACTOR = 2
 
 
 def order_key(values) -> tuple:
@@ -172,27 +166,24 @@ Step = Callable[["LocalSearchMatcher", list, object], list]
 
 
 class Program:
-    """A search plan, its estimates, and the steps compiled from it when it
-    first runs (a plan that only serves a caller's estimates never does).
+    """A search plan, made once on the model at its first use, its
+    estimates, and the steps compiled from it when it first runs (a plan
+    that only serves a caller's estimates never does).
 
     ``rows`` holds the rows each step is estimated to create from one seed
     row (``plan_rows``; None for a filter); ``keys``, for each call, how
     many distinct keys must be left for an unbound solve to pay (see
-    ``_call``; None for other steps); ``counts`` the model counts the
-    estimates read, as ``(type name or None for every relation, count)``;
-    ``domains`` the estimated number of values of each parameter in the
-    body (None when no type or call constrains it). Once compiled,
+    ``_call``; None for other steps); ``domains`` the estimated number of
+    values of each parameter in the body (None when no type or call
+    constrains it). Once compiled,
     ``steps`` run in turn, ``project`` maps a last row onto the parameters
     and ``seed_elems`` reads the seed's element values, which must be
     distinct (None when there are fewer than two)."""
 
-    __slots__ = ("plan", "rows", "keys", "counts", "domains",
-                 "steps", "project", "seed_elems")
+    __slots__ = ("plan", "rows", "keys", "domains", "steps", "project", "seed_elems")
 
-    def __init__(self, plan: list, rows: list, keys: list,
-                 counts: tuple[tuple[str | None, int], ...], domains: tuple):
-        self.plan, self.rows, self.keys = plan, rows, keys
-        self.counts, self.domains = counts, domains
+    def __init__(self, plan: list, rows: list, keys: list, domains: tuple):
+        self.plan, self.rows, self.keys, self.domains = plan, rows, keys, domains
         self.steps: list[Step] | None = None
         self.project: Callable[[tuple], tuple] | None = None
         self.seed_elems: Callable[[tuple], tuple] | None = None
@@ -272,13 +263,8 @@ class LocalSearchMatcher:
     def __init__(self, space: ModelSpace, patterns: Mapping[str, Pattern]):
         self.space = space
         self.patterns = dict(patterns)
-        # compiled plans by (pattern, body, bound positions), and the space
-        # version from which on each may have drifted
+        # plans by (pattern, body, bound positions)
         self._plans: dict[tuple, Program] = {}
-        self._due: dict[tuple, int] = {}
-        # counts read at space.version == self._counted, by type
-        self._counts: dict[str | None, int] = {}
-        self._counted = -1
         # answers at space.version == self._version: unbound answer sets and
         # tables by pattern, bound searches by (pattern, positions, key)
         self._version = -1
@@ -317,52 +303,13 @@ class LocalSearchMatcher:
 
     def _program(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
         """The plan of body ``bidx`` of ``p`` with the parameters at
-        ``positions`` bound: planned on first use, and planned afresh (its
-        steps compiled again when it runs) once a count it was planned with
-        has drifted (``_drifted``). A cached plan costs one comparison of
-        space versions until enough changes have been made for a count to
-        have drifted."""
+        ``positions`` bound: planned on the model at its first use and kept
+        for the matcher's life."""
         key = (p.name, bidx, positions)
         prog = self._plans.get(key)
-        if prog is None or (self.space.version >= self._due[key] and self._drifted(prog, key)):
+        if prog is None:
             prog = self._plans[key] = self._compile(p, bidx, positions)
-            self._drifted(prog, key)  # only sets when its first test is due
         return prog
-
-    def _count(self, type_name: str | None) -> int:
-        """How many elements conform to ``type_name`` (None: relations),
-        read once per space version."""
-        space = self.space
-        if self._counted != space.version:
-            self._counts.clear()
-            self._counted = space.version
-        n = self._counts.get(type_name)
-        if n is None:
-            n = self._counts[type_name] = (space.relation_count() if type_name is None
-                                           else space.count_of_type(type_name))
-        return n
-
-    def _drifted(self, prog: Program, key: tuple) -> bool:
-        """Whether a count ``prog`` was planned with has since changed by
-        ``REPLAN_FACTOR``, both counts taken plus one: a count of k drifts at
-        2k + 1 and at (k - 1) / 2, so 0 drifts at its first element and 1 at
-        3 or 0, and counts that small do not drift at every change. If not,
-        the plan is due for the next test once as many changes have been
-        made as the nearest count is away from drifting; each change moves
-        a count by one (by more only for an element with two types of one
-        subtype closure, whose drift may then be seen a few changes late)."""
-        margin = None
-        for type_name, then in prog.counts:
-            now, then = self._count(type_name) + 1, then + 1
-            # changes left until now >= R * then, and until R * now <= then
-            up, down = REPLAN_FACTOR * then - now, now - then // REPLAN_FACTOR
-            if up <= 0 or down <= 0:
-                return True
-            away = up if up < down else down
-            if margin is None or away < margin:
-                margin = away
-        self._due[key] = self.space.version + (margin or 1)
-        return False
 
     # -- evaluation -----------------------------------------------------------
 
@@ -438,8 +385,7 @@ class LocalSearchMatcher:
         """Plan body ``bidx`` of ``p`` for the parameters at ``positions``
         (at random under ``shuffle``), with its estimates."""
         body = p.bodies[bidx]
-        counts: dict[str | None, int] = {}
-        estimate, size, domain = self._estimator(body, counts)
+        estimate, size, domain = self._estimator(body)
         bound = [p.params[i] for i in positions]
         plan = schedule(body.constraints, p.params, frozenset(bound), estimate, shuffle)
         keys, have = [], set(bound)
@@ -451,7 +397,7 @@ class LocalSearchMatcher:
             elif isinstance(c, CountC):
                 have.add(c.out)
         return Program(plan, plan_rows(plan, bound, estimate), keys,
-                       tuple(counts.items()), tuple(map(domain.get, p.params)))
+                       tuple(map(domain.get, p.params)))
 
     def _compile_steps(self, p: Pattern, bidx: int, positions: tuple[int, ...],
                        prog: Program) -> None:
@@ -505,13 +451,13 @@ class LocalSearchMatcher:
 
     # -- estimates ------------------------------------------------------------
 
-    def _estimator(self, body: Body, counts: dict) -> tuple[Callable, Callable, dict]:
+    def _estimator(self, body: Body) -> tuple[Callable, Callable, dict]:
         """``estimate(c, have)``, the rows a positive constraint or a call
         ``c`` of ``body`` creates for each row whose variables ``have`` are
         bound; ``size(c)``, the rows it holds unbound; and the domain of
         each variable that a positive constraint binds: the fewest values
-        one of them allows it. Each count read goes into ``counts``, and is
-        read from there when it is already in it.
+        one of them allows it. Type counts are read from the model as it is
+        when the body is planned, a call's rows from its callee's kept plans.
 
         A type scan creates ``count_of_type`` rows and a call the callee's
         unbound rows (``_callee``). Each bound variable divides them by the
@@ -521,12 +467,7 @@ class LocalSearchMatcher:
         relation's end) and the variable's domain. An untyped relation's
         end may be any element, so it selects from as many values as there
         are relations."""
-        def count(type_name: str | None) -> int:
-            n = counts.get(type_name)
-            if n is None:
-                n = counts[type_name] = self._count(type_name)
-            return n
-
+        count = self.space.count_of_type
         sizes = []
         for c in body.constraints:
             if isinstance(c, EntityC):
@@ -536,7 +477,7 @@ class LocalSearchMatcher:
                 n = count(c.type)
                 sizes.append((c, n, ((c.rel, n), (c.src, None), (c.trg, None))))
             elif isinstance(c, CALLS):
-                rows, distinct = self._callee(self.patterns[c.pattern], counts)
+                rows, distinct = self._callee(self.patterns[c.pattern])
                 sizes.append((c, rows, tuple(zip(c.args, distinct))))
         domain: dict[str, float] = {}
         for c, _, ends in sizes:
@@ -566,19 +507,18 @@ class LocalSearchMatcher:
         return [b for b, body in enumerate(q.bodies) if not q.recursive or not any(
             isinstance(c, FindC) and c.pattern in q.scc_members for c in body.constraints)]
 
-    def _callee(self, q: Pattern, counts: dict) -> tuple[float, tuple[float, ...]]:
+    def _callee(self, q: Pattern) -> tuple[float, tuple[float, ...]]:
         """The rows ``q``'s unbound answer set is estimated to hold, those
         its base bodies' unbound plans end with (a recursive pattern's
         tabled rounds are not estimated); and the estimated number of values
         of each parameter: its largest domain among those bodies, at most
-        the rows. The plans' counts go into ``counts``. A base body calls
-        only patterns below ``q``'s cycle, so planning them nests along the
-        call chain as deep as evaluating them does, and no deeper."""
+        the rows. Those plans are the ones ``_program`` keeps, made on the
+        model at their first use. A base body calls only patterns below
+        ``q``'s cycle, so planning them nests along the call chain as deep
+        as evaluating them does, and no deeper."""
         rows, domains = 0.0, [0.0] * len(q.params)
         for b in self._base(q):
             prog = self._program(q, b, ())
-            for type_name, n in prog.counts:
-                counts.setdefault(type_name, n)
             rows += next((r for r in reversed(prog.rows) if r is not None), 1.0)
             domains = [None if d is None or e is None else max(d, e)
                        for d, e in zip(domains, prog.domains)]
@@ -592,16 +532,10 @@ class LocalSearchMatcher:
         relations than ``c``'s type holds; then it runs ``scan``, which
         reads the type's relations once and answers every row from them,
         grouped by that end."""
-        space = self.space
-        ids, type_name = space.relation_ids, c.type
-        if type_name is None:
-            size = space.relation_count
-        else:
-            def size() -> int:
-                return space.count_of_type(type_name)
+        ids, size, type_name = self.space.relation_ids, self.space.count_of_type, c.type
 
         def step(m, rows: list, ctx) -> list:
-            budget = size()
+            budget = size(type_name)
             for row in rows:
                 budget -= len(ids(row[j], out))
                 if budget < 0:

@@ -318,11 +318,14 @@ class ModelSpace:
             return sets[0]
         return set().union(*sets)
 
-    def count_of_type(self, type_name: str) -> int:
+    def count_of_type(self, type_name: str | None) -> int:
         """How many elements conform to ``type_name``, read from the type
-        index without building a list. An element holding two types of the
-        subtype closure counts twice, so this is at least
+        index without building a list; ``None`` counts every relation, typed
+        or not, as in ``rows``. An element holding two types of the subtype
+        closure counts twice, so this is at least
         ``len(elements_of_type(type_name))``."""
+        if type_name is None:
+            return len(self._relations)
         by_type = self._by_type
         return sum(len(by_type.get(t, ()))
                    for t in self.registry.subtype_closure(type_name))
@@ -370,9 +373,6 @@ class ModelSpace:
             (el := elements.get(key[0])) is not None and (
                 name in el.types or not closure(name).isdisjoint(el.types))) else ()
 
-    def relation_count(self) -> int:
-        return len(self._relations)
-
     def relations_from(self, eid: int) -> set[int]:
         self.element(eid)
         return set(self._out.get(eid, ()))
@@ -385,10 +385,6 @@ class ModelSpace:
         """The relations from (``outgoing``) or to ``eid``, empty when it is
         not live: a read-only view of the index, valid until the next change."""
         return (self._out if outgoing else self._in).get(eid, ())
-
-    def relations_with_endpoint(self, eid: int) -> set[int]:
-        self.element(eid)
-        return set(self._out.get(eid, ())) | set(self._in.get(eid, ()))
 
     def iter_relations(self) -> list[int]:
         return sorted(self._relations)

@@ -447,11 +447,10 @@ def schedule(body_constraints: Iterable[Constraint], params: tuple[str, ...],
     ends, and turns their type checks into filters, beats a start with the
     smaller type scan of one end whose walk then creates the relation's
     rows again. For n positive constraints that takes O(n^3) estimates.
-    The local search reads the same estimate for two more decisions (see
-    ``matcher_ls``): a call solves its callee unbound only when the
-    distinct keys its step has left would create more rows than one
-    unbound solve, and a cached plan is planned afresh once a model count
-    it read, plus one, has grown or shrunk by ``REPLAN_FACTOR``.
+    The local search plans each body once, on the model at its first use,
+    and reads the same estimate for one more decision (see ``matcher_ls``):
+    a call solves its callee unbound only when the distinct keys its step
+    has left would create more rows than one unbound solve.
     """
     constraints = list(body_constraints)
     cvars = [frozenset(constraint_vars(c)) for c in constraints]

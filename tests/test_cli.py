@@ -83,7 +83,7 @@ def test_run_comparison_is_no_element(stmt, tri_gms, tmp_path, monkeypatch, caps
     assert space.is_live(1) and space.value(1) is None and space.name(1) == "e1"
     assert len(space.elements_of_type("nemf.packages.graph1.Node")) == 3
     assert space.types(1) == {"nemf.packages.graph1.Graph"}
-    assert len(space.relations_with_endpoint(1)) == 6
+    assert len(space.relations_from(1) | space.relations_to(1)) == 6
     assert not out.exists()
 
 

@@ -1,18 +1,20 @@
 """Local-search plans follow one row estimate, read from the model's counts.
 
-``schedule`` orders each body for the fewest estimated rows, the same
-estimate tells an enumeration when a callee is worth solving unbound, and a
-cached plan is planned afresh once a count it read, plus one, has changed
-by ``REPLAN_FACTOR``. These tests pin the plans and the materialization the
-estimate gives on the benchmark's n=300 model, the re-plan rule, and that
-the Rete, which plans without a model, builds the networks it built before.
+``schedule`` orders each body for the fewest estimated rows, and the same
+estimate tells an enumeration when a callee is worth solving unbound. A
+body is planned once, on the model at its first use, and that plan is kept
+for the matcher's life. These tests pin the plans and the materialization
+the estimate gives on the benchmark's n=300 model, that a plan is kept, and
+still right, however the model changes after it, and that the Rete, which
+plans without a model, builds the networks it built before.
 """
 
 import pytest
 
 from gtvm import corpus
 from gtvm.corpus.fixtures import G1, load_fixture
-from gtvm.matcher_ls import REPLAN_FACTOR, LocalSearchMatcher
+from gtvm.matcher_ls import LocalSearchMatcher
+from gtvm.oracle import BruteForce
 from gtvm.patterns import EntityC, FindC, NegC, schedule
 from gtvm.rete import ReteEngine
 
@@ -75,14 +77,13 @@ def test_an_unbound_edge_reads_one_callee_unbound_and_the_other_by_edge(model):
 
 def test_each_step_keeps_its_estimate(model):
     """A plan holds the rows each step is estimated to create (None for a
-    filter), the counts they were read from, and for each call how many
-    keys must be left for an unbound solve to pay."""
+    filter), and for each call how many keys must be left for an unbound
+    solve to pay."""
     space, patterns = model
     ls = LocalSearchMatcher(space, patterns)
     prog = program(ls, GP + "isolatedNode")
     assert [type(c) for c in prog.plan] == [EntityC, NegC, NegC]
     assert prog.rows == [space.count_of_type(G1 + "Node"), None, None]
-    assert dict(prog.counts)[G1 + "Node"] == space.count_of_type(G1 + "Node")
     assert prog.keys[0] is None and all(k > 1 for k in prog.keys[1:])
 
 
@@ -165,106 +166,48 @@ def simple_node_plans(space, monkeypatch):
     return ls, ls._plans[(GP + "SimpleNode", 0, ())], calls
 
 
-def test_a_plan_is_compiled_again_once_a_count_it_read_doubles_or_halves(monkeypatch):
-    """``SimpleNode``'s plan read the Node count k = 8, so k + 1 = 9: it is
-    kept while the space holds 9 to 16 nodes, or 4 to 7, and planned again
-    at 17 (18 = 2 * 9) and at 3 (2 * 4 <= 9). The new plan replaces the old
-    one and is compiled when it runs."""
-    assert REPLAN_FACTOR == 2
-    key = (GP + "SimpleNode", 0, ())
+def test_a_plan_is_kept_while_the_model_grows_and_empties(monkeypatch):
+    """``SimpleNode``, planned on 8 nodes, keeps that plan while the space
+    grows to 40 nodes and then empties: ``schedule`` is never called
+    again, and the count follows the model all along."""
     space = load_fixture("empty")
     nodes = [space.new_entity(G1 + "Node") for _ in range(8)]
     ls, prog, calls = simple_node_plans(space, monkeypatch)
-    assert dict(prog.counts) == {G1 + "Node": 8}
-    for k in range(9, 18):
+    assert prog.rows == [8]
+    while len(nodes) < 40:
         nodes.append(space.new_entity(G1 + "Node"))
-        assert ls.count(GP + "SimpleNode") == k
-        assert len(calls) == (k >= 17), k
-    new = ls._plans[key]
-    assert new is not prog and new.steps is not None
-    assert dict(new.counts) == {G1 + "Node": 17} and new.rows == [17]
-
-    space = load_fixture("empty")
-    nodes = [space.new_entity(G1 + "Node") for _ in range(8)]
-    ls, prog, calls = simple_node_plans(space, monkeypatch)
-    for k in range(7, 2, -1):
+        assert ls.count(GP + "SimpleNode") == len(nodes)
+    while nodes:
         space.delete(nodes.pop())
-        assert ls.count(GP + "SimpleNode") == k
-        assert len(calls) == (k <= 3), k
-    assert dict(ls._plans[key].counts) == {G1 + "Node": 3}
+        assert ls.count(GP + "SimpleNode") == len(nodes)
+    assert calls == [] and ls._plans[(GP + "SimpleNode", 0, ())] is prog
 
 
-def test_a_plan_of_another_order_replaces_the_old_one():
+def test_a_plan_keeps_its_order_and_its_answers_after_the_counts_turn():
     """The unbound ``edgeFromToInternal`` reads its smaller callee unbound:
-    ``srcAndRelForEdge`` while 2 edges have a source and 8 a target,
-    ``trgAndRelForEdge`` once 20 have a source. The new plan is compiled
-    afresh."""
+    ``srcAndRelForEdge`` while 2 edges have a source and 8 a target. Once
+    20 have a source, a plan made afresh would read ``trgAndRelForEdge``
+    unbound; the kept plan still reads ``srcAndRelForEdge`` first, and its
+    matches are still the Rete's and the oracle's."""
     name = GP + "edgeFromToInternal"
     space = load_fixture("empty")
+    patterns = corpus.library_program(space.registry).patterns
     nodes = [space.new_entity(G1 + "Node") for _ in range(8)]
     for k in range(8):
         edge = space.new_entity(G1 + "Edge")
         space.new_relation(G1 + "Edge.trg", edge, nodes[k])
         if k < 2:
             space.new_relation(G1 + "Edge.src", edge, nodes[k + 1])
-    ls = LocalSearchMatcher(space, corpus.library_program(space.registry).patterns)
+    ls = LocalSearchMatcher(space, patterns)
     assert len(ls.match_set(name)) == 2
-    old = ls._plans[(name, 0, ())]
-    assert old.plan[0].pattern == SRC
+    prog = ls._plans[(name, 0, ())]
+    assert prog.plan[0].pattern == SRC
     for k in range(18):
         space.new_relation(G1 + "Edge.src", space.new_entity(G1 + "Edge"), nodes[k % 8])
-    assert len(ls.match_set(name)) == 2
-    new = ls._plans[(name, 0, ())]
-    assert new is not old and new.plan[0].pattern == TRG and new.steps is not None
-
-
-def test_a_plan_from_an_empty_type_is_compiled_again_at_its_first_element(monkeypatch):
-    """A count of 0 drifts at the first element; a count of 1 not at the
-    second, but at the third, or when the type is empty again."""
-    key = (GP + "SimpleNode", 0, ())
-    space = load_fixture("empty")
-    ls, prog, calls = simple_node_plans(space, monkeypatch)
-    assert dict(prog.counts) == {G1 + "Node": 0}
-    nodes = [space.new_entity(G1 + "Node")]
-    assert ls.count(GP + "SimpleNode") == 1
-    assert len(calls) == 1 and dict(ls._plans[key].counts) == {G1 + "Node": 1}
-    nodes.append(space.new_entity(G1 + "Node"))
-    assert ls.count(GP + "SimpleNode") == 2 and len(calls) == 1
-    space.delete(nodes.pop())
-    space.delete(nodes.pop())
-    assert ls.count(GP + "SimpleNode") == 0
-    assert len(calls) == 2 and dict(ls._plans[key].counts) == {G1 + "Node": 0}
-
-
-def test_the_drift_test_reads_no_count_until_one_may_have_drifted(monkeypatch):
-    """Between two drift tests a cached plan costs one comparison of space
-    versions: a plan that read a count of 40 reads no count again in the
-    next 20 changes, whatever is queried, and then once per version at
-    most."""
-    space = load_fixture("empty")
-    graph = space.new_entity(G1 + "Graph")
-    for _ in range(40):
-        space.new_entity(G1 + "Node", graph)
-    ls, prog, _ = simple_node_plans(space, monkeypatch)
-    reads = []
-    count_of_type = space.count_of_type
-
-    def counted(type_name):
-        reads.append(type_name)
-        return count_of_type(type_name)
-    monkeypatch.setattr(space, "count_of_type", counted)
-    for k in range(19):
-        space.new_entity(G1 + "Graph")  # a change, and no Node count moves
-        for _ in range(3):
-            assert ls.count(GP + "SimpleNode") == 40
-    assert reads == []
-    for k in range(25):
-        space.new_entity(G1 + "Graph")
-        before = len(reads)
-        ls.count(GP + "SimpleNode")
-        ls.count(GP + "SimpleNode")
-        assert len(reads) - before <= len(ls._plans)
-    assert reads and ls._plans[(GP + "SimpleNode", 0, ())] is prog
+    assert program(LocalSearchMatcher(space, patterns), name).plan[0].pattern == TRG
+    rete = ReteEngine(space, patterns).register(name)
+    assert ls.match_set(name) == rete.match_tuples() == BruteForce(space, patterns).match_set(name)
+    assert ls._plans[(name, 0, ())] is prog
 
 
 # the Rete plans without a model: its networks are the ones it built before

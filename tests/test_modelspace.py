@@ -72,6 +72,13 @@ def test_untyped_relation(space):
     assert t in space.relations_from(a)
 
 
+def test_count_of_none_counts_every_relation(space):
+    a = space.new_entity(G1 + "Node")
+    space.new_relation(G1 + "Edge.src", a, a)
+    space.new_relation(None, a, a)
+    assert space.count_of_type(None) == 2 == len(space.rows(None))
+
+
 def test_delete_cascades_children_and_incident(space):
     g = space.new_entity(G1 + "Graph")
     n = space.new_entity(G1 + "Node", g)
@@ -145,9 +152,9 @@ def test_queries_reflect_mutations(space):
     assert space.elements_of_type(G1 + "Node") == []
     n = space.new_entity(G1 + "Node")
     r = space.new_relation(G1 + "Edge.src", n, n)
-    assert space.relations_with_endpoint(n) == {r}
+    assert space.relations_from(n) | space.relations_to(n) == {r}
     space.delete(r)
-    assert space.relations_with_endpoint(n) == set()
+    assert space.relations_from(n) | space.relations_to(n) == set()
 
 
 def test_registry_single_inheritance():
