@@ -25,7 +25,10 @@ def _load_machine_arg(arg: str):
                 source = f.read()
         except UnicodeDecodeError as e:
             raise GtvmError(f"{arg} is not UTF-8 text (byte {e.start})") from None
-        return parse(source)
+        try:
+            return parse(source)
+        except ParseError as e:  # name the file, and the line in words
+            raise GtvmError(f"{arg}, line {e.line}: {e}") from None
     stem = os.path.splitext(os.path.basename(arg))[0]
     if stem in corpus.CORPUS_MACHINES:
         return parse(corpus.corpus_source(stem))

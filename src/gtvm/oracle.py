@@ -249,7 +249,9 @@ class BruteForce:
                     assign(k + 1)
                 del env[v]
 
-        if all(self._consistent(c, env) for c in unread):
+        # an empty domain has no assignment: skip the enumeration
+        if (all(self._consistent(c, env) for c in unread)
+                and all(domains[v] for v in enum_vars)):
             assign(0)
         return out
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from . import expr as ex
 from . import rules as ir
@@ -32,63 +31,63 @@ class NegInlineC:
 
 # --- lexer -------------------------------------------------------------------
 
-# One alternative per token kind, tried in this order at each position.
-# Integers are ASCII digits only; an identifier starts with a letter or "_",
-# which ``tokenize`` checks, since \w also takes other digits and numerals.
-_TOKEN = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<int>[0-9]+)
-  | (?P<ident>\w+)
-  | (?P<punct>==|!=|[{}(),;=+@#.])
+# One ``findall`` splits a source into token strings: each match skips
+# whitespace and comments, then takes one token. The token group cannot fail,
+# so the scan never backtracks and runs in linear time: a character of no
+# token comes back alone, an unterminated string or block comment runs on to
+# the end of the text, and the end itself is the eof token "". ``tokenize``
+# then rejects the first token the language lacks. Tokens are told apart by
+# their first character; a string keeps its quotes and escapes, and an
+# identifier must start with a letter or "_", since \w also takes numerals.
+_SCAN = re.compile(r"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    ( "(?:[^"\\]|\\.)*"? | /\*.* | [0-9]+ | \w+ | [=!]= | [{}(),;=+@#.] | . | \Z )
 """, re.S | re.X)
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.S)
+_PUNCT = frozenset(["", "==", "!=", *"{}(),;=+@#."])  # with the eof token
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPED = {"n": "\n", "t": "\t"}
-
-
-class Token(NamedTuple):
-    kind: str  # 'ident', 'int', 'string', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
 
 
 def _unescape(m: re.Match) -> str:
     return _ESCAPED.get(m[1], m[1])
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens = []
-    append = tokens.append
-    line = 1
-    line_start = 0  # index of the first character of ``line``
-    pos = 0
-    n = len(source)
-    match = _TOKEN.match
-    while pos < n:
-        m = match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            if source.startswith("/*", pos):
-                raise ParseError("unterminated block comment", line, col)
-            if source[pos] == '"':
-                raise ParseError("unterminated string", line, col)
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m[0]
-        if kind == "skip" or kind == "string":  # the kinds that may span lines
-            if kind == "string":
-                append(Token(kind, _ESCAPE.sub(_unescape, text[1:-1]), line,
-                             pos - line_start + 1))
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = pos + text.rindex("\n") + 1
-        elif kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
-            raise ParseError(f"unexpected character {text[0]!r}", line, pos - line_start + 1)
-        else:
-            append(Token(kind, text, line, pos - line_start + 1))
-        pos = m.end()
-    append(Token("eof", "", line, pos - line_start + 1))
+def _text(tok: str) -> str:
+    """A token's text: for a string literal, its value without quotes or
+    escapes (as messages show it, too)."""
+    if tok[:1] == '"':
+        return _ESCAPE.sub(_unescape, tok[1:-1])
+    return tok
+
+
+def _error(tok: str) -> str | None:
+    """Why ``tok`` is no token of the language, or None if it is one."""
+    c = tok[:1]
+    if tok in _PUNCT or c.isalpha() or c == "_" or "0" <= c <= "9":
+        return None
+    if c == '"':
+        return None if _STRING.fullmatch(tok) else "unterminated string"
+    if tok.startswith("/*"):
+        return "unterminated block comment"
+    return f"unexpected character {c!r}"
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """Line and column of token ``index`` of ``tokenize(source)``."""
+    m = next(itertools.islice(_SCAN.finditer(source), index, None))
+    start = m.start(1)
+    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+
+
+def tokenize(source: str) -> list[str]:
+    tokens = _SCAN.findall(source)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()  # after trailing skip, \Z matched at the end once more
+    for tok in dict.fromkeys(tokens):
+        msg = _error(tok)
+        if msg is not None:
+            raise ParseError(msg, *_position(source, tokens.index(tok)))
     return tokens
 
 
@@ -102,45 +101,45 @@ MAX_NESTING = 64
 
 class _Parser:
     def __init__(self, source: str):
+        self.text = source
         self.tokens = tokenize(source)
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:  # ``next`` never moves past the eof token
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def next(self) -> str:
+        """The current token, which is not the eof token, and step past it."""
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def error(self, msg: str, index: int | None = None):
+        """Raise ``msg`` at token ``index``, by default the current one."""
+        index = self.pos if index is None else index
+        raise ParseError(msg, *_position(self.text, index))
 
-    def error(self, msg: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def found(self) -> str:
+        return repr(_text(self.tokens[self.pos]))
 
     def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("ident", "punct")
+        return self.tokens[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            self.error(f"expected {text!r}, found {self.peek().text!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self.error(f"expected {text!r}, found {self.found()}")
+        self.pos += 1
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected identifier, found {tok.text!r}")
-        return self.next().text
+        tok = self.tokens[self.pos]
+        c = tok[:1]
+        if not (c.isalpha() or c == "_"):
+            self.error(f"expected identifier, found {self.found()}")
+        self.pos += 1
+        return tok
 
     def dotted(self) -> str:
         parts = [self.ident()]
@@ -193,9 +192,9 @@ class _Parser:
                     self.error("annotations are only allowed on patterns")
                 gtrules.append(self.gtrule_def())
             else:
-                self.error(f"expected pattern, rule, or gtrule, found {self.peek().text!r}")
+                self.error(f"expected pattern, rule, or gtrule, found {self.found()}")
         self.expect("}")
-        if self.peek().kind != "eof":
+        if self.tokens[self.pos]:
             self.error("one machine per file")
         names = [p.name for p in patterns] + [g.name for g in gtrules] + [r.name for r in rules]
         dup = {n for n in names if names.count(n) > 1}
@@ -273,16 +272,16 @@ class _Parser:
     def typed(self) -> EntityC | RelationC:
         """``relation(R,S,T)``, ``T(R,S,T)`` or ``T(X)`` with an optional
         ``in P`` (``in`` a dotted namespace path: the model root)."""
-        tok = self.peek()
+        start = self.pos
         untyped = self.accept("relation")
         type_name = None if untyped else self.dotted()
         args = self.arg_list()
         if len(args) == 3:
             return RelationC(type_name, *args)
         if untyped:
-            self.error("relation(...) takes exactly 3 arguments", tok)
+            self.error("relation(...) takes exactly 3 arguments", start)
         if len(args) != 1:
-            self.error("type constraints take 1 (entity) or 3 (relation) arguments", tok)
+            self.error("type constraints take 1 (entity) or 3 (relation) arguments", start)
         if not self.accept("in"):
             return EntityC(type_name, args[0])
         path = self.dotted()
@@ -299,7 +298,7 @@ class _Parser:
             while True:
                 mode = "in"
                 if self.at("in") or self.at("out"):
-                    mode = self.next().text
+                    mode = self.next()
                 params.append(ir.Param(mode, self.ident()))
                 if not self.accept(","):
                     break
@@ -399,10 +398,10 @@ class _Parser:
             self.expect("do")
             return ir.Forall(tuple(vars_), source, self.statement())
         if self.accept("iterate"):
-            tok = self.peek()
+            start = self.pos
             inner = self.statement()
             if not isinstance(inner, ir.Choose):
-                self.error("iterate expects a choose statement", tok)
+                self.error("iterate expects a choose statement", start)
             return ir.Iterate(inner)
         if self.accept("call"):
             ref = self.dotted()
@@ -448,7 +447,7 @@ class _Parser:
         if self.accept("rename"):
             a, b = self.two_args()
             return ir.RenameStmt(a, b)
-        self.error(f"expected a statement, found {self.peek().text!r}")
+        self.error(f"expected a statement, found {self.found()}")
 
     def two_args(self):
         self.expect("(")
@@ -501,7 +500,7 @@ class _Parser:
     def expr(self) -> ex.Expr:
         left = self.additive()
         if self.at("==") or self.at("!="):
-            op = self.next().text
+            op = self.next()
             return ex.BinOp(op, left, self.additive())
         return left
 
@@ -524,30 +523,30 @@ class _Parser:
         return e
 
     def primary(self) -> ex.Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
+        tok = self.tokens[self.pos]
+        c = tok[:1]
+        if c.isdigit():
             try:
-                return ex.Lit(int(tok.text))
+                value = int(tok)
             except ValueError:  # more digits than int() converts
-                self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
-        if tok.kind == "string":
-            self.next()
-            return ex.Lit(tok.text)
+                self.error(f"integer literal of {len(tok)} digits is too long")
+            self.pos += 1
+            return ex.Lit(value)
+        if c == '"':
+            self.pos += 1
+            return ex.Lit(_text(tok))
         if self.accept("undef"):
             return ex.Lit(None)
-        if self.at("value") and self.peek(1).text == "(":
-            self.next()
-            return ex.ValueOf(self.parenthesised())
-        if self.at("name") and self.peek(1).text == "(":
-            self.next()
-            return ex.NameOf(self.parenthesised())
-        if self.at("("):
+        if (tok == "value" or tok == "name") and self.tokens[self.pos + 1] == "(":
+            self.pos += 1
+            inner = self.parenthesised()
+            return ex.ValueOf(inner) if tok == "value" else ex.NameOf(inner)
+        if tok == "(":
             return self.parenthesised()
-        if tok.kind == "ident":
-            self.next()
-            return ex.Var(tok.text)
-        self.error(f"expected an expression, found {tok.text!r}")
+        if c.isalpha() or c == "_":
+            self.pos += 1
+            return ex.Var(tok)
+        self.error(f"expected an expression, found {self.found()}")
 
 
 def parse(source: str) -> ir.Machine:

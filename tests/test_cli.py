@@ -145,6 +145,14 @@ def test_run_not_utf8(not_utf8, capsys):
     assert path in capsys.readouterr().err
 
 
+def test_run_parse_error_names_the_file_and_line(tmp_path, capsys):
+    src = tmp_path / "open.vtcl"
+    src.write_text("machine open{\n  rule main() = skip;\n  /* never closed\n}\n")
+    assert main(["run", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert f"{src}, line 3: 3:3: unterminated block comment" in err
+
+
 def test_match_not_utf8(not_utf8, tri_gms, capsys):
     path = not_utf8("bad.vtcl", "machine bad{ pattern p(X) = { graph1.Node(X); } } //@")
     assert main(["match", path, "--model", tri_gms, "--pattern", "p"]) == 1

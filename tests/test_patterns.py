@@ -414,3 +414,22 @@ def test_oracle_refuses_recursive_and_unbindable():
     patterns["noescape"] = noescape
     with pytest.raises(OracleError):
         BruteForce(space, patterns).match_set("noescape")
+
+
+def test_oracle_skips_a_body_with_an_empty_domain(monkeypatch):
+    # graph2.Node is empty on a graph1 model: no prefix of these bodies is
+    # tried at all (their callees are still solved, for the find)
+    from gtvm.corpus.fixtures import load_fixture
+    from gtvm.oracle import BruteForce
+
+    space = load_fixture("random", n=8, e=16, seed=1)
+    lib = builtin_library(space.registry)
+    brute = BruteForce(space, lib)
+    checked = []
+    consistent = BruteForce._consistent
+    monkeypatch.setattr(BruteForce, "_consistent",
+                        lambda self, c, env: checked.append(c) or consistent(self, c, env))
+    for name in ("OldAndNewSourceOfEdge", "OldAndNewTargetOfEdge"):
+        assert brute.match_set("graphPatterns." + name) == frozenset()
+        outer = lib["graphPatterns." + name].bodies[0].constraints
+        assert checked and not [c for c in checked if c in outer]

@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
+import gtvm
 from gtvm import corpus
 from gtvm import rules as ir
 from gtvm.errors import GtvmError, LinkError, ParseError
+from gtvm.expr import Lit
 from gtvm.patterns import CountC, NegC
-from gtvm.vtcl import link, parse, pretty, tokenize
+from gtvm.vtcl import _position, _text, link, parse, pretty, tokenize
 
 
 def test_parse_library():
@@ -217,21 +223,25 @@ def test_mixed_operators_round_trip(text):
 
 
 def test_token_positions_after_multiline_comment_and_string():
+    # tokens are plain strings; a position is computed from the source and
+    # the token's index, and a string literal keeps its quotes and escapes
     source = 'a /* one\n two\n */ b "x\\"y\nz" c\n  d'
-    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == [
-        ("ident", "a", 1, 1),
-        ("ident", "b", 3, 5),
-        ("string", 'x"y\nz', 3, 7),
-        ("ident", "c", 4, 4),
-        ("ident", "d", 5, 3),
-        ("eof", "", 5, 4),
+    tokens = tokenize(source)
+    assert [(tok, *_position(source, i)) for i, tok in enumerate(tokens)] == [
+        ("a", 1, 1),
+        ("b", 3, 5),
+        ('"x\\"y\nz"', 3, 7),
+        ("c", 4, 4),
+        ("d", 5, 3),
+        ("", 5, 4),
     ]
+    assert _text(tokens[2]) == 'x"y\nz'
 
 
 def test_block_comment_closes_after_its_opening_star():
     # as in C: the "*/" that closes a comment cannot share the opening star
-    assert [t.text for t in tokenize("a /*/ note */ b")] == ["a", "b", ""]
-    assert [t.text for t in tokenize("a /**/ b /***/ c")] == ["a", "b", "c", ""]
+    assert tokenize("a /*/ note */ b") == ["a", "b", ""]
+    assert tokenize("a /**/ b /***/ c") == ["a", "b", "c", ""]
     with pytest.raises(ParseError) as err:
         tokenize("a\n /*/ b")
     assert "unterminated block comment" in str(err.value)
@@ -248,6 +258,75 @@ def test_tokenize_errors_have_positions(source, position):
     with pytest.raises(ParseError) as err:
         tokenize(source)
     assert (err.value.line, err.value.col) == position
+
+
+@pytest.mark.parametrize("source, message", [
+    # after a multi-line block comment
+    ("machine m{\n/* one\n two */ rule main() = println(;\n}",
+     "3:31: expected an expression, found ';'"),
+    # after a multi-line string
+    ('machine m{ rule main() = println("a\nb" +\n  ); }',
+     "3:3: expected an expression, found ')'"),
+    # at eof: at the end of the text, after a comment or after whitespace
+    ("machine m{ rule main() = skip;",
+     "1:31: expected pattern, rule, or gtrule, found ''"),
+    ("machine m{ rule main() = skip;\n  // end\n",
+     "3:1: expected pattern, rule, or gtrule, found ''"),
+    ("machine m{ rule main() = skip;\n/* a\n */  ",
+     "3:6: expected pattern, rule, or gtrule, found ''"),
+])
+def test_parse_errors_keep_their_positions(source, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("literal, value", [
+    (r'"a\"b"', 'a"b'),
+    (r'"a\\b"', "a\\b"),
+    (r'"a\nb"', "a\nb"),
+    (r'"a\tb"', "a\tb"),
+    (r'"a\qb"', "aqb"),
+    ('"a\nb"', "a\nb"),  # a raw newline
+    ('""', ""),
+])
+def test_string_literals(literal, value):
+    m = parse(f"machine m{{ rule main() = println({literal}); }}")
+    assert m.rules[0].body == ir.Println(Lit(value))
+    assert parse(pretty(m)) == m
+
+
+def test_a_string_is_found_by_its_value():
+    with pytest.raises(ParseError) as err:
+        parse(r'machine m{ rule main() = println(1 "a\"b\n"); }')
+    assert str(err.value) == "1:36: expected ')', found 'a\"b\\n'"
+
+
+def test_scanner_runs_in_linear_time():
+    # each text tokenizes or raises a ParseError; a scan that backtracks
+    # takes exponential or quadratic time on some of them, so it runs in a
+    # child process that is killed after the timeout
+    code = """if True:
+        import time
+        from gtvm.errors import ParseError
+        from gtvm.vtcl import tokenize
+        n = 100_000
+        texts = ["a" * (n - 1) + "$", " " * (n - 1) + "$",
+                 "/*" + "*" * (n - 2), "/" * n, '"' + "x" * (n - 1),
+                 ("/* " * n)[:n], ('"\\\\' * n)[:n]]
+        start = time.perf_counter()
+        for text in texts:
+            try:
+                tokenize(text)
+            except ParseError:
+                pass
+        print(time.perf_counter() - start)
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gtvm.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 2.0
 
 
 def test_non_ascii_digit_is_a_parse_error():
