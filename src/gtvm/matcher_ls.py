@@ -70,8 +70,8 @@ from .errors import PatternError, SpaceError
 from .modelspace import ModelSpace
 from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, NegC,
                        Pattern, RelationC, consistency_test, consistent_count,
-                       constraint_vars, equal_pairs, plan_rows, schedule,
-                       tuple_getter)
+                       constraint_vars, equal_pairs, match_dicts, plan_rows,
+                       schedule, tuple_getter)
 
 
 def order_key(values) -> tuple:
@@ -279,24 +279,23 @@ class LocalSearchMatcher:
     # -- public -------------------------------------------------------------
 
     def match_all(self, name: str, binding: dict | None = None) -> list[dict]:
-        p = self._pattern(name)
-        tuples = self._query(p, binding)
-        params = p.params
-        return [dict(zip(params, t)) for t in in_order(tuples)]
+        p = self.pattern(name)
+        return match_dicts(p.params)(in_order(self._query(p, binding)))
 
     def count(self, name: str, binding: dict | None = None) -> int:
-        return len(self._query(self._pattern(name), binding))
+        return len(self._query(self.pattern(name), binding))
 
     def match_set(self, name: str, binding: dict | None = None) -> frozenset[tuple]:
-        return frozenset(self._query(self._pattern(name), binding))
+        return frozenset(self._query(self.pattern(name), binding))
 
-    # -- plumbing -------------------------------------------------------------
-
-    def _pattern(self, name: str) -> Pattern:
+    def pattern(self, name: str) -> Pattern:
+        """The pattern ``name``; PatternError when there is none."""
         try:
             return self.patterns[name]
         except KeyError:
             raise PatternError(f"unknown pattern {name}") from None
+
+    # -- plumbing -------------------------------------------------------------
 
     def _query(self, p: Pattern, binding: dict | None) -> Collection[tuple]:
         return self._solve(p, *binding_key(self.space, p, binding))

@@ -370,6 +370,23 @@ def consistent_count(tuples: Collection[tuple], ok: Callable[[tuple], bool] | No
     return len(tuples) if ok is None else sum(map(ok, tuples))
 
 
+@functools.cache
+def match_dicts(params: tuple[str, ...]) -> Callable[[Iterable[tuple]], list[dict]]:
+    """``rows -> [dict(zip(params, t)) for t in rows]``: a new list of new
+    dicts, keys in ``params`` order. The one match-tuple-to-dict constructor."""
+    return _dict_display(len(params))(*params)
+
+
+@functools.cache
+def _dict_display(arity: int):
+    # one comprehension with a dict display per arity; the source names only
+    # k<i>, v<i> and rows, and the keys come in as values, never as source
+    keys = ", ".join(f"k{i}" for i in range(arity))
+    pairs = ", ".join(f"k{i}: v{i}" for i in range(arity))
+    values = ", ".join(f"v{i}" for i in range(arity))
+    return eval(f"lambda {keys}: lambda rows: [{{{pairs}}} for [{values}] in rows]")
+
+
 # --- constraint scheduling (shared by both matchers) ------------------------
 
 POSITIVE = (EntityC, RelationC, FindC)

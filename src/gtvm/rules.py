@@ -26,7 +26,7 @@ from .errors import DivergenceError, ExecError, LinkError
 from .matcher_ls import LocalSearchMatcher, binding_key, in_order, least
 from .modelspace import ROOT_ID, ModelSpace
 from .patterns import (MAX_CALL_DEPTH, CheckC, CountC, EntityC, NegC, Pattern,
-                       RelationC, consistency_test)
+                       RelationC, consistency_test, match_dicts)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -47,10 +47,9 @@ def step_budget_from_env() -> int:
     if text is None:
         return DEFAULT_STEP_BUDGET
     try:
-        budget = int(text)
-        if budget >= 0:
-            return budget
-    except ValueError:
+        if text.isascii() and text.isdigit():  # int() takes any Unicode digit
+            return int(text)
+    except ValueError:  # more digits than int() converts
         pass
     raise ExecError(f"{STEP_BUDGET_ENV} must be a non-negative integer, got {text!r}")
 
@@ -480,18 +479,19 @@ class VM:
                   args: tuple[str, ...] = ()) -> list[dict]:
         """Every match in order, keeping those that give each repeated
         variable of ``args`` (as in ``query_first``) a single value."""
-        p = self.program.patterns[pattern_name]
-        return [dict(zip(p.params, t)) for t in in_order(self._tuples(p, binding, args))]
+        p = self.ls.pattern(pattern_name)
+        return match_dicts(p.params)(in_order(self._tuples(p, binding, args)))
 
     def query_first(self, pattern_name: str, binding: dict | None = None,
                     args: tuple[str, ...] = ()) -> dict | None:
         """The match ``query_all`` lists first among those that give each
         repeated variable of ``args`` (call arguments aligned with the
         parameters) a single value; None when there is none. One scan and
-        no sort, and one dict for the result."""
-        p = self.program.patterns[pattern_name]
+        no sort, and one new dict, built by ``match_dicts`` as ``query_all``
+        builds its own. PatternError for an unknown pattern."""
+        p = self.ls.pattern(pattern_name)
         first = least(self._tuples(p, binding, args))
-        return None if first is None else dict(zip(p.params, first))
+        return None if first is None else match_dicts(p.params)((first,))[0]
 
     # -- top level -----------------------------------------------------------
 
@@ -513,7 +513,9 @@ class VM:
                      report: ExecutionReport | None = None) -> dict | None:
         """Match the rule's precondition (extending ``in_binding``), apply the
         first match, run the action; returns the full binding or None."""
-        gt = self.program.gtrules[name]
+        gt = self.program.gtrules.get(name)
+        if gt is None:
+            raise ExecError(f"unknown GT rule {name}")
         match = self.query_first(gt.pre_pattern, in_binding)
         if match is None:
             return None

@@ -6,7 +6,9 @@ from conftest import INT_DIGITS_LIMITED, INT_MAX_DIGITS, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.cli import main
 from gtvm.corpus.fixtures import load_fixture
+from gtvm.errors import ExecError
 from gtvm.patterns import MAX_CALL_DEPTH
+from gtvm.rules import step_budget_from_env
 from gtvm.vtcl import MAX_NESTING
 
 
@@ -116,17 +118,39 @@ def test_run_runtime_error(tmp_path, capsys):
         del os.environ["GTVM_STEP_BUDGET"]
 
 
-@pytest.mark.parametrize("budget", ["abc", "-5"])
+@pytest.mark.parametrize("budget", ["abc", "-5", "\u0663", "\uff13", "3\u0663"])
 def test_run_bad_step_budget(budget, monkeypatch, capsys):
     monkeypatch.setenv("GTVM_STEP_BUDGET", budget)
     assert main(["run", "helloWorldASM"]) == 1
     assert "GTVM_STEP_BUDGET must be a non-negative integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["abc", "-5"])
+@pytest.mark.parametrize("budget", ["abc", "-5", "\u0663", "\uff13", "3\u0663"])
 def test_match_bad_step_budget(budget, tri_gms, monkeypatch, capsys):
     monkeypatch.setenv("GTVM_STEP_BUDGET", budget)
     assert main(["match", "--model", tri_gms, "--pattern", "SimpleNode"]) == 1
+    assert "GTVM_STEP_BUDGET must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget,want", [("0", 0), ("3", 3), ("0025", 25)])
+def test_step_budget_takes_ascii_digits(budget, want, monkeypatch):
+    monkeypatch.setenv("GTVM_STEP_BUDGET", budget)
+    assert step_budget_from_env() == want
+
+
+@pytest.mark.parametrize("budget", [" 3", "+3", "1_000", "3.0", ""])
+def test_step_budget_refuses_other_integer_text(budget, monkeypatch):
+    monkeypatch.setenv("GTVM_STEP_BUDGET", budget)
+    with pytest.raises(ExecError, match="must be a non-negative integer"):
+        step_budget_from_env()
+
+
+def test_step_budget_of_more_digits_than_int_converts(monkeypatch, capsys):
+    monkeypatch.setenv("GTVM_STEP_BUDGET", LONG_DIGITS)
+    if not INT_DIGITS_LIMITED:
+        assert step_budget_from_env() == int(LONG_DIGITS)
+        return
+    assert main(["run", "helloWorldASM"]) == 1
     assert "GTVM_STEP_BUDGET must be a non-negative integer" in capsys.readouterr().err
 
 
