@@ -48,16 +48,17 @@ drops them all. A pattern's unbound answer set, once held (searched, or
 tabled for a recursive pattern), also answers every bound call to it through
 a hash index keyed by the bound parameter positions, built on first use. A
 bound call whose pattern has no unbound set held is searched with its
-binding as the seed row, and its answers are memoized by binding. Below an
-enumeration (an unbound solve or a tabling fixpoint on the stack), from the
-second bound search of a pattern in one version on, a call whose step has
-many distinct keys left to ask solves that pattern unbound instead, and its
-index answers that call and every later one: many, when those keys, each
-searched from a seed row that creates the rows the call is estimated to
-create per key, would make more rows than one unbound solve from one seed
-row. A top-level bound query never builds an unbound set. The tabling bases
-(table and delta of each cycle member) are indexed the same way, and an
-index of a growing table takes each added tuple, so none serves a stale set.
+binding as the seed row, and its answers are memoized by binding. A call
+step chooses between the two once per run, before its first key: below an
+enumeration (an unbound solve or a tabling fixpoint on the stack), a step
+whose rows hold more distinct keys than its plan's threshold solves the
+callee unbound and reads every key from that set's index. The threshold is
+where the keys, each searched from a seed row that creates the rows the call
+is estimated to create per key, would make more rows than one unbound solve
+from one seed row. A top-level bound query never builds an unbound set. The
+tabling bases (table and delta of each cycle member) are indexed the same
+way, and an index of a growing table takes each added tuple, so none serves
+a stale set.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .modelspace import ModelSpace
 from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, NegC,
                        Pattern, RelationC, consistency_test, consistent_count,
                        constraint_vars, equal_pairs, match_dicts, plan_rows,
-                       schedule, tuple_getter)
+                       row_test, schedule, tuple_getter)
 
 
 def order_key(values) -> tuple:
@@ -117,7 +118,7 @@ def binding_key(space: ModelSpace, p: Pattern,
 
 class AnswerSet:
     """The answer tuples of one pattern, with hash indexes keyed by bound
-    parameter positions. An index is built on the first lookup with its
+    parameter positions. An index is built on the first ``reader`` with its
     positions and takes every tuple that ``add`` brings later."""
 
     __slots__ = ("tuples", "arity", "_indexes")
@@ -128,13 +129,9 @@ class AnswerSet:
         # positions -> (key getter, key -> tuples with that key)
         self._indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
 
-    def lookup(self, positions: tuple[int, ...], key: tuple) -> Collection[tuple]:
-        """The tuples whose values at ``positions`` (ascending) are ``key``."""
-        return self.reader(positions)(key)
-
     def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection[tuple]]:
-        """``key -> lookup(positions, key)``; it reads the tuples that
-        ``add`` brings later too."""
+        """``key ->`` the tuples whose values at ``positions`` (ascending)
+        are ``key``; it reads the tuples that ``add`` brings later too."""
         tuples = self.tuples
         if not positions:
             return lambda key: tuples
@@ -172,13 +169,13 @@ class Program:
 
     ``rows`` holds the rows each step is estimated to create from one seed
     row (``plan_rows``; None for a filter); ``keys``, for each call, how
-    many distinct keys must be left for an unbound solve to pay (see
-    ``_call``; None for other steps); ``domains`` the estimated number of
-    values of each parameter in the body (None when no type or call
-    constrains it). Once compiled,
-    ``steps`` run in turn, ``project`` maps a last row onto the parameters
-    and ``seed_elems`` reads the seed's element values, which must be
-    distinct (None when there are fewer than two)."""
+    many distinct keys a step run must have for an unbound solve to pay
+    (see ``_call``; None for other steps); ``domains`` the estimated number
+    of values of each parameter in the body (None when no type or call
+    constrains it). Once compiled, ``steps`` run in turn, ``project`` maps
+    a last row onto the parameters and ``seed_elems`` reads the seed's
+    element values, which must be distinct (None when there are fewer than
+    two)."""
 
     __slots__ = ("plan", "rows", "keys", "domains", "steps", "project", "seed_elems")
 
@@ -270,9 +267,7 @@ class LocalSearchMatcher:
         self._version = -1
         self._held: dict[str, AnswerSet] = {}
         self._memo: dict[tuple, set[tuple]] = {}
-        # patterns that had a bound search at self._version, and how many
-        # enumerations (unbound solves, tabling) are under way
-        self._searched: set[str] = set()
+        # how many enumerations (unbound solves, tabling) are under way
         self._enumerating = 0
         self.shuffle = None  # test hook: a random.Random that randomizes plans
 
@@ -316,35 +311,25 @@ class LocalSearchMatcher:
         if self._version != self.space.version:
             self._held.clear()
             self._memo.clear()
-            self._searched.clear()
             self._version = self.space.version
 
-    def _solve(self, p: Pattern, positions: tuple[int, ...],
-               key: tuple, many: bool = False) -> Collection[tuple]:
-        """The answers of ``p`` whose values at ``positions`` are ``key``.
-        ``many``: the calling step has so many distinct keys left that
-        searching each is estimated to create more rows than solving ``p``
-        unbound."""
+    def _solve(self, p: Pattern, positions: tuple[int, ...], key: tuple) -> Collection[tuple]:
+        """The answers of ``p`` whose values at ``positions`` are ``key``:
+        read through the index of ``p``'s unbound answer set when that is
+        held (tabled first, for a recursive ``p``), else searched with the
+        binding as the seed row and memoized by it."""
         self._sync()
         held = self._held.get(p.name)
         if held is None and p.recursive:
             held = self._table(p)
         if held is not None:
-            return held.lookup(positions, key)
+            return held.reader(positions)(key)
 
         if positions:
             memo_key = (p.name, positions, key)
             hit = self._memo.get(memo_key)
             if hit is not None:
                 return hit
-            if self._enumerating and many and p.name in self._searched:
-                # an enumeration calls p bound with one more key, and many
-                # follow: solve p unbound once and answer this call and the
-                # later ones from its index (a top-level bound query never
-                # gets here)
-                self._solve(p, (), ())
-                return self._held[p.name].lookup(positions, key)
-            self._searched.add(p.name)
         out: set[tuple] = set()
         enumerating = 0 if positions else 1
         self._enumerating += enumerating
@@ -412,7 +397,7 @@ class LocalSearchMatcher:
         for c, limit in zip(prog.plan, prog.keys):
             col = {v: k for k, v in enumerate(cols)}
             if isinstance(c, CheckC):
-                steps.append(self._check_step(c.expr, col))
+                steps.append(self._check_step(c.expr, cols))
                 continue
             if isinstance(c, NegC):
                 steps.append(self._neg_step(c, col, limit))
@@ -584,19 +569,19 @@ class LocalSearchMatcher:
         the bound argument positions (the callee's bound parameter
         positions), the getter of their values from a row, and
         ``prepare(m, ctx, rows)``, which gives the reader from such a key to
-        the callee's answers with it, for a step over ``rows``. The reader
-        reads the tabling base ``ctx`` holds for the callee, else solves
-        each key with the matcher ``m`` until the callee's answer set is
-        held, and reads that set's index from then on.
+        the callee's answers with it, for a step over ``rows``.
 
-        ``limit`` is the plan's threshold for this call: where searching key
-        by key stops paying. A search reads its seed row and creates the
-        rows the call is estimated to create for each row, an unbound solve
-        reads one seed row and creates the callee's unbound rows, so the
-        distinct keys the step has not asked yet (this one included) are
-        worth an unbound solve once there are more than ``limit``;
-        ``_solve`` is told so with each new key. A key asked again is a
-        memo hit, and is told nothing."""
+        ``prepare`` decides once per step run. It reads the tabling base
+        ``ctx`` holds for the callee, else the index of the callee's unbound
+        answer set held by the matcher ``m``. Failing both, below an
+        enumeration, a step whose rows hold more distinct keys than
+        ``limit`` solves the callee unbound first and reads that set's
+        index; otherwise each key is solved on its own, memoized by
+        ``_solve``. ``limit`` is the plan's threshold for this call: a
+        search reads its seed row and creates the rows the call is
+        estimated to create for each row, an unbound solve reads one seed
+        row and creates the callee's unbound rows, so more than ``limit``
+        distinct keys are worth an unbound solve."""
         callee = self.patterns[c.pattern]
         name = callee.name
         positions = tuple([j for j, a in enumerate(c.args) if a in col])
@@ -605,24 +590,14 @@ class LocalSearchMatcher:
         def prepare(m, ctx, rows: list) -> Callable[[tuple], Collection[tuple]]:
             if ctx is not None and name in ctx:
                 return ctx[name].reader(positions)
-            held, solve = m._held, m._solve
-            read, left, asked = None, None, set()
-
-            def fetch(key: tuple) -> Collection[tuple]:
-                nonlocal read, left
-                if read is None:
-                    answers = held.get(name)
-                    if answers is None:
-                        if key in asked:
-                            return solve(callee, positions, key)
-                        if left is None:
-                            left = len(set(map(row_key, rows)))
-                        asked.add(key)
-                        many, left = left > limit, left - 1
-                        return solve(callee, positions, key, many)
-                    read = answers.reader(positions)
-                return read(key)
-            return fetch
+            answers = m._held.get(name)
+            if answers is None and m._enumerating and len(set(map(row_key, rows))) > limit:
+                m._solve(callee, (), ())
+                answers = m._held[name]
+            if answers is not None:
+                return answers.reader(positions)
+            solve = m._solve
+            return lambda key: solve(callee, positions, key)
         return positions, row_key, prepare
 
     def _neg_step(self, c: NegC, col: dict[str, int], limit: float) -> Step:
@@ -638,15 +613,10 @@ class LocalSearchMatcher:
             return [r for r in rows if not consistent_count(read(key(r)), consistent)]
         return step
 
-    def _check_step(self, expr: ex.Expr, col: dict[str, int]) -> Step:
-        """Keep the rows on which ``expr`` holds."""
-        space = self.space
-        names = tuple(ex.expr_vars(expr))
-        values = tuple_getter(col[v] for v in names)
-        test = ex.compile_expr(expr)
-        return lambda m, rows, ctx: [
-            r for r in rows
-            if ex.holds(test, dict(zip(names, values(r))).__getitem__, space)]
+    def _check_step(self, expr: ex.Expr, cols: list[str]) -> Step:
+        """Keep the rows, whose columns are ``cols``, on which ``expr`` holds."""
+        passes = row_test(expr, cols, self.space)
+        return lambda m, rows, ctx: list(filter(passes, rows))
 
     # -- recursion ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from . import expr as ex
 from .errors import PatternError
@@ -328,6 +328,17 @@ def tuple_getter(positions: Iterable[int]) -> Callable[[tuple], tuple]:
     if positions == tuple(range(start, start + len(positions))):
         return itemgetter(slice(start, start + len(positions)))
     return itemgetter(*positions)
+
+
+def row_test(expr: ex.Expr, columns: Sequence[str], space) -> Callable[[tuple], bool]:
+    """Whether ``expr``, a ``check`` condition, holds on a row whose column
+    k is variable ``columns[k]``, evaluated against ``space``. Only the
+    expression's own variables are read, and a check that fails to evaluate
+    does not hold (``ex.holds``)."""
+    names = tuple(ex.expr_vars(expr))
+    values = tuple_getter([columns.index(v) for v in names])
+    test, holds = ex.compile_expr(expr), ex.holds
+    return lambda row: holds(test, dict(zip(names, values(row))).__getitem__, space)
 
 
 def arg_equalities(args: Iterable[str]) -> tuple[tuple[int, int], ...]:

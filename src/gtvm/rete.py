@@ -38,8 +38,8 @@ from .errors import MatcherError
 from .modelspace import (ENTITY, ElementCreated, ElementDeleted, EndpointRetargeted,
                          ModelSpace, Renamed, TypeAdded, TypeRemoved, ValueSet)
 from .patterns import (CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, consistent_count, schedule,
-                       tuple_getter)
+                       RelationC, consistency_test, consistent_count, row_test,
+                       schedule, tuple_getter)
 
 # the containment alpha's key among the alphas, which no type name equals
 _IN = ()
@@ -260,16 +260,12 @@ class CheckNode(Node):
 
     def __init__(self, engine, left: Node | None, expr: ex.Expr):
         super().__init__(engine, () if left is None else left.schema)
-        self.test = ex.compile_expr(expr)
+        self._passes = row_test(expr, self.schema, self.space)
         self.mem: dict[tuple, bool] = {
             lt: self._passes(lt) for lt in ([()] if left is None else left.all_tuples())}
         if left is not None:
             left.feed(self.on_left)
         engine.check_nodes.append(self)
-
-    def _passes(self, lt) -> bool:
-        env = dict(zip(self.schema, lt))
-        return ex.holds(self.test, env.__getitem__, self.space)
 
     def on_left(self, t, sign):
         if sign > 0:

@@ -1,4 +1,4 @@
-"""Line-based text snapshots of a model space (.gms files).
+r"""Line-based text snapshots of a model space (.gms files).
 
 One directive per line:
 
@@ -9,6 +9,13 @@ One directive per line:
 Types come first, then entities in containment order, then relations, so a
 file is loadable top to bottom. Saving and re-loading a space round-trips
 exactly (ids, types, names, values, endpoints, containment).
+
+A quoted name or value escapes ``\`` and ``"`` with a backslash, a newline
+as ``\n``, and every other character that ends a line for
+``str.splitlines`` (``\r``, ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``,
+U+2028, U+2029) as ``\u`` and four lowercase hex digits, so no directive
+spans two lines whichever way a reader splits them. A backslash before any
+other character stands for that character.
 """
 
 from __future__ import annotations
@@ -19,17 +26,26 @@ from .errors import SnapshotError
 from .modelspace import ENTITY, RELATION, ROOT_ID, Element, ModelSpace, TypeRegistry
 
 
-_ESCAPED = re.compile(r"\\(.)", re.S)
+# the line breaks of ``str.splitlines``, none of them printable, and the
+# escape each is written as
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK_ESCAPES = {"\n": "\\n", **{c: f"\\u{ord(c):04x}" for c in _BREAKS[1:]}}
+_BREAK = re.compile(f"[{_BREAKS}]")
+_UNESCAPES = {e[1:]: c for c, e in _BREAK_ESCAPES.items()}
+_ESCAPED = re.compile(r"\\(%s|.)" % "|".join(_UNESCAPES), re.S)
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+    s = s.replace("\\", "\\\\").replace('"', '\\"')
+    if not s.isprintable():
+        s = _BREAK.sub(lambda m: _BREAK_ESCAPES[m[0]], s)
+    return '"' + s + '"'
 
 
 def _unquote(s: str) -> str:
     if "\\" not in s:
         return s
-    return _ESCAPED.sub(lambda m: "\n" if m[1] == "n" else m[1], s)
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[1]), s)
 
 
 def _element_line(el: Element, where: str) -> str:

@@ -33,6 +33,18 @@ def test_run_counts(tri_gms, tmp_path, capsys):
     assert reloaded.audit() == []
 
 
+def test_a_renamed_node_with_a_line_separator_loads_back(tri_gms, tmp_path, capsys):
+    src = tmp_path / "sep.vtcl"
+    src.write_text("import nemf.packages; machine sep{ rule main() = forall N with find"
+                   ' graphPatterns.SimpleNode(N) do rename(N, "a\u2028b"); }', encoding="utf-8")
+    out = tmp_path / "s.gms"
+    assert main(["run", "graphPatterns", str(src), "--model", tri_gms, "--out", str(out)]) == 0
+    assert main(["match", "--model", str(out), "--pattern", "SimpleNode"]) == 0
+    space = snapshot.load_file(out, corpus.metamodels())
+    assert {space.name(n) for n in space.elements_of_type("nemf.packages.graph1.Node")} == {
+        "a\u2028b"}
+
+
 def test_run_hello_world(capsys):
     code = main(["run", "helloWorldASM"])
     captured = capsys.readouterr().out

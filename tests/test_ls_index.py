@@ -3,12 +3,12 @@
 Once a pattern's unbound answer set is held (searched, or tabled for a
 recursive pattern), every bound call to it in the same ``space.version`` is
 answered through a hash index keyed by the bound parameter positions; the
-tabling bases are indexed the same way. Below an enumeration, the second
-bound search of a pattern in one version solves it unbound, so that set is
-held from then on. These tests check that the indexed answers equal the
-unbound set filtered by the binding, that no index outlives a change of the
-space, when a bound call builds an unbound set, and the plan cost of a
-partly bound call.
+tabling bases are indexed the same way. Below an enumeration, a call step
+whose rows hold more distinct keys than its plan's threshold solves the
+callee unbound before its first key, so that set is held from then on.
+These tests check that the indexed answers equal the unbound set filtered
+by the binding, that no index outlives a change of the space, when a bound
+call builds an unbound set, and the plan cost of a partly bound call.
 """
 
 import collections
@@ -167,7 +167,9 @@ def test_enumeration_materializes_what_it_calls_bound_again():
     for name in ("edgeFromTo", "srcAndRelForEdge", "trgAndRelForEdge"):
         name = "graphPatterns." + name
         assert name in ls._held, name
-        assert memo_entries(ls, name) <= 1, name  # the first search only
+        # a step run with many keys solved it unbound before asking any
+        # key; a run with few keys may have searched some before that
+        assert memo_entries(ls, name) <= 1, name
 
 
 def test_materialization_starts_over_after_a_change():
@@ -181,8 +183,9 @@ def test_materialization_starts_over_after_a_change():
     want = filtered(BruteForce(space, ls.patterns).match_set(EFT), (0,), (nodes[0],))
     assert ls.match_set(EFT, {"From": nodes[0]}) == want
     assert EFT not in ls._held and (EFT, (0,), (nodes[0],)) in ls._memo
-    # and after another change, an enumeration decides from this version's
-    # searches only: it does what it does on a fresh matcher
+    # and after another change, each step run of an enumeration decides
+    # from its own rows and this version's answer sets only: it does what
+    # it does on a fresh matcher
     space.delete(added)
     cold = matcher_for(space)
     assert ls.match_set(CIRCLE) == cold.match_set(CIRCLE)
@@ -278,15 +281,17 @@ def test_two_call_tabling_reads_growing_tables(space):
 
 def test_answer_set_index_takes_added_tuples():
     answers = AnswerSet({(1, 2), (1, 3), (2, 3)}, 2)
-    assert sorted(answers.lookup((0,), (1,))) == [(1, 2), (1, 3)]
-    assert sorted(answers.lookup((1,), (3,))) == [(1, 3), (2, 3)]
+    first, second = answers.reader((0,)), answers.reader((1,))
+    assert sorted(first((1,))) == [(1, 2), (1, 3)]
+    assert sorted(second((3,))) == [(1, 3), (2, 3)]
     answers.add({(1, 4), (4, 3)})
-    assert sorted(answers.lookup((0,), (1,))) == [(1, 2), (1, 3), (1, 4)]
-    assert sorted(answers.lookup((1,), (3,))) == [(1, 3), (2, 3), (4, 3)]
-    assert list(answers.lookup((0, 1), (4, 3))) == [(4, 3)]
-    assert list(answers.lookup((0, 1), (3, 4))) == []
-    assert answers.lookup((), ()) == answers.tuples
-    assert list(answers.lookup((0,), (9,))) == []
+    # readers taken before the add read the added tuples too
+    assert sorted(first((1,))) == [(1, 2), (1, 3), (1, 4)]
+    assert sorted(second((3,))) == [(1, 3), (2, 3), (4, 3)]
+    assert list(answers.reader((0, 1))((4, 3))) == [(4, 3)]
+    assert list(answers.reader((0, 1))((3, 4))) == []
+    assert answers.reader(())(()) == answers.tuples
+    assert list(first((9,))) == []
 
 
 def test_partly_bound_call_ranks_ahead_of_a_type_scan():

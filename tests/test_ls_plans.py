@@ -1,12 +1,12 @@
 """Local-search plans follow one row estimate, read from the model's counts.
 
 ``schedule`` orders each body for the fewest estimated rows, and the same
-estimate tells an enumeration when a callee is worth solving unbound. A
-body is planned once, on the model at its first use, and that plan is kept
-for the matcher's life. These tests pin the plans and the materialization
-the estimate gives on the benchmark's n=300 model, that a plan is kept, and
-still right, however the model changes after it, and that the Rete, which
-plans without a model, builds the networks it built before.
+estimate tells a call step under an enumeration when its callee is worth
+solving unbound. A body is planned once, on the model at its first use, and
+that plan is kept for the matcher's life. These tests pin the plans and the
+materialization the estimate gives on the benchmark's n=300 model, that a
+plan is kept, and still right, however the model changes after it, and that
+the Rete, which plans without a model, builds the networks it built before.
 """
 
 import pytest
@@ -77,8 +77,8 @@ def test_an_unbound_edge_reads_one_callee_unbound_and_the_other_by_edge(model):
 
 def test_each_step_keeps_its_estimate(model):
     """A plan holds the rows each step is estimated to create (None for a
-    filter), and for each call how many keys must be left for an unbound
-    solve to pay."""
+    filter), and for each call how many distinct keys a step run needs for
+    an unbound solve to pay."""
     space, patterns = model
     ls = LocalSearchMatcher(space, patterns)
     prog = program(ls, GP + "isolatedNode")
@@ -119,36 +119,67 @@ def test_a_call_with_few_keys_left_is_searched_key_by_key(model):
 
 def test_a_call_with_many_keys_left_is_solved_unbound(model):
     """The unbound ``edgeFromToInternal`` reads one callee unbound and the
-    other for each of its edges: that call solves its callee unbound on its
-    second key, and its index answers the rest."""
+    other for each of its edges: that call has many distinct keys, so its
+    step solves its callee unbound before the first key, and the index
+    answers every key; no key is searched."""
     space, patterns = model
     ls = LocalSearchMatcher(space, patterns)
     held = ls._held = HeldLog()
     ls.match_set(GP + "edgeFromToInternal")
     assert sorted(held.log[:2]) == [SRC, TRG] and held.log[2:] == [GP + "edgeFromToInternal"]
-    assert len([key for key in ls._memo if key[0] in (SRC, TRG)]) == 1
+    assert [key for key in ls._memo if key[0] in (SRC, TRG)] == []
 
 
-def test_a_call_counts_the_distinct_keys_left_not_the_rows(model, monkeypatch):
-    """Four rows with two keys, against a threshold of 2.5 keys: the keys
-    left are never more than the threshold, so no key is told ``many``
-    (the rows left would be, at the first key). A key asked again is a
-    memo hit and is told nothing."""
-    space, patterns = model
+def run_call_step(space, patterns, monkeypatch, rows, enumerating):
+    """Prepare a ``trgAndRelForEdge`` call bound by ``To``, with a threshold
+    of 2.5 keys, over ``rows`` and read each row's key, on a fresh matcher
+    with ``enumerating`` enumerations under way. Returns the matcher, the
+    ``_solve`` calls that ``prepare`` made, then those the reads made, and
+    what was read."""
     ls = LocalSearchMatcher(space, patterns)
-    told = []
+    ls._enumerating = enumerating
+    asked, solve = [], ls._solve
 
-    def solve(p, positions, key, many=None):
-        told.append((key, many))
-        return ()
-    monkeypatch.setattr(ls, "_solve", solve)
+    def logged(p, positions, key):
+        asked.append((p.name, positions, key))
+        return solve(p, positions, key)
+    monkeypatch.setattr(ls, "_solve", logged)
     _, row_key, prepare = ls._call(FindC(TRG, ("Edge", "To", "R")), {"To": 0}, 2.5)
-    a, b = sorted(space.elements_of_type(G1 + "Node"))[:2]
+    read = prepare(ls, None, rows)
+    prepared = asked[:]
+    got = [set(read(row_key(row))) for row in rows]
+    return ls, prepared, asked[len(prepared):], got
+
+
+def test_a_step_run_counts_its_distinct_keys_not_its_rows(model, monkeypatch):
+    """A call step decides once per run, from its rows' distinct keys.
+    Below an enumeration, four rows with two keys, against a threshold of
+    2.5 keys, make no unbound solve (the rows would be more than the
+    threshold): each key is searched, and a key asked again is a memo hit.
+    Three keys make exactly one unbound solve, before any key is asked,
+    and the index answers every key. With no enumeration under way, three
+    keys are searched one by one."""
+    space, patterns = model
+    a, b, c = sorted(space.elements_of_type(G1 + "Node"))[:3]
+    want = {n: LocalSearchMatcher(space, patterns).match_set(TRG, {"To": n}) for n in (a, b, c)}
+
     rows = [(a,), (a,), (b,), (a,)]
-    fetch = prepare(ls, None, rows)
-    for row in rows:
-        fetch(row_key(row))
-    assert told == [((a,), False), ((a,), None), ((b,), False), ((a,), None)]
+    ls, prepared, read, got = run_call_step(space, patterns, monkeypatch, rows, 1)
+    assert prepared == [] and read == [(TRG, (1,), row) for row in rows]
+    assert got == [want[n] for n, in rows]
+    assert TRG not in ls._held
+    assert sorted(key for key in ls._memo if key[0] == TRG) == [(TRG, (1,), (a,)), (TRG, (1,), (b,))]
+
+    rows = [(a,), (b,), (c,), (a,)]
+    ls, prepared, read, got = run_call_step(space, patterns, monkeypatch, rows, 1)
+    assert prepared == [(TRG, (), ())] and read == []
+    assert got == [want[n] for n, in rows]
+    assert TRG in ls._held and not ls._memo
+
+    ls, prepared, read, got = run_call_step(space, patterns, monkeypatch, rows, 0)
+    assert prepared == [] and read == [(TRG, (1,), row) for row in rows]
+    assert got == [want[n] for n, in rows]
+    assert TRG not in ls._held
 
 
 def simple_node_plans(space, monkeypatch):

@@ -74,6 +74,32 @@ def test_value_escaping_round_trip():
     assert reloaded.name(e) == "line\nbreak"
 
 
+# every character but "\n" at which str.splitlines ends a line; a raw "\r"
+# also ends one for a file read with universal newlines
+LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+def test_line_breaks_in_names_and_values_round_trip(char, tmp_path):
+    space = load_fixture("empty")
+    e = space.new_entity(ES)
+    space.rename(e, f"a{char}b")
+    space.set_value(e, f"{char}c{char}\\{char}")
+    text = snapshot.save(space)
+    assert text.splitlines() == text.split("\n")[:-1]  # one directive per line
+    reloaded = snapshot.load(text, corpus.metamodels())
+    assert reloaded.state() == space.state()
+    assert snapshot.save(reloaded) == text
+    path = tmp_path / "s.gms"
+    snapshot.save_file(space, path)
+    assert snapshot.load_file(path, corpus.metamodels()).state() == space.state()
+
+
+def test_only_the_line_break_escapes_are_read_as_code_points():
+    # any other backslash stands for the character after it, as before
+    assert snapshot._unquote("a\\u2028b\\u000d\\u000D\\u0041\\uzz") == "a\u2028b\ru000Du0041uzz"
+
+
 def test_untyped_relation_line():
     space = load_fixture("empty")
     a = space.new_entity(G1 + "Node")
