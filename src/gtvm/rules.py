@@ -447,6 +447,10 @@ class VM:
         self.step_budget = step_budget
         self.ls = LocalSearchMatcher(space, program.patterns)
         self._rete = None
+        # inside run, an inc pattern read at one model version only is served
+        # by the local search: the version of each pattern's first read
+        self._running = False
+        self._first_read: dict[str, int] = {}
         self.report: ExecutionReport | None = None  # of the open run
         self.call_depth = 0  # rule calls open, see MAX_CALL_DEPTH
         self.exec_depth = 0  # depths of the open call sites, see MAX_EXEC_DEPTH
@@ -466,8 +470,15 @@ class VM:
         """The match tuples of ``p``, in no order, that agree with ``binding``
         and give each repeated variable of ``args`` (call arguments aligned
         with the parameters) a single value. The one read of either backend:
-        the production memory (``inc``) or the match set (``ls``)."""
-        if self.backend == "inc" and not p.requires_ls:
+        the production memory (``inc``) or the match set (``ls``).
+
+        Inside ``run``, ``inc`` builds a pattern's network only when the
+        pattern is read at a second model version (or the engine already
+        holds it): a pattern read once is solved by the local search."""
+        rete, version = self._rete, self.space.version
+        if self.backend == "inc" and not p.requires_ls and (
+                not self._running or rete is not None and p.name in rete.productions
+                or self._first_read.setdefault(p.name, version) != version):
             tuples = self._rete_engine().register(p.name).match_tuples(
                 *binding_key(self.space, p, binding))
         else:
@@ -502,10 +513,13 @@ class VM:
         if main not in self.program.rules:
             raise ExecError(f"machine {machine_name} has no main rule")
         report = self.report = ExecutionReport(machine_name)
+        self._running = True
         try:  # a call of main from depth 0, outside every body
             _compile(self.program, Call(main, ()), 0, [0])(self, Frame())
         except ChooseFailed:
             raise ExecError("choose failed outside try") from None
+        finally:
+            self._running = False
         report.results = collect_results(self.space)
         return report
 

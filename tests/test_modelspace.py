@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from editscripts import random_edit, run_script
 from gtvm import corpus, matcher_ls, rete, snapshot
-from gtvm.corpus.fixtures import load_fixture
+from gtvm.corpus import run_task
+from gtvm.corpus.fixtures import Graph1Builder, load_fixture
 from gtvm.errors import SpaceError
 from gtvm.matcher_ls import LocalSearchMatcher
-from gtvm.modelspace import (ENTITY, RELATION, ROOT_ID, ModelSpace,
-                             TypeRegistry, replay)
+from gtvm.modelspace import (ENTITY, RELATION, ROOT_ID, EndpointRetargeted,
+                             ModelSpace, Renamed, TypeAdded, TypeRegistry,
+                             TypeRemoved, replay)
 from gtvm.oracle import BruteForce
 from gtvm.rete import ReteEngine
 
@@ -406,3 +408,59 @@ def test_the_matchers_read_no_index_of_the_space():
         reads = sorted({node.attr for node in ast.walk(tree)
                         if isinstance(node, ast.Attribute) and node.attr in private})
         assert reads == [], (module.__name__, reads)
+
+
+# problem kind: (element, field, new value, what audit reports). The
+# element is n, the triangle's first node, r, its name relation, or g, its
+# graph; a value may name one of them, and a report names them in braces.
+AUDIT_CASES = {
+    "unregistered type": ("n", "types", ("no.such.Type",),
+                          ["{n}: unregistered type no.such.Type"]),
+    "kind mismatch": ("n", "types", (G1 + "Node.name",),
+                      ["{n}: type " + G1 + "Node.name kind mismatch"]),
+    "dead source": ("r", "source", 999, ["{r}: dead source 999"]),
+    "dead target": ("r", "target", 999, ["{r}: dead target 999"]),
+    "dead parent": ("n", "parent", 999, ["{n}: dead parent 999"]),
+    "parent not an entity": ("n", "parent", "r", ["{n}: parent {r} is not an entity"]),
+    "entity without parent": ("n", "parent", None, ["{n}: entity without parent"]),
+    "containment cycle": ("g", "parent", "n", ["{g}: containment cycle at {g}",
+                                              "{n}: containment cycle at {n}"]),
+}
+
+
+@pytest.mark.parametrize("kind", AUDIT_CASES)
+def test_audit_reports_each_kind_of_problem(kind):
+    which, field, value, problems = AUDIT_CASES[kind]
+    space = load_fixture("triangle")
+    n = min(space.elements_of_type(G1 + "Node"))
+    r = next(r for r in space.relations_from(n) if space.conforms(r, G1 + "Node.name"))
+    ids = {"n": n, "r": r, "g": space.parent(n)}
+    assert space.audit() == []
+    setattr(space._elements[ids[which]], field, ids.get(value, value))
+    got, want = space.audit(), [p.format(**ids) for p in problems]
+    if kind == "containment cycle":  # every element under the graph reports it
+        assert set(want) <= set(got)
+        assert all("containment cycle" in p for p in got)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_replay_of_reversals_and_an_inplace_migration(matcher):
+    """The events of a graph1 model built in a recording space and then run
+    through the 2.3 reversals and the 2.4 in-place migration replay to the
+    same model: node names (Renamed), retargeted ends, and the migration's
+    retypes (TypeAdded, TypeRemoved)."""
+    space = ModelSpace(corpus.metamodels())
+    events = []
+    space.subscribe(events.append)
+    b = Graph1Builder(space)
+    n1, n2, n3 = b.node("n1"), b.node("n2"), b.node("n3")
+    for src, trg in ((n1, n2), (n2, n3), (n3, n3), (n1, None), (None, n2)):
+        b.edge(src, trg)
+    for variant in ("asm", "gt", "rel"):
+        run_task("2.3", variant, fixture=space, matcher=matcher)
+    run_task("2.4", "inplace", fixture=space, matcher=matcher)
+    assert {TypeAdded, TypeRemoved, Renamed, EndpointRetargeted} <= set(map(type, events))
+    assert space.elements_of_type(G2 + "Node") and not space.elements_of_type(G1 + "Node")
+    assert replay(events, corpus.metamodels()).state() == space.state()

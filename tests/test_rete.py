@@ -623,3 +623,45 @@ def test_a_production_refuses_the_removal_of_a_tuple_it_does_not_hold(triangle):
     assert node not in prod.match_tuples()
     with pytest.raises(AssertionError, match="SimpleNode"):
         prod.on_body(tuple, None, node, -1)  # and cannot go twice
+
+
+def test_a_relation_joined_with_both_ends_bound(triangle, monkeypatch):
+    """A relation whose source and target are bound before it, and whose id
+    is fresh: its alpha reads the relations at the bound source and keeps
+    those at the bound target, when built and as the model changes."""
+    from gtvm.rete import TypeAlpha
+    from gtvm.vtcl import link, parse
+    src = """import nemf.packages;
+    machine m{
+      shareable pattern parallel(E, N, R1, R2) = {
+        graph1.Edge.src(R1, E, N);
+        graph1.Edge.src(R2, E, N);
+      }
+    }"""
+    space = triangle
+    program = link([parse(src)], space.registry)
+    edge = min(space.elements_of_type(G1 + "Edge"))
+    (old,) = [r for r in space.relations_from(edge) if space.conforms(r, G1 + "Edge.src")]
+    node = space.target(old)
+    other = next(n for n in space.elements_of_type(G1 + "Node") if n != node)
+    space.new_relation(G1 + "Edge.src", edge, other)  # same source, other target
+    read = []
+    reader = TypeAlpha.reader
+    monkeypatch.setattr(TypeAlpha, "reader",
+                        lambda self, positions: read.append(positions) or reader(self, positions))
+    engine = ReteEngine(space, program.patterns)  # held: it listens while alive
+    h = engine.register("m.parallel")
+    ls = LocalSearchMatcher(space, program.patterns)
+    assert (1, 2) in read
+
+    def check(pairs):
+        want = BruteForce(space, program.patterns).match_set("m.parallel")
+        assert set(h.match_tuples()) == want == ls.match_set("m.parallel")
+        assert sum(t[2] != t[3] for t in want) == pairs
+    check(0)
+    twin = space.new_relation(G1 + "Edge.src", edge, node)  # parallel to old
+    check(2)
+    space.new_relation(G1 + "Edge.src", edge, other)  # parallel to the first new
+    check(4)
+    space.delete(twin)
+    check(2)

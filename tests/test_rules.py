@@ -4,7 +4,7 @@ from gtvm import corpus
 from gtvm.corpus.fixtures import G1, load_fixture
 from gtvm.errors import DivergenceError, ExecError, LinkError
 from gtvm.matcher_ls import LocalSearchMatcher
-from gtvm.modelspace import EndpointRetargeted
+from gtvm.modelspace import EndpointRetargeted, TypeAdded
 from gtvm.rules import MAX_CALL_DEPTH, MAX_EXEC_DEPTH, VM
 from gtvm.vtcl import link, parse
 
@@ -603,3 +603,64 @@ def test_members_with_the_same_name_resolve_in_their_own_machine(matcher):
     report = VM(program, space, matcher=matcher).run("two")
     assert report.log == ["two:3", "one:4", "one mark:4", "one after mark:4",
                           "two mark:3", "two after mark:3", "two:3"]
+
+
+RETYPE_AND_MOVE = """
+machine m{
+  rule main() = seq{
+    forall N with apply mark(N) do println("marked " + name(N));
+    choose E, F with find twoEdges(E, F) do
+      choose with apply moveSrc(E, F) do println("moved " + name(E) + " " + name(F));
+  }
+  pattern twoEdges(E, F) = {
+    graph1.Edge(E);
+    graph1.Edge(F);
+  }
+  gtrule mark(out N) = {
+    precondition pattern unmarked(N) = {
+      graph1.Node(N);
+      neg pattern marked(N) = {
+        graph2.Node(N);
+      }
+    }
+    postcondition pattern marked(N) = {
+      graph1.Node(N);
+      graph2.Node(N);
+    }
+  }
+  gtrule moveSrc(in E, in F) = {
+    precondition pattern atE(E, F, N, R) = {
+      graph1.Edge(E);
+      graph1.Edge(F);
+      graph1.Edge.src(R, E, N);
+    }
+    postcondition pattern atF(E, F, N, R) = {
+      graph1.Edge(E);
+      graph1.Edge(F);
+      graph1.Edge.src(R, F, N);
+    }
+  }
+}"""
+
+
+def test_gt_postcondition_retypes_a_kept_element_and_moves_a_source():
+    """A postcondition that gives a kept element another type adds it, and
+    one that keeps a relation at another source moves the source."""
+    got = {}
+    for matcher in ("inc", "ls"):
+        space = load_fixture("triangle")
+        program = link([machine(RETYPE_AND_MOVE)], space.registry)
+        script = program.gtrules["m.mark"].script
+        # graph1.Node holds already; graph2.Node is added
+        assert [c.type for c in script.ensures] == [G1 + "Node", "nemf.packages.graph2.Node"]
+        events = []
+        space.subscribe(events.append)
+        report = VM(program, space, matcher=matcher).run("m")
+        nodes = space.elements_of_type(G1 + "Node")
+        assert sorted(e.subject for e in events if isinstance(e, TypeAdded)) == sorted(nodes)
+        assert all(space.conforms(n, "nemf.packages.graph2.Node") for n in nodes)
+        (moved,) = [e for e in events if isinstance(e, EndpointRetargeted)]
+        assert moved.end == "source" and space.source(moved.subject) == moved.new != moved.old
+        assert report.log[-1] == "moved {} {}".format(space.name(moved.old), space.name(moved.new))
+        got[matcher] = report.log, space.state()
+    assert got["inc"] == got["ls"]
