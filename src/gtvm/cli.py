@@ -13,7 +13,7 @@ import sys
 
 from . import corpus, oracle, snapshot
 from .corpus.fixtures import BUILDERS, load_fixture
-from .errors import GtvmError, MatcherError, ParseError
+from .errors import GtvmError, MatcherError, ParseError, PatternError
 from .rules import VM, step_budget_from_env
 from .vtcl import link, parse
 
@@ -107,7 +107,7 @@ def cmd_match(args) -> int:
     try:
         vm = VM(program, space, matcher=args.matcher, step_budget=budget)
         matches = vm.query_all(pattern_name)
-    except MatcherError as e:
+    except (MatcherError, PatternError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except GtvmError as e:

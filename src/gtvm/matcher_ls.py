@@ -27,10 +27,12 @@ constraint, and a ``#`` count, extends each row with its candidates:
 for a relation, the callee's answer tuples for a ``find`` and ``(n,)`` for a
 count. Entities and relations are read through the model space's typed-row
 reads: ``rows`` for a type scan, a ``rows_at`` reader for a bound element or
-end. Bound variables narrow the candidates where an index serves them; the
-step compares the other bound positions with the row's columns, requires
-repeated fresh names to be equal, and keeps fresh element values distinct
-from the row's (unless the pattern is shareable). A candidate source that
+end; a bound ``T(X)`` keeps the rows ``conforming`` gives. Bound variables
+narrow the candidates where an index serves them; the step compares the
+other bound positions with the row's columns and keeps fresh element values
+distinct from the row's (unless the pattern is shareable). One comprehension
+per shape (``candidate_filter``) tests repeated fresh names for equality and
+fresh element values for distinctness. A candidate source that
 does not read the row (a type scan, an unbound ``find``) is read once per
 step and hashed by the positions the row binds. Checks and ``neg`` calls
 filter the list, and the last rows are projected onto the parameters.
@@ -63,7 +65,8 @@ a stale set.
 
 from __future__ import annotations
 
-from itertools import compress
+import functools
+from itertools import combinations, compress
 from typing import Callable, Collection, Iterable, Mapping
 
 from . import expr as ex
@@ -71,7 +74,7 @@ from .errors import PatternError, SpaceError
 from .modelspace import ModelSpace
 from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, NegC,
                        Pattern, RelationC, consistency_test, consistent_count,
-                       constraint_vars, equal_pairs, match_dicts, plan_rows,
+                       constraint_vars, match_dicts, plan_rows,
                        row_test, schedule, tuple_getter)
 
 
@@ -186,6 +189,15 @@ class Program:
         self.seed_elems: Callable[[tuple], tuple] | None = None
 
 
+@functools.cache
+def candidate_filter(eqs: tuple, elems: tuple) -> Callable[[Iterable[tuple]], list] | None:
+    """``cs ->`` the candidates equal at both positions of each pair in ``eqs``
+    and distinct at ``elems`` (None: no test), one comprehension per shape."""
+    terms = [f"c[{i:d}] == c[{j:d}]" for i, j in eqs]
+    terms += [f"c[{i:d}] != c[{j:d}]" for i, j in combinations(elems, 2)]
+    return eval(f"lambda cs: [c for c in cs if {' and '.join(terms)}]") if terms else None
+
+
 def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[int, int]],
                  eqs: list[tuple[int, int]], fresh: tuple[int, ...],
                  used_cols: list[int], fresh_elems: list[int]) -> Step:
@@ -200,20 +212,12 @@ def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[
     cand_key = tuple_getter(i for i, _ in checks) if checks else None
     bound_key = tuple_getter(j for _, j in checks)
     extract = tuple_getter(fresh)
-    tests = [equal_pairs(eqs)] if eqs else []
+    keep = candidate_filter(tuple(eqs), tuple(fresh_elems))
     new_elems = tuple_getter(fresh_elems)
-    if len(fresh_elems) == 2:
-        a, b = fresh_elems
-        tests.append(lambda c: c[a] != c[b])
-    elif len(fresh_elems) > 2:
-        n = len(fresh_elems)
-        tests.append(lambda c: len(set(new_elems(c))) == n)
-    static = (None if not tests else tests[0] if len(tests) == 1
-              else lambda c: all(t(c) for t in tests))
     used = tuple_getter(used_cols) if used_cols and fresh_elems else None
     one = fresh_elems[0] if len(fresh_elems) == 1 else None
 
-    if row_key is not None and not (fresh or checks or tests):
+    if row_key is not None and not (fresh or checks):
         # the constraint only tests the row: keep the rows it has a candidate for
         return lambda m, rows, ctx: list(compress(
             rows, map(source(m, ctx, rows), map(row_key, rows))))
@@ -223,8 +227,8 @@ def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[
             fetch = source(m, ctx, rows)
         else:
             cands = source(m, ctx, rows)
-            if static is not None:
-                cands = [c for c in cands if static(c)]
+            if keep is not None:
+                cands = keep(cands)
             if cand_key is not None:
                 index: dict[tuple, list] = {}
                 for c in cands:
@@ -236,8 +240,8 @@ def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[
                 if cand_key is not None:
                     k = bound_key(row)
                     cs = [c for c in cs if cand_key(c) == k]
-                if static is not None:
-                    cs = [c for c in cs if static(c)]
+                if keep is not None:
+                    cs = keep(cs)
             elif cand_key is not None:
                 cs = index.get(bound_key(row), ())
             else:
@@ -284,11 +288,12 @@ class LocalSearchMatcher:
         return frozenset(self._query(self.pattern(name), binding))
 
     def pattern(self, name: str) -> Pattern:
-        """The pattern ``name``; PatternError when there is none."""
-        try:
-            return self.patterns[name]
-        except KeyError:
-            raise PatternError(f"unknown pattern {name}") from None
+        """The pattern ``name``; PatternError if none or a GT postcondition."""
+        p = self.patterns.get(name)
+        if p is None or name.endswith("$post"):
+            raise PatternError(f"unknown pattern {name}" if p is None else
+                               f"{name} is a GT postcondition, not a matchable pattern")
+        return p
 
     # -- plumbing -------------------------------------------------------------
 
@@ -401,6 +406,9 @@ class LocalSearchMatcher:
                 continue
             if isinstance(c, NegC):
                 steps.append(self._neg_step(c, col, limit))
+                continue
+            if isinstance(c, EntityC) and c.in_var is None and c.var in col:
+                steps.append(self._member_step(c.type, col[c.var]))
                 continue
             # candidates align with ``names``; ``given``: their positions the
             # source already matched to the row
@@ -612,6 +620,11 @@ class LocalSearchMatcher:
             read = prepare(m, ctx, rows)
             return [r for r in rows if not consistent_count(read(key(r)), consistent)]
         return step
+
+    def _member_step(self, type_name: str, j: int) -> Step:
+        """Keep the rows whose column ``j`` is an element of ``type_name``."""
+        conforming = self.space.conforming
+        return lambda m, rows, ctx: conforming(type_name, j, rows)
 
     def _check_step(self, expr: ex.Expr, cols: list[str]) -> Step:
         """Keep the rows, whose columns are ``cols``, on which ``expr`` holds."""

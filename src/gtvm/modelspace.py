@@ -312,11 +312,22 @@ class ModelSpace:
         """The elements that conform to ``type_name``, each once, in no
         order: when only one type of the subtype closure has elements, a
         read-only view of the type index, valid until the next change."""
+        sets = self._id_sets(type_name)
+        return sets[0] if len(sets) == 1 else set().union(*sets)
+
+    def _id_sets(self, type_name: str) -> list[set[int]]:
+        """The id sets of ``type_name``'s subtype closure that hold elements."""
         by_type = self._by_type
-        sets = [s for s in map(by_type.get, self.registry.subtype_closure(type_name)) if s]
-        if len(sets) == 1:
-            return sets[0]
-        return set().union(*sets)
+        return [s for s in map(by_type.get, self.registry.subtype_closure(type_name)) if s]
+
+    def conforming(self, type_name: str, column: int, rows: list[tuple]) -> list[tuple]:
+        """The rows, in order, whose value at ``column`` is a live element of
+        ``type_name``; several id sets each meet the rows' values, never one
+        another. One comprehension, with no call per row."""
+        sets = self._id_sets(type_name)
+        ids = sets[0] if len(sets) == 1 else set().union(
+            *[s.intersection([r[column] for r in rows]) for s in sets])
+        return [r for r in rows if r[column] in ids]
 
     def count_of_type(self, type_name: str | None) -> int:
         """How many elements conform to ``type_name``, read from the type
@@ -324,11 +335,7 @@ class ModelSpace:
         or not, as in ``rows``. An element holding two types of the subtype
         closure counts twice, so this is at least
         ``len(elements_of_type(type_name))``."""
-        if type_name is None:
-            return len(self._relations)
-        by_type = self._by_type
-        return sum(len(by_type.get(t, ()))
-                   for t in self.registry.subtype_closure(type_name))
+        return len(self._relations) if type_name is None else sum(map(len, self._id_sets(type_name)))
 
     def rows(self, type_name: str | None) -> list[tuple]:
         """The rows of the elements that conform to ``type_name``, each once,

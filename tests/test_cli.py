@@ -6,10 +6,10 @@ from conftest import INT_DIGITS_LIMITED, INT_MAX_DIGITS, LONG_DIGITS
 from gtvm import corpus, snapshot
 from gtvm.cli import main
 from gtvm.corpus.fixtures import load_fixture
-from gtvm.errors import ExecError
+from gtvm.errors import ExecError, PatternError
 from gtvm.patterns import MAX_CALL_DEPTH
-from gtvm.rules import step_budget_from_env
-from gtvm.vtcl import MAX_NESTING
+from gtvm.rules import VM, step_budget_from_env
+from gtvm.vtcl import MAX_NESTING, link, parse
 
 
 @pytest.fixture
@@ -286,6 +286,25 @@ def test_match_recursive_refused_on_inc(tri_gms, capsys):
 
 def test_match_unknown_pattern(tri_gms, capsys):
     assert main(["match", "--model", tri_gms, "--pattern", "nothing"]) == 1
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_match_refuses_a_gt_postcondition(tri_gms, capsys, matcher):
+    """A GT rule's postcondition is turned into edits, never matched: a
+    usage error that names it, and a PatternError from the VM."""
+    post = "deleteNodeGT.deleteNodeGT$post"
+    code = main(["match", "graphPatterns", "deleteNodeGT", "--model", tri_gms,
+                 "--pattern", post, "--matcher", matcher])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {post} is a GT postcondition, not a matchable pattern\n"
+    registry = corpus.metamodels()
+    program = link([parse(corpus.corpus_source(m)) for m in ("graphPatterns", "deleteNodeGT")],
+                   registry)
+    vm = VM(program, snapshot.load_file(tri_gms, registry), matcher=matcher)
+    with pytest.raises(PatternError, match="postcondition"):
+        vm.query_all(post)
+    assert len(vm.query_all("deleteNodeGT.deleteNodeGT$pre")) == 1  # the n1 node
 
 
 def test_match_ambiguous_pattern(capsys):

@@ -433,3 +433,72 @@ def test_oracle_skips_a_body_with_an_empty_domain(monkeypatch):
         assert brute.match_set("graphPatterns." + name) == frozenset()
         outer = lib["graphPatterns." + name].bodies[0].constraints
         assert checked and not [c for c in checked if c in outer]
+
+
+def test_oracle_constraint_outcomes_on_a_tiny_model():
+    """Each outcome of ``BruteForce._consistent``, on prefixes of the
+    triangle: an unassigned variable is a wildcard, a dead or mistyped
+    value and a relation that does not fit fail."""
+    from gtvm.corpus.fixtures import ESTRING, load_fixture
+    from gtvm.oracle import BruteForce
+
+    space = load_fixture("triangle")
+    brute = BruteForce(space, builtin_library(space.registry))
+    consistent = brute._consistent
+    n1, n2, _ = space.elements_of_type(G1 + "Node")
+    edge = space.elements_of_type(G1 + "Edge")[0]
+    (src,) = [r for r in space.relations_from(edge) if space.conforms(r, G1 + "Edge.src")]
+    (trg,) = [r for r in space.relations_from(edge) if space.conforms(r, G1 + "Edge.trg")]
+    texts = {space.parent(t): t for t in space.elements_of_type(ESTRING)}
+    dead = max(space.iter_elements()) + 1
+
+    node = EntityC(G1 + "Node", "X")
+    assert consistent(node, {}) and consistent(node, {"X": n1})
+    assert not consistent(node, {"X": dead})  # dead element
+    assert not consistent(node, {"X": edge})  # wrong type
+    text_in = EntityC(ESTRING, "T", in_var="P")
+    assert consistent(text_in, {"T": texts[n1], "P": n1})
+    assert not consistent(text_in, {"T": texts[n1], "P": n2})  # not contained
+
+    rel = RelationC(G1 + "Edge.src", "R", "E", "N")
+    assert consistent(rel, {})  # no end assigned
+    assert consistent(rel, {"E": edge}) and consistent(rel, {"N": space.target(src)})
+    assert not consistent(rel, {"E": dead})  # a dead end
+    assert not consistent(rel, {"E": n1})  # an end with no relation that fits
+    assert consistent(rel, {"R": src, "E": edge, "N": space.target(src)})
+    assert not consistent(rel, {"R": dead})  # dead relation id
+    assert not consistent(rel, {"R": n1})  # an entity, not a relation
+    assert not consistent(rel, {"R": trg})  # wrong type
+    assert not consistent(rel, {"R": src, "E": n1})  # source mismatch
+    assert not consistent(rel, {"R": src, "N": space.target(trg)})  # target mismatch
+    # neg and count are decided on complete assignments only
+    assert consistent(NegC("graphPatterns.SimpleNode", ("X",)), {"X": n1})
+    assert consistent(CountC("graphPatterns.SimpleNode", ("X",), "K"), {})
+
+
+def test_oracle_count_mismatch_on_a_counted_variable():
+    """Two counts into one variable match only where the counts are equal:
+    the second count finds the variable set and compares. All three
+    voices agree."""
+    from gtvm.corpus.fixtures import load_fixture
+    from gtvm.matcher_ls import LocalSearchMatcher
+    from gtvm.oracle import BruteForce
+    from gtvm.rete import ReteEngine
+
+    src = """import nemf.packages; machine q{
+      pattern sameCount(K) = {
+        find graphPatterns.SimpleNode(X) # K;
+        find graphPatterns.Edge(E) # K;
+      }
+    }"""
+    space = load_fixture("triangle")
+    program = link([corpus.load_machine("graphPatterns"), parse(src)], space.registry)
+    engine = ReteEngine(space, program.patterns)
+    ls = LocalSearchMatcher(space, program.patterns)
+    for want in ({(3,)}, set()):  # 3 nodes and 3 edges, then 4 nodes
+        brute = BruteForce(space, program.patterns)
+        assert brute.match_set("q.sameCount") == want
+        assert ls.match_set("q.sameCount") == want
+        assert set(engine.register("q.sameCount").match_tuples()) == want
+        (graph,) = space.elements_of_type(G1 + "Graph")
+        space.new_entity(G1 + "Node", graph)
