@@ -117,16 +117,11 @@ def holds(test, lookup, space) -> bool:
         return False
 
 
-def is_element(v, space) -> bool:
-    """Whether ``v`` is a live element id of ``space``. ``True``, a
-    comparison result, is an ``int`` equal to 1, yet no element."""
-    return type(v) is int and space.is_live(v)
-
-
 def element_value(v, space, what: str) -> int:
     """``v``, which must be a live element; ``what`` names the reader in
-    the error."""
-    if type(v) is not int or not space.is_live(v):  # as is_element tests
+    the error. ``True``, a comparison result, is an ``int`` equal to 1, yet
+    no element."""
+    if type(v) is not int or not space.is_live(v):
         raise ExecError(f"{what} needs a live element, got {as_text(v)}")
     return v
 

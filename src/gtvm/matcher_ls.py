@@ -106,17 +106,30 @@ def least(tuples) -> tuple | None:
 def binding_key(space: ModelSpace, p: Pattern,
                 binding: dict | None) -> tuple[tuple[int, ...], tuple]:
     """The parameter positions ``binding`` binds, ascending, and their
-    values. ``binding`` must bind parameters of ``p`` only, each element
-    parameter to a live element of ``space``."""
+    values. ``binding`` must bind parameters of ``p`` only, and its values
+    must pass ``key_check``."""
     if not binding:
         return (), ()
-    for var, val in binding.items():
+    for var in binding:
         if var not in p.params:
             raise PatternError(f"{p.name}: {var} is not a parameter")
-        if var not in p.int_params and not ex.is_element(val, space):
-            raise SpaceError(f"{p.name}: binding for {var} is not a live element")
     positions = tuple(sorted(map(p.params.index, binding)))
-    return positions, tuple([binding[p.params[i]] for i in positions])
+    key = tuple([binding[p.params[i]] for i in positions])
+    key_check(space, p, positions, key)
+    return positions, key
+
+
+def key_check(space: ModelSpace, p: Pattern, positions: tuple[int, ...], key: tuple) -> None:
+    """The one check of a key of ``p`` at ``positions``: SpaceError, naming
+    the pattern and the parameter, unless each value is an ``int`` (a
+    ``bool`` is none) and, at an element parameter, a live element of
+    ``space``."""
+    is_live, counts = space.is_live, p.int_params
+    for i, v in zip(positions, key):
+        if type(v) is not int or not (is_live(v) or p.params[i] in counts):
+            param = p.params[i]
+            raise SpaceError(f"{p.name}: binding for {param} is not "
+                             f"{'an integer' if param in counts else 'a live element'}")
 
 
 class AnswerSet:
@@ -287,6 +300,13 @@ class LocalSearchMatcher:
     def match_set(self, name: str, binding: dict | None = None) -> frozenset[tuple]:
         return frozenset(self._query(self.pattern(name), binding))
 
+    def read(self, p: Pattern, positions: tuple[int, ...], key: tuple) -> Collection[tuple]:
+        """The answer tuples of ``p`` whose values at ``positions``
+        (ascending) are ``key``, a key that passed ``key_check``: the
+        matcher's own collection, valid until the next change, which a
+        caller must not change."""
+        return self._solve(p, positions, key)
+
     def pattern(self, name: str) -> Pattern:
         """The pattern ``name``; PatternError if none or a GT postcondition."""
         p = self.patterns.get(name)
@@ -298,7 +318,7 @@ class LocalSearchMatcher:
     # -- plumbing -------------------------------------------------------------
 
     def _query(self, p: Pattern, binding: dict | None) -> Collection[tuple]:
-        return self._solve(p, *binding_key(self.space, p, binding))
+        return self.read(p, *binding_key(self.space, p, binding))
 
     def _program(self, p: Pattern, bidx: int, positions: tuple[int, ...]) -> Program:
         """The plan of body ``bidx`` of ``p`` with the parameters at

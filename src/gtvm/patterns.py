@@ -381,6 +381,13 @@ def consistent_count(tuples: Collection[tuple], ok: Callable[[tuple], bool] | No
     return len(tuples) if ok is None else sum(map(ok, tuples))
 
 
+def consistent_tuples(tuples: Collection[tuple],
+                      ok: Callable[[tuple], bool] | None) -> Collection[tuple]:
+    """The tuples of ``tuples`` that pass ``ok``, a ``consistency_test``;
+    ``tuples`` itself when ``ok`` is None."""
+    return tuples if ok is None else [t for t in tuples if ok(t)]
+
+
 @functools.cache
 def match_dicts(params: tuple[str, ...]) -> Callable[[Iterable[tuple]], list[dict]]:
     """``rows -> [dict(zip(params, t)) for t in rows]``: a new list of new

@@ -13,6 +13,16 @@ one per statement, with its expressions compiled by ``expr.compile_expr``.
 Each body is compiled the first time the VM enters it and cached on that VM
 only, never on the shared ``LinkedProgram``, so no compiled code outlives
 the VM it was made for.
+
+A ``choose`` or ``forall`` compiles its pattern read with its statement:
+the bound parameter positions, the frame variables that give their key,
+the repeated-argument test and the tuple position of each fresh variable
+are fixed then. At run time it builds the key, checks it
+(``matcher_ls.key_check``), reads through ``VM._read``, the one read of
+either backend, and binds the body's frame from the match tuples; it builds
+no binding dict and no match dict. The API
+reads (``query_all``, ``query_first``, ``apply_gtrule``) turn a binding
+dict into a key through ``binding_key`` and go through the same seam.
 """
 
 from __future__ import annotations
@@ -23,10 +33,10 @@ from typing import Collection, Optional
 
 from . import expr as ex
 from .errors import DivergenceError, ExecError, LinkError
-from .matcher_ls import LocalSearchMatcher, binding_key, in_order, least
+from .matcher_ls import LocalSearchMatcher, binding_key, in_order, key_check, least
 from .modelspace import ROOT_ID, ModelSpace
 from .patterns import (MAX_CALL_DEPTH, CheckC, CountC, EntityC, NegC, Pattern,
-                       RelationC, consistency_test, match_dicts)
+                       RelationC, consistency_test, consistent_tuples, match_dicts)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -465,12 +475,13 @@ class VM:
             self._rete = ReteEngine(self.space, self.program.patterns)
         return self._rete
 
-    def _tuples(self, p: Pattern, binding: dict | None,
-                args: tuple[str, ...]) -> Collection[tuple]:
-        """The match tuples of ``p``, in no order, that agree with ``binding``
-        and give each repeated variable of ``args`` (call arguments aligned
-        with the parameters) a single value. The one read of either backend:
-        the production memory (``inc``) or the match set (``ls``).
+    def _read(self, p: Pattern, positions: tuple[int, ...],
+              key: tuple) -> Collection[tuple]:
+        """The match tuples of ``p``, in no order, whose values at
+        ``positions`` (ascending) are ``key``, a key that passed
+        ``key_check``. The one read of either backend, which a caller must
+        not change: the production memory (``inc``) or the local search's
+        answers (``ls``).
 
         Inside ``run``, ``inc`` builds a pattern's network only when the
         pattern is read at a second model version (or the engine already
@@ -479,19 +490,16 @@ class VM:
         if self.backend == "inc" and not p.requires_ls and (
                 not self._running or rete is not None and p.name in rete.productions
                 or self._first_read.setdefault(p.name, version) != version):
-            tuples = self._rete_engine().register(p.name).match_tuples(
-                *binding_key(self.space, p, binding))
-        else:
-            tuples = self.ls.match_set(p.name, binding)
-        consistent = consistency_test(args)
-        return tuples if consistent is None else [t for t in tuples if consistent(t)]
+            return self._rete_engine().register(p.name).match_tuples(positions, key)
+        return self.ls.read(p, positions, key)
 
     def query_all(self, pattern_name: str, binding: dict | None = None,
                   args: tuple[str, ...] = ()) -> list[dict]:
         """Every match in order, keeping those that give each repeated
         variable of ``args`` (as in ``query_first``) a single value."""
         p = self.ls.pattern(pattern_name)
-        return match_dicts(p.params)(in_order(self._tuples(p, binding, args)))
+        tuples = self._read(p, *binding_key(self.space, p, binding))
+        return match_dicts(p.params)(in_order(consistent_tuples(tuples, consistency_test(args))))
 
     def query_first(self, pattern_name: str, binding: dict | None = None,
                     args: tuple[str, ...] = ()) -> dict | None:
@@ -501,7 +509,8 @@ class VM:
         no sort, and one new dict, built by ``match_dicts`` as ``query_all``
         builds its own. PatternError for an unknown pattern."""
         p = self.ls.pattern(pattern_name)
-        first = least(self._tuples(p, binding, args))
+        tuples = self._read(p, *binding_key(self.space, p, binding))
+        first = least(consistent_tuples(tuples, consistency_test(args)))
         return None if first is None else match_dicts(p.params)((first,))[0]
 
     # -- top level -----------------------------------------------------------
@@ -558,8 +567,9 @@ def _code(vm: VM, key: str, body, depth: int):
     return code[0]
 
 
-def _apply_gt_match(vm: VM, gt: CompiledGt, match: dict, depth: int) -> dict:
-    binding = dict(match)
+def _apply_gt_match(vm: VM, gt: CompiledGt, binding: dict, depth: int) -> dict:
+    """Apply ``gt`` to ``binding``, a new match dict of its precondition,
+    which the created elements then extend, and run its action."""
     if gt.script is not None:
         apply_diff(gt.script, vm.space, binding)
     if gt.action is not None:
@@ -625,31 +635,34 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
             if forever:
                 raise DivergenceError(f"iterate exceeded the step budget ({vm.step_budget})")
     elif isinstance(s, (Choose, Forall)):
-        # the pattern to match, the (parameter, variable) pairs that bind it
-        # from the frame, the arguments whose repeated variables a match must
-        # honour, and the step from a match to the frame of the body
+        # the read, resolved once: the pattern, its bound positions
+        # (ascending), the frame variables that give their key, the
+        # repeated-argument test, and how a match tuple enters the frame of
+        # the body
         src, do = s.source, inner(s.do)
         if isinstance(src, FindSource):
-            pattern = program.patterns[src.ref]
-            pairs = tuple(zip(pattern.params, src.args))
-            bound, args = tuple(p for p in pairs if p[1] not in s.vars), src.args
-            # a variable the arguments repeat takes its first value
-            fresh = tuple({arg: param for param, arg in reversed(pairs) if arg in s.vars}.items())
+            p, args = program.patterns[src.ref], src.args
+            by_position = {i: a for i, a in enumerate(args) if a not in s.vars}
+            consistent = consistency_test(args)
+            # a variable the arguments repeat takes its first position
+            fresh = tuple({a: i for i, a in reversed(tuple(enumerate(args)))
+                           if a in s.vars}.items())
 
-            def enter(vm, frame, match):
+            def enter(vm, frame, t):
                 child = Frame(frame)
-                for arg, param in fresh:
-                    child.vars[arg] = match[param]
+                for a, i in fresh:
+                    child.vars[a] = t[i]
                 return child
         else:  # apply: the GT rule is applied to the match first
             gt = program.gtrules[src.ref]
-            pattern = program.patterns[gt.pre_pattern]
+            p = program.patterns[gt.pre_pattern]
             pairs = tuple(zip(gt.params, src.args))
-            bound, args = tuple((p.name, a) for p, a in pairs if p.mode == "in"), ()
-            outs = tuple((p.name, a, a in s.vars) for p, a in pairs if p.mode == "out")
+            by_position = {p.params.index(q.name): a for q, a in pairs if q.mode == "in"}
+            consistent, to_dict = None, match_dicts(p.params)
+            outs = tuple((q.name, a, a in s.vars) for q, a in pairs if q.mode == "out")
 
-            def enter(vm, frame, match):
-                result = _apply_gt_match(vm, gt, match, depth)
+            def enter(vm, frame, t):
+                result = _apply_gt_match(vm, gt, to_dict((t,))[0], depth)
                 child = Frame(frame)
                 for name, arg, chosen in outs:
                     if chosen:  # one of the statement's variables
@@ -657,25 +670,32 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
                     else:
                         frame.assign(arg, result.get(name))
                 return child
-        name = pattern.name
+        positions = tuple(sorted(by_position))
+        key_vars = tuple(by_position[i] for i in positions)
+
+        def read(vm, frame):
+            lookup = frame.lookup
+            key = tuple([lookup(a) for a in key_vars])
+            if key:
+                key_check(vm.space, p, positions, key)
+            return consistent_tuples(vm._read(p, positions, key), consistent)
         if isinstance(s, Choose):
             def run(vm, frame):
-                lookup = frame.lookup
-                match = vm.query_first(name, {p: lookup(a) for p, a in bound}, args)
-                if match is None:
+                first = least(read(vm, frame))
+                if first is None:
                     raise ChooseFailed()
-                do(vm, enter(vm, frame, match))
+                do(vm, enter(vm, frame, first))
         else:
-            elements = tuple(p for p in pattern.params if p not in pattern.int_params)
+            elements = tuple(i for i, q in enumerate(p.params) if q not in p.int_params)
 
             def run(vm, frame):
-                lookup, is_live = frame.lookup, vm.space.is_live
-                for match in vm.query_all(name, {p: lookup(a) for p, a in bound}, args):
-                    for p in elements:
-                        if not is_live(match[p]):
+                is_live = vm.space.is_live
+                for t in in_order(read(vm, frame)):
+                    for i in elements:
+                        if not is_live(t[i]):
                             break  # an earlier step removed an element of the match
                     else:
-                        do(vm, enter(vm, frame, match))
+                        do(vm, enter(vm, frame, t))
     elif isinstance(s, Call):
         # the callee's closure is looked up on the VM at each call, so the
         # closures of a recursive rule do not hold each other

@@ -26,12 +26,12 @@ def recorded(vm: VM) -> list[tuple[str, int]]:
     """The (pattern, model version) of each read the VM's local search
     serves from now on."""
     reads = []
-    match_set = vm.ls.match_set
+    read = vm.ls.read
 
-    def record(name, binding=None):
-        reads.append((name, vm.space.version))
-        return match_set(name, binding)
-    vm.ls.match_set = record
+    def record(p, positions, key):
+        reads.append((p.name, vm.space.version))
+        return read(p, positions, key)
+    vm.ls.read = record
     return reads
 
 
