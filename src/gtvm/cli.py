@@ -98,14 +98,12 @@ def cmd_match(args) -> int:
     except (GtvmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    pattern = program.patterns[pattern_name]
-    if args.matcher == "inc" and pattern.requires_ls:
-        reason = "recursive" if pattern.recursive else "@localsearch"
-        print(f"error: pattern {pattern_name} is {reason} and cannot be "
-              f"matched incrementally; use --matcher ls", file=sys.stderr)
-        return 1
     try:
         vm = VM(program, space, matcher=args.matcher, step_budget=budget)
+        pattern = vm.ls.pattern(pattern_name)  # refuses a GT postcondition
+        if args.matcher == "inc" and pattern.ls_reason:
+            raise MatcherError(f"pattern {pattern_name} {pattern.ls_reason}, so it cannot "
+                               f"be matched incrementally; use --matcher ls")
         matches = vm.query_all(pattern_name)
     except (MatcherError, PatternError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -116,9 +114,8 @@ def cmd_match(args) -> int:
     if args.count:
         print(len(matches))
     else:
-        params = program.patterns[pattern_name].params
         for m in matches:
-            print(" ".join(f"{p}={m[p]}" for p in params))
+            print(" ".join(f"{p}={m[p]}" for p in pattern.params))
     return 0
 
 

@@ -394,8 +394,12 @@ class LocalSearchMatcher:
         """Plan body ``bidx`` of ``p`` for the parameters at ``positions``
         (at random under ``shuffle``), with its estimates."""
         body = p.bodies[bidx]
-        estimate, size, domain = self._estimator(body)
         bound = [p.params[i] for i in positions]
+        for v in body.unbound_params:
+            if v not in bound:
+                raise PatternError(f"{p.name}: parameter {v} is read only in a neg, "
+                                   f"count or check, so a read must bind it")
+        estimate, size, domain = self._estimator(body)
         plan = schedule(body.constraints, p.params, frozenset(bound), estimate, shuffle)
         keys, have = [], set(bound)
         for c in plan:

@@ -89,13 +89,10 @@ class TypeRegistry:
             return cached
         chain = []
         cur: str | None = name
-        while cur is not None:
-            if cur in chain:
-                raise SpaceError(f"supertype cycle at {cur}")
+        while cur is not None:  # acyclic: register takes only a registered supertype
             chain.append(cur)
             cur = self.info(cur).supertype
-        out = tuple(chain)
-        self._supers_cache[name] = out
+        out = self._supers_cache[name] = tuple(chain)
         return out
 
     def subtype_closure(self, name: str) -> frozenset[str]:

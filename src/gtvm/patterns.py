@@ -84,8 +84,10 @@ def constraint_vars(c: Constraint) -> tuple[str, ...]:
 @dataclass
 class Body:
     constraints: tuple[Constraint, ...]
-    # the variables injectivity applies to; set by validate_patterns
+    # set by validate_patterns: the variables injectivity applies to, and
+    # the parameters no positive constraint binds, which a read must bind
     element_vars: Optional[frozenset[str]] = field(default=None, compare=False)
+    unbound_params: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
@@ -106,7 +108,7 @@ class Pattern:
     shareable: bool = False
     localsearch: bool = False
     # derived during validate_patterns
-    requires_ls: bool = field(default=False, compare=False)
+    ls_reason: Optional[str] = field(default=None, compare=False)
     recursive: bool = field(default=False, compare=False)
     int_params: frozenset[str] = field(default=frozenset(), compare=False)
 
@@ -115,11 +117,12 @@ class Pattern:
         self.bodies = tuple(self.bodies)
 
 
-def _element_vars(pattern: Pattern, body: Body,
-                  patterns: Mapping[str, Pattern]) -> frozenset[str]:
+def _element_vars(pattern: Pattern, body: Body, patterns: Mapping[str, Pattern]
+                  ) -> tuple[frozenset[str], tuple[str, ...]]:
     """The variables of ``body`` that injectivity applies to: those a
-    positive constraint binds to an element (not to an integer). Raises
-    when a ``check`` reads a variable with no positive binder."""
+    positive constraint binds to an element (not to an integer); and the
+    parameters no positive constraint binds. Raises when a ``check`` reads
+    a variable that is neither a parameter nor positively bound."""
     positive: set[str] = set()
     int_vars: set[str] = set()
     for c in body.constraints:
@@ -140,14 +143,15 @@ def _element_vars(pattern: Pattern, body: Body,
                 if v not in positive and v not in pattern.params:
                     raise PatternError(
                         f"{pattern.name}: check() uses {v} which has no positive binder")
-    return frozenset(positive - int_vars)
+    return frozenset(positive - int_vars), tuple(v for v in pattern.params if v not in positive)
 
 
 def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -> None:
     """Validate a closed set of patterns: arities, kinds, scoping, recursion.
 
-    Sets the derived ``requires_ls``/``recursive``/``scc_members``/``int_params``
-    and each body's ``element_vars``.
+    Sets the derived ``recursive``/``scc_members``/``int_params``/``ls_reason``
+    (why only the local search can match a pattern, None if the Rete can
+    too) and each body's ``element_vars``/``unbound_params``.
     """
     # call arities first: the int-parameter fixpoint indexes callee params
     for p in patterns.values():
@@ -200,7 +204,7 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
             for param in p.params:
                 if param not in body_vars:
                     raise PatternError(f"{p.name}: parameter {param} missing from a body")
-            body.element_vars = _element_vars(p, body, patterns)
+            body.element_vars, body.unbound_params = _element_vars(p, body, patterns)
 
     # call graph: reach[p] holds every pattern p's calls lead to; p is
     # recursive when it reaches itself, and its cycle is what reaches it back
@@ -220,8 +224,9 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
         p.recursive = name in reach[name]
         p.scc_members = (tuple(sorted(q for q in reach[name] if name in reach[q]))
                          if p.recursive else (name,))
-        p.requires_ls = any(patterns[q].localsearch or q in reach[q]
-                            for q in reach[name] | {name})
+        p.ls_reason = ("is recursive" if p.recursive else "is @localsearch" if p.localsearch
+                       else next((f"reads its parameter {v} only in a neg, count or check"
+                                  for body in p.bodies for v in body.unbound_params), None))
         if not p.recursive:
             continue
         for body in p.bodies:
@@ -234,13 +239,18 @@ def validate_patterns(patterns: Mapping[str, Pattern], registry: TypeRegistry) -
                                f"local search (@localsearch)")
 
     # the longest call chain from each pattern, a recursion cycle counting
-    # as one pattern, so no matcher nests deeper than MAX_CALL_DEPTH calls.
+    # as one pattern, so no matcher nests deeper than MAX_CALL_DEPTH calls,
+    # and the ls_reason that names the call chain to a pattern with its own.
     # Callees go first: their reach is smaller, or as large for a recursive
     # callee that reaches all its caller does.
     depth: dict[str, int] = {}
     below: dict[str, str] = {}  # the callee that the longest chain takes
     for name in sorted(patterns, key=lambda n: (len(reach[n]), n not in reach[n], n)):
-        members = patterns[name].scc_members
+        p = patterns[name]
+        if p.ls_reason is None:
+            q = next((q for q in sorted(calls[name]) if patterns[q].ls_reason), None)
+            p.ls_reason = q and f"calls {q}, which {patterns[q].ls_reason}"
+        members = p.scc_members
         depth[name] = 1
         for q in (q for m in members for q in calls[m] if q not in members):
             if depth[q] + 1 > depth[name]:

@@ -37,9 +37,8 @@ from . import expr as ex
 from .errors import MatcherError
 from .modelspace import (ENTITY, ElementCreated, ElementDeleted, EndpointRetargeted,
                          ModelSpace, Renamed, TypeAdded, TypeRemoved, ValueSet)
-from .patterns import (CheckC, CountC, EntityC, FindC, NegC, Pattern,
-                       RelationC, consistency_test, consistent_count, row_test,
-                       schedule, tuple_getter)
+from .patterns import (CountC, EntityC, FindC, NegC, Pattern, RelationC, consistency_test,
+                       consistent_count, row_test, schedule, tuple_getter)
 
 # the containment alpha's key among the alphas, which no type name equals
 _IN = ()
@@ -449,10 +448,9 @@ class ReteEngine:
         if prod is not None:
             return prod
         pattern = self.patterns[name]
-        if pattern.requires_ls:
-            reason = "recursive" if pattern.recursive else "@localsearch"
-            raise MatcherError(
-                f"pattern {name} is {reason}; use the local-search matcher (ls)")
+        if pattern.ls_reason:
+            raise MatcherError(f"pattern {name} {pattern.ls_reason}; "
+                               f"use the local-search matcher (ls)")
         for body in pattern.bodies:
             for c in body.constraints:
                 if isinstance(c, (FindC, NegC, CountC)):
@@ -483,19 +481,12 @@ class ReteEngine:
             elif isinstance(c, CountC):
                 current = CountNode(self, current, self.productions[c.pattern], c.args,
                                     c.out)
-            elif isinstance(c, CheckC):
+            else:  # CheckC
                 current = CheckNode(self, current, c.expr)
-            else:
-                raise AssertionError(c)
         schema = () if current is None else current.schema
         distinct = [] if pattern.shareable else [
             i for i, var in enumerate(schema) if var in body.element_vars]
-        try:
-            return current, [schema.index(p) for p in pattern.params], distinct
-        except ValueError:
-            raise MatcherError(
-                f"pattern {pattern.name} has a parameter bound only under "
-                f"neg find; it cannot be enumerated") from None
+        return current, [schema.index(p) for p in pattern.params], distinct
 
     # -- event dispatch ----------------------------------------------------------
 

@@ -487,7 +487,7 @@ class VM:
         pattern is read at a second model version (or the engine already
         holds it): a pattern read once is solved by the local search."""
         rete, version = self._rete, self.space.version
-        if self.backend == "inc" and not p.requires_ls and (
+        if self.backend == "inc" and not p.ls_reason and (
                 not self._running or rete is not None and p.name in rete.productions
                 or self._first_read.setdefault(p.name, version) != version):
             return self._rete_engine().register(p.name).match_tuples(positions, key)

@@ -94,7 +94,7 @@ def test_criterion_3_matcher_equivalence():
         ls = LocalSearchMatcher(space, program.patterns)
         rete = ReteEngine(space, program.patterns)
         names = sorted(n for n, p in program.patterns.items()
-                       if not p.requires_ls)
+                       if not p.ls_reason)
         handles = [(n, rete.register(n)) for n in names]
 
         def check():

@@ -284,6 +284,43 @@ def test_match_recursive_refused_on_inc(tri_gms, capsys):
     assert code == 0
 
 
+NEG_ONLY = """import nemf.packages;
+machine m{
+  pattern q(Y) = { graph1.Edge(Y); }
+  pattern p(X, Y) = { graph1.Node(X); neg find q(Y); }
+  pattern reach(F, T, G) = { find graphPatterns.transitiveConnected(F, T, G); }
+}"""
+
+
+@pytest.mark.parametrize("matcher", ["inc", "ls"])
+def test_match_names_the_parameter_only_a_neg_reads(tri_gms, tmp_path, capsys, matcher):
+    """No positive constraint binds p's Y, so no matcher lists p's matches:
+    inc refuses p as a pattern only the local search can match, and an
+    unbound ls read refuses it; both name Y."""
+    vtcl = tmp_path / "m.vtcl"
+    vtcl.write_text(NEG_ONLY)
+    code = main(["match", "graphPatterns", str(vtcl), "--model", tri_gms,
+                 "--pattern", "m.p", "--matcher", matcher])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("error: pattern m.p reads its parameter Y only in a neg, count or "
+                   "check, so it cannot be matched incrementally; use --matcher ls\n"
+                   if matcher == "inc" else "error: m.p: parameter Y is read only in "
+                   "a neg, count or check, so a read must bind it\n")
+
+
+def test_match_names_the_recursive_callee_on_inc(tri_gms, tmp_path, capsys):
+    vtcl = tmp_path / "m.vtcl"
+    vtcl.write_text(NEG_ONLY)
+    args = ["match", "graphPatterns", str(vtcl), "--model", tri_gms, "--pattern", "reach"]
+    assert main(args + ["--matcher", "inc"]) == 1
+    assert capsys.readouterr().err == (
+        "error: pattern m.reach calls graphPatterns.transitiveConnected, which is "
+        "recursive, so it cannot be matched incrementally; use --matcher ls\n")
+    assert main(args + ["--matcher", "ls"]) == 0
+    assert capsys.readouterr().out
+
+
 def test_match_unknown_pattern(tri_gms, capsys):
     assert main(["match", "--model", tri_gms, "--pattern", "nothing"]) == 1
 

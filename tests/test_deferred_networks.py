@@ -40,10 +40,9 @@ def networks(vm: VM) -> set[str]:
 
 
 def register_all(vm: VM) -> None:
-    """Build a network for every pattern the Rete can match (test only); a
-    GT postcondition (``$post``) is never matched, only turned into edits."""
+    """Build a network for every pattern the Rete can match (test only)."""
     for name, p in vm.program.patterns.items():
-        if not p.requires_ls and not name.endswith("$post"):
+        if not p.ls_reason:
             vm._rete_engine().register(name)
 
 
@@ -171,6 +170,34 @@ def test_localsearch_and_recursive_patterns_stay_on_the_local_search():
     assert not networks(vm) & {missing, connected}
 
 
+NEG_ONLY = """
+machine m{
+  pattern q(Y) = { graph1.Edge(Y); }
+  pattern p(X, Y) = { graph1.Node(X); neg find q(Y); }
+  pattern node(Y) = { graph1.Node(Y); }
+  rule main() = let Z = undef in seq{
+    choose Y with find node(Y) do seq{
+      forall X with find p(X, Y) do println(name(X));
+      new(graph1.Node(Z));
+      forall X with find p(X, Y) do println(name(X));
+    }
+  }
+}"""
+
+
+def test_a_pattern_with_a_parameter_only_a_neg_reads_stays_on_the_local_search():
+    """No positive constraint binds p's Y, so the Rete cannot enumerate p:
+    its read at a second model version, bound, is the local search's too,
+    and inc prints what ls prints."""
+    vm = make_vm(NEG_ONLY)
+    reads = recorded(vm)
+    got = outcome(vm, "m")
+    assert [name for name, _ in reads if name == "m.p"] == ["m.p", "m.p"]
+    assert "m.p" not in networks(vm)
+    assert len(got[0]) == 3 + 4  # the three nodes, then with the new one
+    assert got == outcome(make_vm(NEG_ONLY, matcher="ls"), "m")
+
+
 @pytest.mark.parametrize("task,variant", sorted(corpus.TASKS))
 def test_every_network_built_up_front_agrees_with_local_search(task, variant):
     """Each corpus job under inc with a network for every pattern the Rete
@@ -186,7 +213,7 @@ def test_every_network_built_up_front_agrees_with_local_search(task, variant):
             reads = recorded(vm)
         got[matcher] = outcome(vm, entry)
     patterns = vm.program.patterns
-    assert all(patterns[name].requires_ls for name, _ in reads)
+    assert all(patterns[name].ls_reason for name, _ in reads)
     assert got["inc"] == got["ls"]
 
 

@@ -34,7 +34,7 @@ def reference(space, program, name) -> list[tuple]:
     """The match tuples of ``name`` in order, from the brute-force oracle, or
     from a fresh local search for a pattern the oracle cannot evaluate."""
     p = program.patterns[name]
-    if p.requires_ls:
+    if p.ls_reason:
         tuples = LocalSearchMatcher(space, program.patterns).match_set(name)
     else:
         tuples = oracle.BruteForce(space, program.patterns).match_set(name)

@@ -278,7 +278,7 @@ def test_mutually_recursive_tabling():
     program = link([corpus.load_machine("graphPatterns"), parse(MUTUAL)],
                    space.registry)
     assert program.patterns["paths.oddPath"].recursive
-    assert program.patterns["paths.evenPath"].requires_ls
+    assert program.patterns["paths.evenPath"].ls_reason
     ls = LocalSearchMatcher(space, program.patterns)
 
     # independent oracle: pairwise fixpoint over the step relation
@@ -310,7 +310,7 @@ def test_cycle_annotation_on_one_member_suffices():
     program = link([corpus.load_machine("graphPatterns"), parse(source)],
                    space.registry)
     # the unannotated cycle member still runs on the local-search matcher
-    assert program.patterns["paths.evenPath"].requires_ls
+    assert program.patterns["paths.evenPath"].ls_reason
     ls = LocalSearchMatcher(space, program.patterns)
     assert ls.count("paths.oddPath") == 9  # every ordered pair on a triangle
 

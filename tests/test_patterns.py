@@ -41,10 +41,43 @@ def test_builtin_library_contents():
 def test_recursion_flags():
     lib = builtin_library()
     tc = lib["graphPatterns.transitiveConnected"]
-    assert tc.recursive and tc.requires_ls and tc.localsearch
+    assert tc.recursive and tc.ls_reason and tc.localsearch
     tem = lib["graphPatterns.transitiveEdgeMissing"]
-    assert tem.requires_ls and not tem.recursive
-    assert not lib["graphPatterns.transitiveEdgeMissing2hop"].requires_ls
+    assert tem.ls_reason and not tem.recursive
+    assert not lib["graphPatterns.transitiveEdgeMissing2hop"].ls_reason
+
+
+def test_ls_reason_names_why_and_the_call_chain(registry):
+    """Why only the local search can match a pattern: its own reason
+    (recursive, @localsearch, a parameter no positive constraint binds),
+    else the first callee's that has one, down the call chain."""
+    src = """
+    import nemf.packages;
+    machine m{
+      pattern q(Y) = { graph1.Edge(Y); }
+      pattern p(X, Y) = { graph1.Node(X); neg find q(Y); }
+      pattern checked(X, V) = { graph1.Node(X); check(V == 1); }
+      pattern counted(E, N) = { find q(E) # N; }
+      pattern caller(X, Y) = { find p(X, Y); }
+      pattern reach(F, T, G) = { find graphPatterns.transitiveConnected(F, T, G); }
+      pattern reach2(F, T) = { find reach(F, T, G); }
+    }
+    """
+    program = link([corpus.load_machine("graphPatterns"), parse(src)], registry)
+    reasons = {n.split(".", 1)[1]: p.ls_reason for n, p in program.patterns.items()}
+    only = "reads its parameter {} only in a neg, count or check"
+    recursive = "calls graphPatterns.transitiveConnected, which is recursive"
+    assert {n: r for n, r in reasons.items() if r} == {
+        "transitiveConnected": "is recursive",
+        "transitiveEdgeMissing": "is @localsearch",
+        "p": only.format("Y"),
+        "checked": only.format("V"),
+        "counted": only.format("E"),
+        "caller": "calls m.p, which " + only.format("Y"),
+        "reach": recursive,
+        "reach2": "calls m.reach, which " + recursive,
+    }
+    assert program.patterns["m.p"].bodies[0].unbound_params == ("Y",)
 
 
 def test_recursive_pattern_without_localsearch_rejected(registry):
@@ -96,8 +129,8 @@ def test_mutual_recursion_with_one_localsearch_member(registry):
     validate_patterns({"caller": caller, "b": b, "a": a}, registry)
     assert a.recursive and b.recursive
     assert a.scc_members == b.scc_members == ("a", "b")
-    assert a.requires_ls and b.requires_ls
-    assert caller.requires_ls and not caller.recursive
+    assert a.ls_reason and b.ls_reason
+    assert caller.ls_reason and not caller.recursive
     assert caller.scc_members == ("caller",)
 
     b_neg = Pattern("b", ("X",), (Body((node, FindC("a", ("X",)), NegC("a", ("X",)))),))

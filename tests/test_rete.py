@@ -7,7 +7,7 @@ import pytest
 from editscripts import run_script
 from gtvm import corpus
 from gtvm.corpus.fixtures import BUILDERS, G1, Graph1Builder, load_fixture
-from gtvm.errors import MatcherError
+from gtvm.errors import MatcherError, PatternError
 from gtvm.matcher_ls import LocalSearchMatcher
 from gtvm.modelspace import ENTITY, ElementCreated, ModelSpace, TypeRegistry, ValueSet
 from gtvm.oracle import BruteForce
@@ -26,7 +26,7 @@ INC_NAMES = None
 
 def inc_names(ls):
     return sorted(n for n, p in ls.patterns.items()
-                  if n.startswith("graphPatterns.") and not p.requires_ls)
+                  if n.startswith("graphPatterns.") and not p.ls_reason)
 
 
 def test_register_refuses_recursive(triangle):
@@ -124,7 +124,7 @@ def test_no_join_is_a_cartesian_product_of_a_connected_body():
     program = link([corpus.load_machine("graphPatterns"), machine], space.registry)
     rete = ReteEngine(space, program.patterns)
     names = [n for n, p in program.patterns.items()
-             if n.startswith("graphPatterns.") and not p.requires_ls]
+             if n.startswith("graphPatterns.") and not p.ls_reason]
     for name in names:
         rete.register(name)
     compiled = {pattern.name for pattern, _, _ in body_chains(rete)}
@@ -243,6 +243,58 @@ def test_count_node_updates():
     b.edge(n, n)
     assert handle.match_tuples() == {(3,)} == ls.match_set(
         "countMatchesMC.countLoopingEdgesPattern")
+
+
+LOOPS = """import nemf.packages;
+machine m{
+  pattern loops(G, N) = {
+    graph1.Graph(G);
+    find graphPatterns.edgeFromToInGraph(Y, Y, G) # N;
+  }
+}"""
+
+
+def test_a_count_skips_the_callee_tuples_its_repeated_argument_rejects(triangle):
+    """``loops`` counts the callee tuples whose From and To are one node
+    (none: the callee is injective). An edge n2 -> n1, the reverse of
+    n1 -> n2, adds a callee tuple that the count node's right input must
+    skip; counted, it would take the count below zero."""
+    from gtvm.vtcl import link, parse
+    space = triangle
+    program = link([corpus.load_machine("graphPatterns"), parse(LOOPS)], space.registry)
+    engine = ReteEngine(space, program.patterns)  # held: it listens while alive
+    h = engine.register("m.loops")
+    (g,) = space.elements_of_type(G1 + "Graph")
+    n1, n2, _ = sorted(space.elements_of_type(G1 + "Node"))
+    e = space.new_entity(G1 + "Edge", g)
+    space.new_relation(G1 + "Graph.edges", g, e)
+    space.new_relation(G1 + "Edge.src", e, n2)
+    space.new_relation(G1 + "Edge.trg", e, n1)
+    want = BruteForce(space, program.patterns).match_set("m.loops")
+    assert set(h.match_tuples()) == want == {(g, 0)}
+    assert want == LocalSearchMatcher(space, program.patterns).match_set("m.loops")
+
+
+NEG_ONLY = """import nemf.packages;
+machine m{
+  pattern q(Y) = { graph1.Edge(Y); }
+  pattern p(X, Y) = { graph1.Node(X); neg find q(Y); }
+}"""
+
+
+def test_a_parameter_only_a_neg_reads_is_refused_by_the_rete_and_bound_by_ls(triangle):
+    """No positive constraint binds p's Y: the Rete, which enumerates every
+    parameter, refuses p and names Y; the local search answers a read that
+    binds Y and refuses one that does not, naming p and Y."""
+    from gtvm.vtcl import link, parse
+    program = link([parse(NEG_ONLY)], triangle.registry)
+    with pytest.raises(MatcherError, match=r"^pattern m\.p reads its parameter Y only in a neg"):
+        ReteEngine(triangle, program.patterns).register("m.p")
+    ls = LocalSearchMatcher(triangle, program.patterns)
+    with pytest.raises(PatternError, match=r"^m\.p: parameter Y is read only in a neg"):
+        ls.match_all("m.p")
+    node = min(triangle.elements_of_type(G1 + "Node"))
+    assert len(ls.match_all("m.p", {"Y": node})) == 3
 
 
 def test_delta_since_folds_to_final():
