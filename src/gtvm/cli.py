@@ -101,9 +101,6 @@ def cmd_match(args) -> int:
     try:
         vm = VM(program, space, matcher=args.matcher, step_budget=budget)
         pattern = vm.ls.pattern(pattern_name)  # refuses a GT postcondition
-        if args.matcher == "inc" and pattern.ls_reason:
-            raise MatcherError(f"pattern {pattern_name} {pattern.ls_reason}, so it cannot "
-                               f"be matched incrementally; use --matcher ls")
         matches = vm.query_all(pattern_name)
     except (MatcherError, PatternError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -27,7 +27,8 @@ constraint, and a ``#`` count, extends each row with its candidates:
 for a relation, the callee's answer tuples for a ``find`` and ``(n,)`` for a
 count. Entities and relations are read through the model space's typed-row
 reads: ``rows`` for a type scan, a ``rows_at`` reader for a bound element or
-end; a bound ``T(X)`` keeps the rows ``conforming`` gives. Bound variables
+end; a bound ``T(X)`` keeps the rows ``conforming`` gives. A step lays its
+candidates out against the row by ``patterns.arg_layout``. Bound variables
 narrow the candidates where an index serves them; the step compares the
 other bound positions with the row's columns and keeps fresh element values
 distinct from the row's (unless the pattern is shareable). One comprehension
@@ -73,8 +74,8 @@ from . import expr as ex
 from .errors import PatternError, SpaceError
 from .modelspace import ModelSpace
 from .patterns import (CALLS, POSITIVE, Body, CheckC, CountC, EntityC, FindC, NegC,
-                       Pattern, RelationC, consistency_test, consistent_count,
-                       constraint_vars, match_dicts, plan_rows,
+                       Pattern, RelationC, arg_layout, consistent_count,
+                       constraint_vars, equal_pairs, match_dicts, plan_rows,
                        row_test, schedule, tuple_getter)
 
 
@@ -212,7 +213,7 @@ def candidate_filter(eqs: tuple, elems: tuple) -> Callable[[Iterable[tuple]], li
 
 
 def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[int, int]],
-                 eqs: list[tuple[int, int]], fresh: tuple[int, ...],
+                 eqs: tuple[tuple[int, int], ...], fresh: tuple[int, ...],
                  used_cols: list[int], fresh_elems: list[int]) -> Step:
     """The step that extends each row with the fresh values of its candidates.
     ``source(m, ctx, rows)``, for a step over ``rows``, gives the candidates
@@ -438,18 +439,10 @@ class LocalSearchMatcher:
             # source already matched to the row
             names = (c.out,) if isinstance(c, CountC) else constraint_vars(c)
             source, row_key, given = self._source(c, col, limit)
-            checks, eqs, fresh = [], [], {}
-            for pos, v in enumerate(names):
-                if v in col:
-                    if pos not in given:
-                        checks.append((pos, col[v]))
-                elif v in fresh:
-                    eqs.append((fresh[v], pos))
-                else:
-                    fresh[v] = pos
-            rest = (eqs, tuple(fresh.values()),
-                    [k for k, v in enumerate(cols) if v in elem],
-                    [pos for v, pos in fresh.items() if v in elem])
+            keys, eqs, fresh = arg_layout(names, col)
+            checks = [(pos, j) for pos, j in keys if pos not in given]
+            rest = (eqs, fresh, [k for k, v in enumerate(cols) if v in elem],
+                    [pos for pos in fresh if names[pos] in elem])
             step = _extend_step(source, row_key, checks, *rest)
             if isinstance(c, RelationC) and c.rel not in col and (c.src in col or c.trg in col):
                 # walked from a bound end; the alternative reads the type's
@@ -460,7 +453,7 @@ class LocalSearchMatcher:
                                     [(end, j)] + checks, *rest)
                 step = self._walk_or_scan(c, j, end == 1, step, scan)
             steps.append(step)
-            cols.extend(fresh)
+            cols.extend(names[pos] for pos in fresh)
         prog.project = tuple_getter(cols.index(v) for v in p.params)
         prog.seed_elems = tuple_getter(seed_elems) if len(seed_elems) > 1 else None
         prog.steps = steps
@@ -585,9 +578,9 @@ class LocalSearchMatcher:
                 return (lambda m, ctx, rows: read(())), None, set()
             return (lambda m, ctx, rows: read), tuple_getter((col[ends[at]],)), {at}
 
-        positions, key, prepare = self._call(c, col, limit)
+        positions, key, prepare, consistent = self._call(c, col, limit)
         if isinstance(c, CountC):
-            consistent, answers = consistency_test(c.args), prepare
+            answers = prepare
 
             def prepare(m, ctx, rows):
                 read = answers(m, ctx, rows)
@@ -599,9 +592,11 @@ class LocalSearchMatcher:
     def _call(self, c, col: dict[str, int], limit: float):
         """For a call whose bound arguments are the variables in ``col``:
         the bound argument positions (the callee's bound parameter
-        positions), the getter of their values from a row, and
+        positions), the getter of their values from a row,
         ``prepare(m, ctx, rows)``, which gives the reader from such a key to
-        the callee's answers with it, for a step over ``rows``.
+        the callee's answers with it, for a step over ``rows``, and the test
+        that an answer repeats the values of the repeated unbound arguments
+        (None if none repeats), as ``arg_layout`` lays them out.
 
         ``prepare`` decides once per step run. It reads the tabling base
         ``ctx`` holds for the callee, else the index of the callee's unbound
@@ -616,8 +611,9 @@ class LocalSearchMatcher:
         distinct keys are worth an unbound solve."""
         callee = self.patterns[c.pattern]
         name = callee.name
-        positions = tuple([j for j, a in enumerate(c.args) if a in col])
-        row_key = tuple_getter(col[c.args[j]] for j in positions)
+        keys, eqs, _ = arg_layout(c.args, col)
+        positions = tuple([pos for pos, _ in keys])
+        row_key = tuple_getter(j for _, j in keys)
 
         def prepare(m, ctx, rows: list) -> Callable[[tuple], Collection[tuple]]:
             if ctx is not None and name in ctx:
@@ -630,12 +626,11 @@ class LocalSearchMatcher:
                 return answers.reader(positions)
             solve = m._solve
             return lambda key: solve(callee, positions, key)
-        return positions, row_key, prepare
+        return positions, row_key, prepare, equal_pairs(eqs)
 
     def _neg_step(self, c: NegC, col: dict[str, int], limit: float) -> Step:
         """Keep the rows for which the callee has no consistent match."""
-        positions, key, prepare = self._call(c, col, limit)
-        consistent = consistency_test(c.args)
+        positions, key, prepare, consistent = self._call(c, col, limit)
         if not positions:
             return lambda m, rows, ctx: (
                 [] if consistent_count(prepare(m, ctx, rows)(()), consistent) else rows)

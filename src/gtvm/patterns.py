@@ -351,20 +351,23 @@ def row_test(expr: ex.Expr, columns: Sequence[str], space) -> Callable[[tuple], 
     return lambda row: holds(test, dict(zip(names, values(row))).__getitem__, space)
 
 
-def arg_equalities(args: Iterable[str]) -> tuple[tuple[int, int], ...]:
-    """``(first_pos, pos)`` for each repeat of an argument variable.
-
-    A tuple aligned with ``args`` is consistent with them when the values at
-    every such pair of positions are equal.
-    """
-    first: dict[str, int] = {}
-    eqs = []
+def arg_layout(args: Iterable[str], cols: Mapping[str, object]) -> tuple[tuple, tuple, tuple]:
+    """How a tuple aligned with ``args`` meets a row whose bound variables
+    ``cols`` maps to their columns: ``keys``, ``(position, column)`` for
+    each argument bound in ``cols``; ``eqs``, ``(first, position)`` for each
+    repeat of an unbound variable, whose values must be equal; and
+    ``fresh``, the first position of each unbound variable, in order, whose
+    values become new columns. A repeated bound argument is made equal by
+    the key. The one rule for every matcher step and statement read."""
+    keys, eqs, first = [], [], {}
     for pos, a in enumerate(args):
-        if a in first:
+        if a in cols:
+            keys.append((pos, cols[a]))
+        elif a in first:
             eqs.append((first[a], pos))
         else:
             first[a] = pos
-    return tuple(eqs)
+    return tuple(keys), tuple(eqs), tuple(first.values())
 
 
 @functools.cache
@@ -372,7 +375,7 @@ def consistency_test(args: tuple[str, ...]) -> Callable[[tuple], bool] | None:
     """Predicate on tuples aligned with ``args`` that holds when repeated
     argument variables have equal values; None when no variable repeats.
     Built once per argument tuple."""
-    return equal_pairs(arg_equalities(args))
+    return equal_pairs(arg_layout(args, {})[1])
 
 
 def equal_pairs(pairs) -> Callable[[tuple], bool] | None:

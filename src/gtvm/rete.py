@@ -2,16 +2,19 @@
 
 Non-recursive patterns compile into a dataflow network fed by model-space
 change events. The model space is the only copy of the model: one alpha per
-type (``None`` for every relation) and a containment alpha for the (entity,
-ancestor) pairs hold no memory, and pass on the signed rows the engine
-computes from each event, through a table from ``(relation?, types)`` to the
-inputs they feed. Each node calls its successors' inputs directly. A join
-keeps only its left memory, bucketed by the join key, and reads the right
-tuples of a key on demand: for a type alpha through the model space's
-typed-row reads (``rows_at``: the element of a bound id or the relations at
-a bound end; ``rows`` only for a Cartesian product), for the containment
-alpha the ancestors of a bound entity, or from a called pattern's
-production, whose keyed index a count node (``neg``/``#``) also counts.
+type (``None`` for every relation) holds no memory, and passes on the
+signed rows the engine computes from each event, through a table from
+``(relation?, types)`` to the inputs they feed. Each node calls its
+successors' inputs directly. A join keeps only its left memory, bucketed by
+the join key, and reads the right tuples of a key on demand: for a type
+alpha through the model space's typed-row reads (``rows_at``: the element of
+a bound id or the relations at a bound end; ``rows`` only for a Cartesian
+product), or from a called pattern's production, whose keyed index a count
+node (``neg``/``#``) also counts. A ``T(X) in P`` constraint is one join
+over ``T``'s alpha that reads (entity, proper ancestor) pairs and expands
+each row of ``T``'s events into one pair per ancestor. Every join and count
+node takes its key, repeat test and new columns from
+``patterns.arg_layout``.
 Check nodes filter, and each body's last node feeds the production of its
 pattern, which drops the tuples whose element values repeat (unless
 shareable), projects the rest onto the parameters and answers a bound read
@@ -37,11 +40,9 @@ from . import expr as ex
 from .errors import MatcherError
 from .modelspace import (ENTITY, ElementCreated, ElementDeleted, EndpointRetargeted,
                          ModelSpace, Renamed, TypeAdded, TypeRemoved, ValueSet)
-from .patterns import (CountC, EntityC, FindC, NegC, Pattern, RelationC, consistency_test,
-                       consistent_count, row_test, schedule, tuple_getter)
-
-# the containment alpha's key among the alphas, which no type name equals
-_IN = ()
+from .patterns import (CountC, EntityC, FindC, NegC, Pattern, RelationC, arg_layout,
+                       consistent_count, constraint_vars, equal_pairs, row_test, schedule,
+                       tuple_getter)
 
 
 class Node:
@@ -81,38 +82,25 @@ class TypeAlpha(Node):
         self.type = type_name
         self.all_tuples = partial(self.space.rows, type_name)
 
-    def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
+    def reader(self, positions: tuple[int, ...],
+               pairs: bool = False) -> Callable[[tuple], Collection]:
         """The tuples whose values at ``positions`` are the key: the element
-        of a bound id, or the relations at a bound end, that conform."""
-        rows = self.all_tuples
-        if not positions:
-            return lambda key: rows()
-        read = self.space.rows_at(self.type, positions[0])
-        if len(positions) == 1:
+        of a bound id, or the relations at a bound end, that conform. With
+        ``pairs`` (``T(X) in P``) they are the (entity, proper ancestor)
+        pairs of the conforming entities, read through a bound entity, else
+        from every one, and a bound ancestor filters them; a dead entity has
+        none, as it has left the tree before its delete event."""
+        space, name = self.space, self.type
+        # the model reads the first position, of pairs only the entity's
+        at = positions[0] if positions and not (pairs and positions[0]) else None
+        read = (lambda key: space.rows(name)) if at is None else space.rows_at(name, at)
+        if pairs:
+            entities, ancestors = read, space.ancestors
+            read = lambda key: [(e, a) for (e,) in entities(key[:1]) for a in ancestors(e)]
+        if positions in ((), (at,)):
             return read
         getter = tuple_getter(positions)
         return lambda key: [r for r in read(key) if getter(r) == key]
-
-
-class ContainmentAlpha(Node):
-    """(entity, proper ancestor) pairs, read from the containment tree. Its
-    joins take the entity rows ``(eid, parent)`` of the create and delete
-    events through ``on_entity``."""
-
-    def __init__(self, engine):
-        super().__init__(engine, ("$x", "$p"))
-        space = self.space
-        self.all_tuples = lambda: [(eid, anc) for eid in space.iter_elements()
-                                   if space.kind(eid) == ENTITY
-                                   for anc in space.ancestors(eid)]
-
-    def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
-        """The ancestors of the entity, bound by its type join before; a
-        dead one has none, as it has left the tree before its delete event."""
-        getter, is_live, ancestors = (tuple_getter(positions), self.space.is_live,
-                                      self.space.ancestors)
-        return lambda key: [] if not is_live(key[0]) else [
-            (key[0], a) for a in ancestors(key[0]) if getter((key[0], a)) == key]
 
 
 def _update_bucket(mem: dict[tuple, set], key: tuple, t: tuple, sign: int) -> None:
@@ -131,7 +119,10 @@ def _update_bucket(mem: dict[tuple, set], key: tuple, t: tuple, sign: int) -> No
 
 class JoinNode(Node):
     """Hash join of a left (beta) input with an alpha or production input
-    whose positions carry the argument variables ``args``.
+    whose positions carry the argument variables ``args``, laid out by
+    ``arg_layout``: the key, the repeat test and the new columns. With
+    ``pairs`` (``T(X) in P``) the right input is ``T``'s alpha read as
+    (entity, proper ancestor) pairs.
 
     Only the left side is kept: ``left_mem`` buckets the left tuples by
     their key, and ``read`` fetches the right tuples of a key from the right
@@ -139,23 +130,23 @@ class JoinNode(Node):
     left memory holds the one empty tuple.
     """
 
-    def __init__(self, engine, left: Node | None, right: Node, args: tuple[str, ...]):
+    def __init__(self, engine, left: Node | None, right: Node, args: tuple[str, ...],
+                 pairs: bool = False):
         lschema = () if left is None else left.schema
-        new_vars = tuple(dict.fromkeys(a for a in args if a not in lschema))
-        super().__init__(engine, lschema + new_vars)
-        shared = tuple(i for i, a in enumerate(args) if a in lschema)
-        self.left_key = tuple_getter(lschema.index(args[i]) for i in shared)
-        self.right_key = tuple_getter(shared)
-        self.right_ok = consistency_test(args)
-        self.extract = tuple_getter(args.index(v) for v in new_vars)
-        self.read = right.reader(shared)
+        keys, eqs, fresh = arg_layout(args, {v: k for k, v in enumerate(lschema)})
+        super().__init__(engine, lschema + tuple(args[i] for i in fresh))
+        positions = tuple(pos for pos, _ in keys)
+        self.left_key = tuple_getter(k for _, k in keys)
+        self.right_key = tuple_getter(positions)
+        self.right_ok = equal_pairs(eqs)
+        self.extract = tuple_getter(fresh)
+        self.read = right.reader(positions, pairs) if pairs else right.reader(positions)
         self.left_mem: dict[tuple, set] = {}
         for lt in ([()] if left is None else left.all_tuples()):
             _update_bucket(self.left_mem, self.left_key(lt), lt, +1)
         if left is not None:
             left.feed(self.on_left)
-        right.feed(self.on_entity if isinstance(right, ContainmentAlpha)
-                   else self.on_right)
+        right.feed(self.on_entity if pairs else self.on_right)
 
     def on_left(self, lt, sign):
         key = self.left_key(lt)
@@ -181,12 +172,15 @@ class JoinNode(Node):
                     out(t, sign)
 
     def on_entity(self, row, sign):
-        """An entity ``(eid, parent)`` appears or goes: one containment row
-        per ancestor. The parent chain is live at both events, as delete
-        disposes children before their parents."""
-        eid, parent = row
-        self.on_right((eid, parent), sign)
-        for anc in self.space.ancestors(parent):
+        """An entity enters or leaves the right type: one (entity, ancestor)
+        row per proper ancestor. A create or delete row ``(eid, parent)``
+        carries the parent, whose chain is live at both events, as delete
+        disposes children before their parents; the entity of a type change
+        row ``(eid,)`` is live, and the space gives its ancestors."""
+        eid = row[0]
+        if len(row) > 1:
+            self.on_right((eid, row[1]), sign)
+        for anc in self.space.ancestors(row[-1]):
             self.on_right((eid, anc), sign)
 
     def all_tuples(self):
@@ -412,9 +406,8 @@ class ReteEngine:
         self.nodes: list[Node] = []
         self.check_nodes: list[CheckNode] = []
         self.productions: dict[str, ProductionNode] = {}
-        # type names are unique across kinds; None is the untyped relation
-        # alpha and _IN the containment alpha
-        self._alphas: dict[Optional[str] | tuple, Node] = {}
+        # type names are unique across kinds; None is the untyped relation alpha
+        self._alphas: dict[Optional[str], TypeAlpha] = {}
         # (relation?, types) -> the inputs of the nodes the alphas of an
         # element of those types feed; cleared as the alphas gain successors
         self._dispatch: dict[tuple[bool, tuple], tuple[Callable, ...]] = {}
@@ -434,13 +427,12 @@ class ReteEngine:
 
     # -- network building ----------------------------------------------------
 
-    def _alpha(self, type_name: Optional[str] | tuple) -> Node:
-        """The alpha of ``type_name`` (or ``_IN``), about to gain a successor."""
+    def _alpha(self, type_name: Optional[str]) -> TypeAlpha:
+        """The alpha of ``type_name``, about to gain a successor."""
         self._dispatch.clear()
         node = self._alphas.get(type_name)
         if node is None:
-            node = self._alphas[type_name] = (ContainmentAlpha(self) if type_name == _IN
-                                              else TypeAlpha(self, type_name))
+            node = self._alphas[type_name] = TypeAlpha(self, type_name)
         return node
 
     def register(self, name: str) -> ProductionNode:
@@ -467,10 +459,9 @@ class ReteEngine:
         current: Node | None = None
         for c in plan:
             if isinstance(c, EntityC):
-                current = JoinNode(self, current, self._alpha(c.type), (c.var,))
-                if c.in_var is not None:
-                    # `in <namespace>` is vacuous (everything is under root)
-                    current = JoinNode(self, current, self._alpha(_IN), (c.var, c.in_var))
+                # `in <namespace>` is vacuous (everything is under root)
+                current = JoinNode(self, current, self._alpha(c.type), constraint_vars(c),
+                                   c.in_var is not None)
             elif isinstance(c, RelationC):
                 current = JoinNode(self, current, self._alpha(c.type),
                                    (c.rel, c.src, c.trg))
@@ -494,7 +485,7 @@ class ReteEngine:
         if isinstance(ev, (ElementCreated, ElementDeleted)):
             sign = +1 if isinstance(ev, ElementCreated) else -1
             relation = ev.kind != ENTITY
-            # an entity's row carries its parent for the containment joins
+            # an entity's row carries its parent for the `in` joins
             row = ((ev.subject, ev.source, ev.target) if relation
                    else (ev.subject, ev.parent))
             outs = self._dispatch.get((relation, ev.types))
@@ -529,13 +520,12 @@ class ReteEngine:
     def _targets(self, relation: bool, types: tuple) -> tuple[Callable, ...]:
         """The inputs fed by the alphas an element of ``types`` conforms to,
         each alpha once, newest first, from the dispatch table; ``relation``
-        adds the untyped relation alpha, and an entity reaches the
-        containment alpha."""
+        adds the untyped relation alpha."""
         key = (relation, types)
         outs = self._dispatch.get(key)
         if outs is None:
             supers, alphas = self.space.registry.supers, self._alphas
-            reached = {None: None} if relation else {_IN: None}
+            reached = {None: None} if relation else {}
             for t in types:
                 reached.update(dict.fromkeys(supers(t)))
             outs = self._dispatch[key] = tuple(sorted(

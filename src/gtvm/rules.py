@@ -17,10 +17,10 @@ the VM it was made for.
 A ``choose`` or ``forall`` compiles its pattern read with its statement:
 the bound parameter positions, the frame variables that give their key,
 the repeated-argument test and the tuple position of each fresh variable
-are fixed then. At run time it builds the key, checks it
-(``matcher_ls.key_check``), reads through ``VM._read``, the one read of
-either backend, and binds the body's frame from the match tuples; it builds
-no binding dict and no match dict. The API
+are fixed then, as ``patterns.arg_layout`` lays the arguments out. At run
+time it builds the key, checks it (``matcher_ls.key_check``), reads through
+``VM._read``, the one read of either backend, and binds the body's frame
+from the match tuples; it builds no binding dict and no match dict. The API
 reads (``query_all``, ``query_first``, ``apply_gtrule``) turn a binding
 dict into a key through ``binding_key`` and go through the same seam.
 """
@@ -36,7 +36,8 @@ from .errors import DivergenceError, ExecError, LinkError
 from .matcher_ls import LocalSearchMatcher, binding_key, in_order, key_check, least
 from .modelspace import ROOT_ID, ModelSpace
 from .patterns import (MAX_CALL_DEPTH, CheckC, CountC, EntityC, NegC, Pattern,
-                       RelationC, consistency_test, consistent_tuples, match_dicts)
+                       RelationC, arg_layout, consistency_test, consistent_tuples,
+                       equal_pairs, match_dicts)
 
 STEP_BUDGET_ENV = "GTVM_STEP_BUDGET"
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -637,16 +638,14 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
     elif isinstance(s, (Choose, Forall)):
         # the read, resolved once: the pattern, its bound positions
         # (ascending), the frame variables that give their key, the
-        # repeated-argument test, and how a match tuple enters the frame of
-        # the body
+        # repeated-argument test (for a find, all from ``arg_layout``), and
+        # how a match tuple enters the frame of the body
         src, do = s.source, inner(s.do)
         if isinstance(src, FindSource):
             p, args = program.patterns[src.ref], src.args
-            by_position = {i: a for i, a in enumerate(args) if a not in s.vars}
-            consistent = consistency_test(args)
-            # a variable the arguments repeat takes its first position
-            fresh = tuple({a: i for i, a in reversed(tuple(enumerate(args)))
-                           if a in s.vars}.items())
+            # a frame variable is its own key column
+            keys, eqs, fresh = arg_layout(args, {a: a for a in args if a not in s.vars})
+            consistent, fresh = equal_pairs(eqs), tuple((args[i], i) for i in fresh)
 
             def enter(vm, frame, t):
                 child = Frame(frame)
@@ -657,7 +656,7 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
             gt = program.gtrules[src.ref]
             p = program.patterns[gt.pre_pattern]
             pairs = tuple(zip(gt.params, src.args))
-            by_position = {p.params.index(q.name): a for q, a in pairs if q.mode == "in"}
+            keys = sorted((p.params.index(q.name), a) for q, a in pairs if q.mode == "in")
             consistent, to_dict = None, match_dicts(p.params)
             outs = tuple((q.name, a, a in s.vars) for q, a in pairs if q.mode == "out")
 
@@ -670,8 +669,7 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
                     else:
                         frame.assign(arg, result.get(name))
                 return child
-        positions = tuple(sorted(by_position))
-        key_vars = tuple(by_position[i] for i in positions)
+        positions, key_vars = tuple(i for i, _ in keys), tuple(a for _, a in keys)
 
         def read(vm, frame):
             lookup = frame.lookup

@@ -13,6 +13,17 @@ INT_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG_DIGITS = "7" * 5000
 INT_DIGITS_LIMITED = 0 < INT_MAX_DIGITS < 5000
 
+# rule calls that link must refuse: a statement and the LinkError's message
+BAD_CALLS = {
+    "wrong arity": ("call r(1, 2);", "m: rule r takes 1 arguments, got 2"),
+    "out not a variable": ("call r(1);", "m: out argument X of r must be a variable"),
+}
+
+
+def bad_call_machine(call: str) -> str:
+    """A machine whose main runs ``call`` against ``rule r(out X)``."""
+    return f"machine m{{ rule r(out X) = skip; rule main() = {call} }}"
+
 
 def builtin_library(registry=None) -> dict[str, Pattern]:
     """The shared graph-pattern library (graphPatterns), validated against

@@ -2,11 +2,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import INT_DIGITS_LIMITED, INT_MAX_DIGITS, LONG_DIGITS
-from gtvm import corpus, snapshot
+from conftest import (BAD_CALLS, INT_DIGITS_LIMITED, INT_MAX_DIGITS, LONG_DIGITS,
+                      bad_call_machine)
+from gtvm import corpus, oracle, snapshot
 from gtvm.cli import main
-from gtvm.corpus.fixtures import load_fixture
+from gtvm.corpus.fixtures import G1, load_fixture
 from gtvm.errors import ExecError, PatternError
+from gtvm.modelspace import ModelSpace
 from gtvm.patterns import MAX_CALL_DEPTH
 from gtvm.rules import VM, step_budget_from_env
 from gtvm.vtcl import MAX_NESTING, link, parse
@@ -273,15 +275,15 @@ def test_match_count_empty(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
-def test_match_recursive_refused_on_inc(tri_gms, capsys):
-    code = main(["match", "--model", tri_gms, "--pattern", "transitiveConnected",
-                 "--matcher", "inc"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "ls" in err
-    code = main(["match", "--model", tri_gms, "--pattern", "transitiveConnected",
-                 "--matcher", "ls"])
-    assert code == 0
+def test_match_recursive_on_inc_prints_what_ls_prints(tri_gms, capsys):
+    """The Rete cannot match a recursive pattern; under inc the VM, and so
+    the CLI, reads it through the local search, as ``VM.run`` does."""
+    outs = []
+    for matcher in ("inc", "ls"):
+        assert main(["match", "--model", tri_gms, "--pattern", "transitiveConnected",
+                     "--matcher", matcher]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[0] == outs[1]
 
 
 NEG_ONLY = """import nemf.packages;
@@ -295,30 +297,27 @@ machine m{
 @pytest.mark.parametrize("matcher", ["inc", "ls"])
 def test_match_names_the_parameter_only_a_neg_reads(tri_gms, tmp_path, capsys, matcher):
     """No positive constraint binds p's Y, so no matcher lists p's matches:
-    inc refuses p as a pattern only the local search can match, and an
-    unbound ls read refuses it; both name Y."""
+    inc reads p through the local search, whose unbound read refuses it,
+    naming Y, under both matchers."""
     vtcl = tmp_path / "m.vtcl"
     vtcl.write_text(NEG_ONLY)
     code = main(["match", "graphPatterns", str(vtcl), "--model", tri_gms,
                  "--pattern", "m.p", "--matcher", matcher])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == ("error: pattern m.p reads its parameter Y only in a neg, count or "
-                   "check, so it cannot be matched incrementally; use --matcher ls\n"
-                   if matcher == "inc" else "error: m.p: parameter Y is read only in "
-                   "a neg, count or check, so a read must bind it\n")
+    assert err == ("error: m.p: parameter Y is read only in a neg, count or check, "
+                   "so a read must bind it\n")
 
 
-def test_match_names_the_recursive_callee_on_inc(tri_gms, tmp_path, capsys):
+def test_match_a_recursive_callee_on_inc_prints_what_ls_prints(tri_gms, tmp_path, capsys):
     vtcl = tmp_path / "m.vtcl"
     vtcl.write_text(NEG_ONLY)
     args = ["match", "graphPatterns", str(vtcl), "--model", tri_gms, "--pattern", "reach"]
-    assert main(args + ["--matcher", "inc"]) == 1
-    assert capsys.readouterr().err == (
-        "error: pattern m.reach calls graphPatterns.transitiveConnected, which is "
-        "recursive, so it cannot be matched incrementally; use --matcher ls\n")
-    assert main(args + ["--matcher", "ls"]) == 0
-    assert capsys.readouterr().out
+    outs = []
+    for matcher in ("inc", "ls"):
+        assert main(args + ["--matcher", matcher]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].out and outs[0] == outs[1]
 
 
 def test_match_unknown_pattern(tri_gms, capsys):
@@ -406,6 +405,36 @@ def test_diff_ignore_ids_of_a_large_model(tmp_path, capsys):
     assert capsys.readouterr().out == "not isomorphic\n"
 
 
+def cycles(lengths, reverse=False) -> ModelSpace:
+    """Directed cycles of bare graph1 Nodes and Edges, one per length, with
+    no names (a name's value would tell the nodes apart); ``reverse``
+    creates the cycles, and the elements of each, in the other order, so
+    the same shape gets other ids."""
+    space = ModelSpace(corpus.metamodels())
+    for n in (reversed(lengths) if reverse else lengths):
+        nodes = [space.new_entity(G1 + "Node") for _ in range(n)]
+        for k in (reversed(range(n)) if reverse else range(n)):
+            edge = space.new_entity(G1 + "Edge")
+            space.new_relation(G1 + "Edge.src", edge, nodes[k])
+            space.new_relation(G1 + "Edge.trg", edge, nodes[(k + 1) % n])
+    return space
+
+
+def test_isomorphic_searches_where_colour_refinement_cannot_tell(tmp_path, capsys):
+    """Two directed 3-cycles and one 6-cycle: every node has one edge in
+    and one out, so colour refinement gives both models the same classes,
+    and only the backtracking search finds that no mapping closes; the
+    same shape built in another order maps."""
+    two, six = cycles((3, 3)), cycles((6,))
+    assert not oracle.isomorphic(two, six)
+    assert oracle.isomorphic(cycles((3, 6)), cycles((3, 6), reverse=True))
+    a, b = tmp_path / "a.gms", tmp_path / "b.gms"
+    snapshot.save_file(two, a)
+    snapshot.save_file(six, b)
+    assert main(["diff", "--ignore-ids", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
 def call_chain(depth: int) -> str:
     """A machine whose pattern p1 calls p2, ..., down to p<depth>."""
     calls = [f"pattern p{i}(X) = {{ find p{i + 1}(X); }}" for i in range(1, depth)]
@@ -476,6 +505,17 @@ def test_the_limits_hold_together(tri_gms, tmp_path, capsys, matcher):
         err = capsys.readouterr().err
         assert message in err, shape
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", BAD_CALLS)
+def test_run_a_bad_rule_call_is_a_link_error(tmp_path, capsys, case):
+    call, message = BAD_CALLS[case]
+    src = tmp_path / "m.vtcl"
+    src.write_text(bad_call_machine(call))
+    assert main(["run", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_diff_load_failure(tmp_path):

@@ -144,7 +144,7 @@ def run_call_step(space, patterns, monkeypatch, rows, enumerating):
         asked.append((p.name, positions, key))
         return solve(p, positions, key)
     monkeypatch.setattr(ls, "_solve", logged)
-    _, row_key, prepare = ls._call(FindC(TRG, ("Edge", "To", "R")), {"To": 0}, 2.5)
+    _, row_key, prepare, _ = ls._call(FindC(TRG, ("Edge", "To", "R")), {"To": 0}, 2.5)
     read = prepare(ls, None, rows)
     prepared = asked[:]
     got = [set(read(row_key(row))) for row in rows]

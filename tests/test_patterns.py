@@ -6,7 +6,7 @@ from conftest import builtin_library
 from gtvm import corpus
 from gtvm.errors import LinkError, PatternError
 from gtvm.patterns import (Body, CheckC, CountC, EntityC, FindC, NegC,
-                           Pattern, RelationC, arg_equalities,
+                           Pattern, RelationC, arg_layout,
                            consistency_test, constraint_vars, schedule,
                            tuple_getter, validate, validate_patterns)
 from gtvm.vtcl import link, parse
@@ -194,14 +194,18 @@ def test_arity_checked_before_int_param_inference(registry):
     assert "3 arguments, got 4" in str(err.value)
 
 
-def test_tuple_getter_and_arg_equalities():
+def test_tuple_getter_and_arg_layout():
     t = ("a", "b", "c", "d")
     assert tuple_getter([])(t) == ()
     assert tuple_getter([2])(t) == ("c",)
     assert tuple_getter([3, 0, 2])(t) == ("d", "a", "c")
     assert tuple_getter([1, 2, 3])(t) == ("b", "c", "d")
-    assert arg_equalities(("E", "N", "N", "E")) == ((1, 2), (0, 3))
-    assert arg_equalities(("A", "B")) == ()
+    # nothing bound: every repeat is tested, every first position is fresh
+    assert arg_layout(("E", "N", "N", "E"), {}) == ((), ((1, 2), (0, 3)), (0, 1))
+    assert arg_layout(("A", "B"), {}) == ((), (), (0, 1))
+    # a bound argument is keyed at each of its positions, never tested
+    assert arg_layout(("E", "N", "N", "E", "X", "X"), {"N": 4, "Z": 0}) == (
+        ((1, 4), (2, 4)), ((0, 3), (4, 5)), (0, 4))
     assert consistency_test(("A", "B")) is None
     same_ends = consistency_test(("E", "N", "N"))
     assert same_ends((1, 2, 2)) and not same_ends((1, 2, 3))

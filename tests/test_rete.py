@@ -717,3 +717,53 @@ def test_a_relation_joined_with_both_ends_bound(triangle, monkeypatch):
     check(4)
     space.delete(twin)
     check(2)
+
+
+IN_PATTERNS = """import nemf.packages;
+machine m{
+  pattern inGraph(N, G) = { graph1.Graph(G); graph1.Node(N) in G; }
+  pattern under(N, P) = { graph1.Node(N) in P; }
+}"""
+
+
+def test_a_containment_join_follows_every_event_kind(triangle):
+    """``T(X) in P`` is one join over ``T``'s alpha that reads (entity,
+    proper ancestor) pairs. It takes a create or delete row ``(eid,
+    parent)``, and a type change row ``(eid,)`` of a live entity, whose
+    ancestors the space gives. After each kind of event the Rete, the local
+    search and the oracle agree."""
+    from gtvm.vtcl import link, parse
+    space = triangle
+    program = link([parse(IN_PATTERNS)], space.registry)
+    rete = ReteEngine(space, program.patterns)
+    prods = {name: rete.register(name) for name in ("m.inGraph", "m.under")}
+    assert [(type(n).__name__, n.schema) for n in rete.nodes] == [
+        ("TypeAlpha", ("$e",)), ("JoinNode", ("G",)),
+        ("TypeAlpha", ("$e",)), ("JoinNode", ("G", "N")),
+        ("ProductionNode", ("N", "G")),
+        ("JoinNode", ("N", "P")), ("ProductionNode", ("N", "P"))]
+    ls = LocalSearchMatcher(space, program.patterns)
+    (graph,) = space.elements_of_type(G1 + "Graph")
+    edge = min(space.elements_of_type(G1 + "Edge"))
+    node = min(space.elements_of_type(G1 + "Node"))
+
+    def check(*pairs):
+        oracle = BruteForce(space, program.patterns)
+        for name, prod in prods.items():
+            assert set(prod.match_tuples()) == ls.match_set(name) == oracle.match_set(name)
+        held = set(prods["m.under"].match_tuples())
+        assert all((pair in held) == present for pair, present in pairs)
+
+    check(((node, graph), True), ((edge, graph), False))
+    space.add_type(edge, G1 + "Node")
+    check(((edge, graph), True), ((edge, 0), True))
+    space.remove_type(edge, G1 + "Node")
+    check(((edge, graph), False))
+    inner = space.new_entity(G1 + "Node", node)
+    deep = space.new_entity(G1 + "Node", inner)
+    check(((inner, node), True), ((deep, inner), True), ((deep, node), True),
+          ((deep, graph), True))
+    space.delete(node)  # cascades to inner and deep, children first
+    check(((inner, node), False), ((deep, node), False), ((deep, graph), False))
+    assert set(prods["m.inGraph"].match_tuples()) == {
+        (n, graph) for n in space.elements_of_type(G1 + "Node")}

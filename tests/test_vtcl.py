@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INT_DIGITS_LIMITED, LONG_DIGITS
+from conftest import BAD_CALLS, INT_DIGITS_LIMITED, LONG_DIGITS, bad_call_machine
 import gtvm
 from gtvm import corpus
 from gtvm import rules as ir
@@ -172,6 +172,14 @@ def test_forall_var_must_occur_in_args(registry):
     with pytest.raises(LinkError) as err:
         link([bad, corpus.load_machine("graphPatterns")], registry)
     assert "Ghost" in str(err.value)
+
+
+@pytest.mark.parametrize("case", BAD_CALLS)
+def test_rule_call_checked_at_link(registry, case):
+    call, message = BAD_CALLS[case]
+    with pytest.raises(LinkError) as err:
+        link([parse(bad_call_machine(call))], registry)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("depth", [100, 3000])
