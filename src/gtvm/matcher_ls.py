@@ -67,6 +67,7 @@ a stale set.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, insort
 from itertools import combinations, compress
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -102,6 +103,29 @@ def least(tuples) -> tuple | None:
         return min(tuples, default=None)
     except TypeError:
         return min(tuples, key=order_key, default=None)
+
+
+# A list kept ``in_order`` takes each change by bisection, native first: the
+# comparisons a bisection makes decide where it ends, so it ends where the
+# key's would wherever none of them raises.
+
+def insert_in_order(order: list[tuple], t: tuple) -> None:
+    """Insert ``t``, which ``order`` does not hold, into ``order``, a list
+    in ``in_order``'s order."""
+    try:
+        insort(order, t)
+    except TypeError:
+        insort(order, t, key=order_key)
+
+
+def remove_in_order(order: list[tuple], t: tuple) -> None:
+    """Remove ``t``, which ``order`` holds, from ``order``, a list in
+    ``in_order``'s order."""
+    try:
+        i = bisect_left(order, t)
+    except TypeError:
+        i = bisect_left(order, order_key(t), key=order_key)
+    del order[i]
 
 
 def binding_key(space: ModelSpace, p: Pattern,
@@ -566,14 +590,12 @@ class LocalSearchMatcher:
             space, type_name = self.space, c.type
             ends = (c.var,) if isinstance(c, EntityC) else (c.rel, c.src, c.trg)
             at = next((k for k, v in enumerate(ends) if v in col), None)
-            read = (space.rows_at(type_name, at) if at is not None
-                    else lambda key: space.rows(type_name))
             if isinstance(c, EntityC) and c.in_var is not None:
                 # `in <namespace>` is containment under the root: vacuously true
-                rows, ancestors = read, space.ancestors
-
-                def read(key):
-                    return [(e, anc) for (e,) in rows(key) for anc in ancestors(e)]
+                read = space.ancestor_rows(type_name, at is not None)
+            else:
+                read = (space.rows_at(type_name, at) if at is not None
+                        else lambda key: space.rows(type_name))
             if at is None:
                 return (lambda m, ctx, rows: read(())), None, set()
             return (lambda m, ctx, rows: read), tuple_getter((col[ends[at]],)), {at}

@@ -377,6 +377,16 @@ class ModelSpace:
             (el := elements.get(key[0])) is not None and (
                 name in el.types or not closure(name).isdisjoint(el.types))) else ()
 
+    def ancestor_rows(self, type_name: str,
+                      bound: bool) -> Callable[[tuple], list[tuple]]:
+        """The reader from a key to the (entity, proper ancestor) pairs of
+        the entities that conform to ``type_name``: those of the entity
+        ``v`` of a key ``(v, ...)`` when ``bound``, else those of every one,
+        whatever the key. A dead entity has none."""
+        rows = self.rows_at(type_name, 0) if bound else lambda key: self.rows(type_name)
+        ancestors = self.ancestors
+        return lambda key: [(e, a) for (e,) in rows(key[:1]) for a in ancestors(e)]
+
     def relations_from(self, eid: int) -> set[int]:
         self.element(eid)
         return set(self._out.get(eid, ()))

@@ -18,7 +18,8 @@ node takes its key, repeat test and new columns from
 Check nodes filter, and each body's last node feeds the production of its
 pattern, which drops the tuples whose element values repeat (unless
 shareable), projects the rest onto the parameters and answers a bound read
-from a hash index of its memory, kept up to date from the first such read on.
+from a hash index of its memory, and an ordered unbound read from its memory
+kept in order, each kept up to date from the first such read on.
 
 The space already holds a change when its event goes out, so a join must
 take the change on its right before any older node's output reaches its
@@ -38,6 +39,7 @@ from typing import Callable, Collection, Optional
 
 from . import expr as ex
 from .errors import MatcherError
+from .matcher_ls import in_order, insert_in_order, remove_in_order
 from .modelspace import (ENTITY, ElementCreated, ElementDeleted, EndpointRetargeted,
                          ModelSpace, Renamed, TypeAdded, TypeRemoved, ValueSet)
 from .patterns import (CountC, EntityC, FindC, NegC, Pattern, RelationC, arg_layout,
@@ -93,10 +95,10 @@ class TypeAlpha(Node):
         space, name = self.space, self.type
         # the model reads the first position, of pairs only the entity's
         at = positions[0] if positions and not (pairs and positions[0]) else None
-        read = (lambda key: space.rows(name)) if at is None else space.rows_at(name, at)
         if pairs:
-            entities, ancestors = read, space.ancestors
-            read = lambda key: [(e, a) for (e,) in entities(key[:1]) for a in ancestors(e)]
+            read = space.ancestor_rows(name, at is not None)
+        else:
+            read = (lambda key: space.rows(name)) if at is None else space.rows_at(name, at)
         if positions in ((), (at,)):
             return read
         getter = tuple_getter(positions)
@@ -293,9 +295,12 @@ class ProductionNode(Node):
 
     A bound read is served by a hash index of the memory keyed by the bound
     positions, built on the first read with those positions and kept up to
-    date with every tuple that appears or goes. The delta log starts with
-    the first ``cursor()`` call; a production that is never asked for one
-    logs nothing.
+    date with every tuple that appears or goes. So is an ordered unbound
+    read by ``order``, the memory in ``in_order``'s order: built on the
+    first such read, it takes each tuple that appears or goes by bisection.
+    A production that no ordered unbound read reaches keeps no order. The
+    delta log starts with the first ``cursor()`` call; a production that is
+    never asked for one logs nothing.
     """
 
     def __init__(self, engine, pattern: Pattern,
@@ -306,6 +311,7 @@ class ProductionNode(Node):
         # positions -> (key getter, key -> the tuples with that key)
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict[tuple, set]]] = {}
         self.readers: dict[tuple[int, ...], Callable[[tuple], Collection]] = {}
+        self.order: list[tuple] | None = None
         self.log: list[tuple[tuple, int]] | None = None
         counts = self.counts
         for node, positions, distinct in bodies:
@@ -340,19 +346,27 @@ class ProductionNode(Node):
             if self.indexes:
                 for key, index in self.indexes.values():
                     _update_bucket(index, key(t), t, sign)
+            if self.order is not None:
+                (insert_in_order if sign > 0 else remove_in_order)(self.order, t)
             if self.log is not None:
                 self.log.append((t, sign))
             for out in self.outputs:
                 out(t, sign)
 
-    def match_tuples(self, positions: tuple[int, ...] = (),
-                     key: tuple = ()) -> Collection[tuple]:
+    def match_tuples(self, positions: tuple[int, ...] = (), key: tuple = (),
+                     ordered: bool = False) -> Collection[tuple]:
         """The match tuples whose values at ``positions`` (ascending) are
-        ``key``; a live view, valid until the next change."""
+        ``key``: a live view, valid until the next change, or with
+        ``ordered`` a new list in ``in_order``'s order, which an unbound
+        read copies from ``order``."""
+        if ordered and not positions:
+            if self.order is None:
+                self.order = in_order(self.counts)
+            return self.order.copy()
         read = self.readers.get(positions)
         if read is None:
             read = self.readers[positions] = self.reader(positions)
-        return read(key)
+        return in_order(read(key)) if ordered else read(key)
 
     def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection]:
         """``match_tuples`` at ``positions`` as a function of the key, which

@@ -20,9 +20,11 @@ the repeated-argument test and the tuple position of each fresh variable
 are fixed then, as ``patterns.arg_layout`` lays the arguments out. At run
 time it builds the key, checks it (``matcher_ls.key_check``), reads through
 ``VM._read``, the one read of either backend, and binds the body's frame
-from the match tuples; it builds no binding dict and no match dict. The API
-reads (``query_all``, ``query_first``, ``apply_gtrule``) turn a binding
-dict into a key through ``binding_key`` and go through the same seam.
+from the match tuples; it builds no binding dict and no match dict. A
+``forall`` asks the seam for its matches in order, a ``choose`` takes the
+least of an unordered read. The API reads (``query_all``, ``query_first``,
+``apply_gtrule``) turn a binding dict into a key through ``binding_key``
+and go through the same seam.
 """
 
 from __future__ import annotations
@@ -476,13 +478,15 @@ class VM:
             self._rete = ReteEngine(self.space, self.program.patterns)
         return self._rete
 
-    def _read(self, p: Pattern, positions: tuple[int, ...],
-              key: tuple) -> Collection[tuple]:
-        """The match tuples of ``p``, in no order, whose values at
-        ``positions`` (ascending) are ``key``, a key that passed
-        ``key_check``. The one read of either backend, which a caller must
-        not change: the production memory (``inc``) or the local search's
-        answers (``ls``).
+    def _read(self, p: Pattern, positions: tuple[int, ...], key: tuple,
+              ordered: bool = False) -> Collection[tuple]:
+        """The match tuples of ``p`` whose values at ``positions``
+        (ascending) are ``key``, a key that passed ``key_check``: in no
+        order, or with ``ordered`` a new list in ``in_order``'s order. The
+        one read of either backend, and the one place that orders, whose
+        unordered result a caller must not change: the production memory
+        (``inc``, which keeps an unbound order; see ``ProductionNode``) or
+        the local search's answers (``ls``).
 
         Inside ``run``, ``inc`` builds a pattern's network only when the
         pattern is read at a second model version (or the engine already
@@ -491,16 +495,17 @@ class VM:
         if self.backend == "inc" and not p.ls_reason and (
                 not self._running or rete is not None and p.name in rete.productions
                 or self._first_read.setdefault(p.name, version) != version):
-            return self._rete_engine().register(p.name).match_tuples(positions, key)
-        return self.ls.read(p, positions, key)
+            return self._rete_engine().register(p.name).match_tuples(positions, key, ordered)
+        tuples = self.ls.read(p, positions, key)
+        return in_order(tuples) if ordered else tuples
 
     def query_all(self, pattern_name: str, binding: dict | None = None,
                   args: tuple[str, ...] = ()) -> list[dict]:
         """Every match in order, keeping those that give each repeated
         variable of ``args`` (as in ``query_first``) a single value."""
         p = self.ls.pattern(pattern_name)
-        tuples = self._read(p, *binding_key(self.space, p, binding))
-        return match_dicts(p.params)(in_order(consistent_tuples(tuples, consistency_test(args))))
+        tuples = self._read(p, *binding_key(self.space, p, binding), ordered=True)
+        return match_dicts(p.params)(consistent_tuples(tuples, consistency_test(args)))
 
     def query_first(self, pattern_name: str, binding: dict | None = None,
                     args: tuple[str, ...] = ()) -> dict | None:
@@ -671,12 +676,12 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
                 return child
         positions, key_vars = tuple(i for i, _ in keys), tuple(a for _, a in keys)
 
-        def read(vm, frame):
+        def read(vm, frame, ordered=False):
             lookup = frame.lookup
             key = tuple([lookup(a) for a in key_vars])
             if key:
                 key_check(vm.space, p, positions, key)
-            return consistent_tuples(vm._read(p, positions, key), consistent)
+            return consistent_tuples(vm._read(p, positions, key, ordered), consistent)
         if isinstance(s, Choose):
             def run(vm, frame):
                 first = least(read(vm, frame))
@@ -688,7 +693,7 @@ def _compile(program: LinkedProgram, s, depth: int, nesting: list[int]):
 
             def run(vm, frame):
                 is_live = vm.space.is_live
-                for t in in_order(read(vm, frame)):
+                for t in read(vm, frame, True):  # a new list, which the body cannot change
                     for i in elements:
                         if not is_live(t[i]):
                             break  # an earlier step removed an element of the match

@@ -202,7 +202,8 @@ def _calls(node) -> set[str]:
 def test_one_read_seam_and_no_per_read_dicts():
     tree = ast.parse(inspect.getsource(rules))
     functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))]
-    for read in (".match_tuples", ".ls.read"):
+    # _read is also the one place that orders
+    for read in (".match_tuples", ".ls.read", "in_order"):
         assert [f.name for f in functions
                 if any(c.endswith(read) for c in _calls(f))] == ["_read"], read
     # no closure a statement compiles to builds a test, a key or a dict per read

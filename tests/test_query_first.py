@@ -8,7 +8,7 @@ import pytest
 from gtvm import corpus
 from gtvm.corpus.fixtures import G1, load_fixture
 from gtvm.errors import MatcherError, PatternError, SpaceError
-from gtvm.matcher_ls import in_order, least, order_key
+from gtvm.matcher_ls import in_order, insert_in_order, least, order_key, remove_in_order
 from gtvm.rules import VM
 
 FIXTURES = [("triangle", {}), ("chain4", {}), ("selfloop", {}), ("dangling", {})] + [
@@ -132,6 +132,27 @@ def test_native_order_equals_order_key_random():
                   for _ in range(rng.randrange(1, 8))]
         assert in_order(tuples) == sorted(tuples, key=order_key)
         assert least(tuples) == min(tuples, key=order_key)
+
+
+@pytest.mark.parametrize("mix", ["int", "str", "mixed"])
+def test_kept_order_equals_order_key_random(mix):
+    """A list kept by ``insert_in_order``/``remove_in_order`` through random
+    inserts and removals equals the sorted set after each change, also
+    where an int meets a str and the native bisection falls back."""
+    rng = random.Random(11)
+    values = {"int": [0, 1, 2, 9, 10, -1], "str": ["0", "1", "10", "9", "a", ""],
+              "mixed": [0, 1, 9, 10, -1, "0", "1", "10", "9", "a", ""]}[mix]
+    for _ in range(20):
+        held, order = set(), []
+        for _ in range(60):
+            t = tuple(rng.choice(values) for _ in range(2))
+            if t in held:
+                held.remove(t)
+                remove_in_order(order, t)
+            else:
+                held.add(t)
+                insert_in_order(order, t)
+            assert order == sorted(held, key=order_key)
 
 
 def test_least_of_nothing():
