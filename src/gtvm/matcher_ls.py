@@ -28,15 +28,21 @@ for a relation, the callee's answer tuples for a ``find`` and ``(n,)`` for a
 count. Entities and relations are read through the model space's typed-row
 reads: ``rows`` for a type scan, a ``rows_at`` reader for a bound element or
 end; a bound ``T(X)`` keeps the rows ``conforming`` gives. A step lays its
-candidates out against the row by ``patterns.arg_layout``. Bound variables
-narrow the candidates where an index serves them; the step compares the
-other bound positions with the row's columns and keeps fresh element values
-distinct from the row's (unless the pattern is shareable). One comprehension
-per shape (``candidate_filter``) tests repeated fresh names for equality and
-fresh element values for distinctness. A candidate source that
-does not read the row (a type scan, an unbound ``find``) is read once per
-step and hashed by the positions the row binds. Checks and ``neg`` calls
-filter the list, and the last rows are projected onto the parameters.
+candidates out against the row by ``patterns.arg_layout`` and joins the
+whole row list with them in one comprehension per shape (``extend_join``),
+generated once. The candidates come from a reader of each row's key (a bound
+element or end, a bound ``find``); from a source that does not read the row
+(a type scan, an unbound ``find``), read once per step run and hashed by the
+positions the row binds; or, when the row binds none, from that source as it
+is. The comprehension compares the bound positions the source did not match
+with the row's columns, tests repeated fresh names for equality and keeps
+fresh element values distinct from each other and from the row's (unless
+the pattern is shareable); candidates read once per step run are tested on
+their own once, by ``candidate_filter``. Checks filter the list. A ``neg``
+keeps the rows whose key is not in the key set of the callee's unbound
+answer set, when that set answers the step run and no unbound argument
+repeats; otherwise it reads each row's key. The last rows are projected
+onto the parameters.
 
 A relation whose source or target is bound (and the relation itself not) has
 two access paths, chosen on every step run from counts the space keeps: the
@@ -68,7 +74,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, insort
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from typing import Callable, Collection, Iterable, Mapping
 
 from . import expr as ex
@@ -158,17 +164,20 @@ def key_check(space: ModelSpace, p: Pattern, positions: tuple[int, ...], key: tu
 
 
 class AnswerSet:
-    """The answer tuples of one pattern, with hash indexes keyed by bound
-    parameter positions. An index is built on the first ``reader`` with its
-    positions and takes every tuple that ``add`` brings later."""
+    """The answer tuples of one pattern, with hash indexes and key sets
+    keyed by bound parameter positions. An index is built on the first
+    ``reader`` with its positions and takes every tuple that ``add`` brings
+    later; a key set is built on the first ``keys`` with its positions."""
 
-    __slots__ = ("tuples", "arity", "_indexes")
+    __slots__ = ("tuples", "arity", "_indexes", "_keys")
 
     def __init__(self, tuples: set[tuple], arity: int):
         self.tuples = tuples
         self.arity = arity
         # positions -> (key getter, key -> tuples with that key)
         self._indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+        # positions -> the keys of the tuples at those positions
+        self._keys: dict[tuple[int, ...], set[tuple]] = {}
 
     def reader(self, positions: tuple[int, ...]) -> Callable[[tuple], Collection[tuple]]:
         """``key ->`` the tuples whose values at ``positions`` (ascending)
@@ -187,6 +196,15 @@ class AnswerSet:
             entry = self._indexes[positions] = (getter, index)
         index = entry[1]
         return lambda key: index.get(key, ())
+
+    def keys(self, positions: tuple[int, ...]) -> set[tuple]:
+        """The values at ``positions`` (ascending) of the tuples held now.
+        Only a ``neg`` reads them, and a ``neg`` into its own call cycle is
+        a link error, so no growing tabling base is ever asked."""
+        keys = self._keys.get(positions)
+        if keys is None:
+            keys = self._keys[positions] = set(map(tuple_getter(positions), self.tuples))
+        return keys
 
     def add(self, new: set[tuple]) -> None:
         """Add ``new``, none of whose tuples is held yet."""
@@ -236,6 +254,39 @@ def candidate_filter(eqs: tuple, elems: tuple) -> Callable[[Iterable[tuple]], li
     return eval(f"lambda cs: [c for c in cs if {' and '.join(terms)}]") if terms else None
 
 
+# The candidate sources of an extend join, over its arguments ``rows, src,
+# key``: a reader of each row's key; candidates hashed by the row's key
+# (``src`` is the hash's ``get``); or the same candidates for every row.
+READ, HASHED, ALL = "src(key(row))", "src(key(row), ())", "src"
+
+
+@functools.cache
+def extend_join(source: str, same: tuple, eqs: tuple, apart: tuple, differ: tuple,
+                fresh: tuple) -> Callable[[list, object, Callable | None], list]:
+    """``(rows, src, key) ->`` each row extended with the values at ``fresh``
+    of each candidate from ``source`` (``READ``, ``HASHED`` or ``ALL``) that
+    equals the row at each ``(i, j)`` in ``same`` (``c[i] == row[j]``), is
+    equal at both positions of each pair in ``eqs`` and distinct at both of
+    each pair in ``apart``, and differs from the row at each ``(i, j)`` in
+    ``differ`` (``c[i] != row[j]``): one comprehension per shape, whose source
+    names only integer positions, ``row`` and ``c``."""
+    terms = ([f"c[{i:d}] == row[{j:d}]" for i, j in same]
+             + [f"c[{i:d}] == c[{j:d}]" for i, j in eqs]
+             + [f"c[{i:d}] != c[{j:d}]" for i, j in apart]
+             + [f"c[{i:d}] != row[{j:d}]" for i, j in differ])
+    if not terms:
+        extract = tuple_getter(fresh)
+        return {READ: lambda rows, src, key: [row + extract(c) for row in rows
+                                              for c in src(key(row))],
+                HASHED: lambda rows, src, key: [row + extract(c) for row in rows
+                                                for c in src(key(row), ())],
+                ALL: lambda rows, src, key: [row + extract(c) for row in rows
+                                             for c in src]}[source]
+    new = "".join(f"c[{i:d}], " for i in fresh)
+    return eval(f"lambda rows, src, key: [row + ({new}) for row in rows "
+                f"for c in {source} if {' and '.join(terms)}]")
+
+
 def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[int, int]],
                  eqs: tuple[tuple[int, int], ...], fresh: tuple[int, ...],
                  used_cols: list[int], fresh_elems: list[int]) -> Step:
@@ -246,53 +297,34 @@ def _extend_step(source: Callable, row_key: Callable | None, checks: list[tuple[
     with the row column its name is bound to, ``eqs`` pairs two that repeat
     one fresh name. ``fresh`` holds the positions of the new columns; the
     fresh element values among them (``fresh_elems``) must differ from each
-    other and from the row's element values (``used_cols``)."""
-    cand_key = tuple_getter(i for i, _ in checks) if checks else None
-    bound_key = tuple_getter(j for _, j in checks)
-    extract = tuple_getter(fresh)
-    keep = candidate_filter(tuple(eqs), tuple(fresh_elems))
-    new_elems = tuple_getter(fresh_elems)
-    used = tuple_getter(used_cols) if used_cols and fresh_elems else None
-    one = fresh_elems[0] if len(fresh_elems) == 1 else None
-
+    other and from the row's element values (``used_cols``). Candidates read
+    once per step run are tested on their own once, by ``candidate_filter``,
+    and hashed by their ``checks`` positions."""
     if row_key is not None and not (fresh or checks):
         # the constraint only tests the row: keep the rows it has a candidate for
         return lambda m, rows, ctx: list(compress(
             rows, map(source(m, ctx, rows), map(row_key, rows))))
+    differ = tuple(product(fresh_elems, used_cols))
+    if row_key is not None:
+        join = extend_join(READ, tuple(checks), eqs, tuple(combinations(fresh_elems, 2)),
+                           differ, fresh)
+        return lambda m, rows, ctx: join(rows, source(m, ctx, rows), row_key)
+
+    keep = candidate_filter(eqs, tuple(fresh_elems))
+    join = extend_join(HASHED if checks else ALL, (), (), (), differ, fresh)
+    cand_key = tuple_getter(i for i, _ in checks)
+    bound_key = tuple_getter(j for _, j in checks)
 
     def step(m, rows: list, ctx) -> list:
-        if row_key is not None:
-            fetch = source(m, ctx, rows)
-        else:
-            cands = source(m, ctx, rows)
-            if keep is not None:
-                cands = keep(cands)
-            if cand_key is not None:
-                index: dict[tuple, list] = {}
-                for c in cands:
-                    index.setdefault(cand_key(c), []).append(c)
-        out = []
-        for row in rows:
-            if row_key is not None:
-                cs = fetch(row_key(row))
-                if cand_key is not None:
-                    k = bound_key(row)
-                    cs = [c for c in cs if cand_key(c) == k]
-                if keep is not None:
-                    cs = keep(cs)
-            elif cand_key is not None:
-                cs = index.get(bound_key(row), ())
-            else:
-                cs = cands
-            if used is None:
-                out += [row + extract(c) for c in cs]
-            else:
-                u = set(used(row))
-                if one is not None:
-                    out += [row + extract(c) for c in cs if c[one] not in u]
-                else:
-                    out += [row + extract(c) for c in cs if u.isdisjoint(new_elems(c))]
-        return out
+        cands = source(m, ctx, rows)
+        if keep is not None:
+            cands = keep(cands)
+        if not checks:
+            return join(rows, cands, None)
+        index: dict[tuple, list] = {}
+        for c in cands:
+            index.setdefault(cand_key(c), []).append(c)
+        return join(rows, index.get, bound_key)
     return step
 
 
@@ -615,8 +647,9 @@ class LocalSearchMatcher:
         """For a call whose bound arguments are the variables in ``col``:
         the bound argument positions (the callee's bound parameter
         positions), the getter of their values from a row,
-        ``prepare(m, ctx, rows)``, which gives the reader from such a key to
-        the callee's answers with it, for a step over ``rows``, and the test
+        ``prepare(m, ctx, rows, keyed=False)``, which gives the reader from
+        such a key to the callee's answers with it, for a step over ``rows``
+        (``keyed``: the held answer set's key set in its place), and the test
         that an answer repeats the values of the repeated unbound arguments
         (None if none repeats), as ``arg_layout`` lays them out.
 
@@ -637,7 +670,7 @@ class LocalSearchMatcher:
         positions = tuple([pos for pos, _ in keys])
         row_key = tuple_getter(j for _, j in keys)
 
-        def prepare(m, ctx, rows: list) -> Callable[[tuple], Collection[tuple]]:
+        def prepare(m, ctx, rows: list, keyed: bool = False):
             if ctx is not None and name in ctx:
                 return ctx[name].reader(positions)
             answers = m._held.get(name)
@@ -645,20 +678,25 @@ class LocalSearchMatcher:
                 m._solve(callee, (), ())
                 answers = m._held[name]
             if answers is not None:
-                return answers.reader(positions)
+                return answers.keys(positions) if keyed else answers.reader(positions)
             solve = m._solve
             return lambda key: solve(callee, positions, key)
         return positions, row_key, prepare, equal_pairs(eqs)
 
     def _neg_step(self, c: NegC, col: dict[str, int], limit: float) -> Step:
-        """Keep the rows for which the callee has no consistent match."""
+        """Keep the rows for which the callee has no consistent match. Where
+        the callee's unbound answer set answers the step run and no unbound
+        argument repeats, a row is kept when its key is not in that set's
+        key set; otherwise its key is read."""
         positions, key, prepare, consistent = self._call(c, col, limit)
         if not positions:
             return lambda m, rows, ctx: (
                 [] if consistent_count(prepare(m, ctx, rows)(()), consistent) else rows)
 
         def step(m, rows: list, ctx) -> list:
-            read = prepare(m, ctx, rows)
+            read = prepare(m, ctx, rows, consistent is None)
+            if type(read) is set:
+                return [r for r in rows if key(r) not in read]
             return [r for r in rows if not consistent_count(read(key(r)), consistent)]
         return step
 

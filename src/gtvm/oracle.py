@@ -52,12 +52,19 @@ class BruteForce:
         self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def match_set(self, name: str, binding: dict | None = None) -> frozenset[tuple]:
-        full = self.full(name)
+        """The matches of ``name`` whose parameters take the values of
+        ``binding``: each body enumerated with those parameters fixed, so a
+        parameter that no positive constraint binds may be bound here."""
         if not binding:
-            return full
-        p = self.patterns[name]
-        idx = {p.params.index(k): v for k, v in binding.items()}
-        return frozenset(t for t in full if all(t[i] == v for i, v in idx.items()))
+            return self.full(name)
+        p = self._pattern(name)
+        for param in binding:
+            if param not in p.params:
+                raise OracleError(f"{name}: {param} is not a parameter")
+        out: set[tuple] = set()
+        for body in p.bodies:
+            out |= self._body_matches(p, body, binding)
+        return frozenset(out)
 
     def count(self, name: str, binding: dict | None = None) -> int:
         return len(self.match_set(name, binding))
@@ -66,15 +73,19 @@ class BruteForce:
         hit = self._full.get(name)
         if hit is not None:
             return hit
-        p = self.patterns[name]
-        if p.recursive:
-            raise OracleError(f"{name} is recursive; use a closure oracle")
+        p = self._pattern(name)
         out: set[tuple] = set()
         for body in p.bodies:
-            out |= self._body_matches(p, body)
+            out |= self._body_matches(p, body, {})
         result = frozenset(out)
         self._full[name] = result
         return result
+
+    def _pattern(self, name: str) -> Pattern:
+        p = self.patterns[name]
+        if p.recursive:
+            raise OracleError(f"{name} is recursive; use a closure oracle")
+        return p
 
     def _agreeing(self, name: str, args: tuple[str, ...], env: dict):
         """The tuples of ``name`` that agree with ``env``, as
@@ -175,12 +186,15 @@ class BruteForce:
         # neg/count are only decidable on complete assignments
         return True
 
-    def _body_matches(self, p: Pattern, body) -> set[tuple]:
+    def _body_matches(self, p: Pattern, body, binding: dict) -> set[tuple]:
+        """The parameter tuples of the matches of ``body`` of ``p`` whose
+        parameters take the values of ``binding``, which are fixed before
+        the other variables are enumerated."""
         space = self.space
         enum_vars, domains = self._domains(p, body)
         outs = {c.out for c in body.constraints if isinstance(c, CountC)}
         for param in p.params:
-            if param not in enum_vars and param not in outs:
+            if param not in enum_vars and param not in outs and param not in binding:
                 raise OracleError(f"{p.name}: parameter {param} has no "
                                   f"positive binder; cannot enumerate")
         constraints = list(body.constraints)
@@ -189,7 +203,11 @@ class BruteForce:
                         else body.element_vars)
 
         out: set[tuple] = set()
-        env: dict[str, object] = {}
+        env: dict[str, object] = dict(binding)
+        enum_vars = [v for v in enum_vars if v not in env]
+        fixed = [env[v] for v in env if v in element_vars]
+        if injective and len(set(fixed)) < len(fixed):
+            return out
 
         tests = [ex.compile_expr(c.expr) if isinstance(c, CheckC) else None
                  for c in constraints]

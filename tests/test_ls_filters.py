@@ -1,11 +1,12 @@
 """Local-search filter steps that test the whole row list natively.
 
 A bound entity constraint ``T(X)`` keeps the rows that
-``ModelSpace.conforming`` gives, and the repeated-name and distinctness tests
-on a step's candidates are one generated comprehension per shape
-(``matcher_ls.candidate_filter``). These tests check both against the Rete
-and the brute-force oracle, where a held id set would go stale, and how
-often each read runs.
+``ModelSpace.conforming`` gives, and an extend step joins the whole row list
+with its candidates in one generated comprehension per shape
+(``matcher_ls.extend_join``), after the candidates it reads once per step
+run pass one more (``matcher_ls.candidate_filter``). These tests check them
+against the Rete and the brute-force oracle, where a held id set would go
+stale, and how often each read runs.
 """
 
 import re
@@ -13,7 +14,8 @@ from pathlib import Path
 
 from gtvm import corpus, matcher_ls
 from gtvm.corpus.fixtures import ESTRING, G1, load_fixture
-from gtvm.matcher_ls import LocalSearchMatcher, binding_key, candidate_filter
+from gtvm.matcher_ls import (ALL, HASHED, READ, LocalSearchMatcher, binding_key,
+                             candidate_filter, extend_join)
 from gtvm.modelspace import ModelSpace
 from gtvm.oracle import BruteForce
 from gtvm.patterns import EntityC
@@ -177,6 +179,31 @@ def test_one_generated_filter_per_shape():
     assert three([(1, 2, 3), (1, 1, 3), (1, 2, 1), (3, 2, 2)]) == [(1, 2, 3)]
     assert candidate_filter((), (4,)) is None
     assert candidate_filter((), ()) is None
+
+
+def test_one_generated_join_per_shape():
+    """Each source and test of an extend join, on rows (a, b) whose column 0
+    is an element: the candidate equals the row at 0 -> 1, its 0 and 2 are
+    equal, its 1 and 2 differ, its 1 differs from the row's 0. A shape is
+    generated once; a shape with no term is no generated code."""
+    rows = [(1, 5), (2, 5)]
+    cands = [(1, 3, 1), (1, 1, 1), (2, 4, 2), (2, 4, 4)]
+    by_first = {}
+    for c in cands:
+        by_first.setdefault((c[0],), []).append(c)
+    join = extend_join(READ, ((0, 0),), ((0, 2),), ((1, 2),), ((1, 0),), (1,))
+    assert join is extend_join(READ, ((0, 0),), ((0, 2),), ((1, 2),), ((1, 0),), (1,))
+    assert join.__code__.co_filename == "<string>"
+    assert join(rows, by_first.__getitem__, lambda row: row[:1]) == [(1, 5, 3), (2, 5, 4)]
+    hashed = extend_join(HASHED, (), (), (), ((1, 0),), (1, 2))
+    assert hashed(rows + [(3, 5)], by_first.get, lambda row: row[:1]) == [
+        (1, 5, 3, 1), (2, 5, 4, 2), (2, 5, 4, 4)]
+    every = extend_join(ALL, (), (), (), ((1, 0),), (1,))
+    assert every(rows, cands, None) == [(1, 5, 3), (1, 5, 4), (1, 5, 4),
+                                        (2, 5, 3), (2, 5, 1), (2, 5, 4), (2, 5, 4)]
+    plain = extend_join(ALL, (), (), (), (), (0, 1))
+    assert plain([(9,)], cands[:2], None) == [(9, 1, 3), (9, 1, 1)]
+    assert plain.__code__.co_filename == matcher_ls.__file__
 
 
 def test_no_per_row_test_lambdas_are_left():

@@ -6,7 +6,7 @@ import pytest
 from gtvm import corpus
 from gtvm.corpus.fixtures import G1, Graph1Builder, load_fixture
 from gtvm.errors import SpaceError
-from gtvm.matcher_ls import LocalSearchMatcher
+from gtvm.matcher_ls import AnswerSet, LocalSearchMatcher
 from gtvm.oracle import (BruteForce, edge_pairs, transitive_connected,
                          two_hop_missing)
 from gtvm.patterns import schedule
@@ -376,6 +376,27 @@ machine rows{
   pattern textIn(T,N) = {
     EString(T) in N;
   }
+  pattern nodeAndGraph(X,G) = {
+    graph1.Node(X);
+    graph1.Graph(G);
+  }
+  pattern srcBetween(E,N,R) = {
+    graph1.Edge(E);
+    graph1.Node(N);
+    graph1.Edge.src(R,E,N);
+  }
+  pattern edgeAndEnds(E,X,Y) = {
+    graph1.Edge(E);
+    find graphPatterns.edgeFromToInternal(E,X,Y);
+  }
+  pattern noOutEdge(N) = {
+    graph1.Node(N);
+    neg find graphPatterns.srcAndRelForEdge(E,N,R);
+  }
+  pattern notALoop(E) = {
+    graph1.Edge(E);
+    neg find edgeEnds(E,X,X);
+  }
 }
 """
 
@@ -391,12 +412,18 @@ def row_shape_models():
 
 @pytest.mark.parametrize("plans", ["default", "shuffle"])
 @pytest.mark.parametrize("name", ["selfRelation", "loopThenStep",
-                                  "loopThenStepShared", "textIn", "library"])
+                                  "loopThenStepShared", "textIn", "nodeAndGraph",
+                                  "srcBetween", "edgeAndEnds", "noOutEdge", "notALoop",
+                                  "library"])
 def test_every_row_shape_agrees_with_the_oracle(name, plans):
     """relation(R,X,X), find edgeEnds(E,X,X) from an injective and a
-    shareable caller, and `in N`, under every subset of bound parameters;
-    and every non-recursive library pattern unbound and under every
-    single-parameter binding, each a seed row of its own layout."""
+    shareable caller, `in N`, a Cartesian type scan, a relation with both
+    ends bound (walked from one and checked at the other, or scanned and
+    hashed by both), one find that brings two fresh element values, a neg
+    read through a key set and one whose unbound argument repeats, under
+    every subset of bound parameters; and every non-recursive library
+    pattern unbound and under every single-parameter binding, each a seed
+    row of its own layout."""
     matched = False
     for k, space in enumerate(row_shape_models()):
         program = link([corpus.load_machine("graphPatterns"), parse(ROW_SHAPES)],
@@ -427,3 +454,56 @@ def test_every_row_shape_agrees_with_the_oracle(name, plans):
                         assert ls.match_set(pattern, binding) == \
                             brute.match_set(pattern, binding), (k, pattern, binding)
     assert matched
+
+
+def test_a_neg_reads_a_key_set_unless_an_unbound_argument_repeats(monkeypatch):
+    """An unbound read of noOutEdge solves srcAndRelForEdge for its rows
+    and keeps the nodes whose key is not in the answers' key set; notALoop's
+    neg repeats its unbound X, so it reads each edge's answers and tests
+    them, though edgeEnds is held too. Both agree with the oracle."""
+    asked = []
+    keys = AnswerSet.keys
+
+    def spy(answers, positions):
+        asked.append(positions)
+        return keys(answers, positions)
+    monkeypatch.setattr(AnswerSet, "keys", spy)
+    space = load_fixture("random", n=12, e=24, seed=5)
+    program = link([corpus.load_machine("graphPatterns"), parse(ROW_SHAPES)],
+                   space.registry)
+    brute = BruteForce(space, program.patterns)
+    ls = LocalSearchMatcher(space, program.patterns)
+    assert ls.match_set("rows.noOutEdge") == brute.match_set("rows.noOutEdge")
+    assert asked == [(1,)] and "graphPatterns.srcAndRelForEdge" in ls._held
+    assert ls.match_set("rows.notALoop") == brute.match_set("rows.notALoop")
+    assert asked == [(1,)] and "rows.edgeEnds" in ls._held
+
+
+NEG_REACH = """
+import nemf.packages;
+machine m{
+  pattern unreached(X,Y,G) = {
+    graph1.Node(X);
+    graph1.Node(Y);
+    graph1.Graph(G);
+    neg find graphPatterns.transitiveConnected(X,Y,G);
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_neg_over_a_recursive_pattern_agrees_with_the_closure_oracle(seed):
+    """The node pairs that transitiveConnected does not match, read through
+    the key set of its tabled answers."""
+    space = load_fixture("random", n=7, e=12, seed=seed)
+    program = link([corpus.load_machine("graphPatterns"), parse(NEG_REACH)],
+                   space.registry)
+    ls = LocalSearchMatcher(space, program.patterns)
+    (g,) = space.elements_of_type(G1 + "Graph")
+    nodes = space.elements_of_type(G1 + "Node")
+    connected = transitive_connected(edge_pairs(space))
+    want = {(x, y, g) for x in nodes for y in nodes
+            if x != y and (x, y) not in connected}
+    assert ls.match_set("m.unreached") == want
+    assert "graphPatterns.transitiveConnected" in ls._held

@@ -297,6 +297,34 @@ def test_a_parameter_only_a_neg_reads_is_refused_by_the_rete_and_bound_by_ls(tri
     assert len(ls.match_all("m.p", {"Y": node})) == 3
 
 
+NEG_ONLY_CALLED = """import nemf.packages;
+machine m{
+  pattern q(Y) = { graph1.Edge(Y); }
+  pattern p(X, Y) = { graph1.Node(X); neg find q(Y); }
+  pattern r(X, Y) = { graph1.Node(Y); find p(X, Y); }
+}"""
+
+
+def test_a_read_that_binds_a_parameter_only_a_neg_reads_agrees_in_all_three_voices(triangle):
+    """m.p bound at Y: the oracle fixes Y before it enumerates X and gives
+    the three matches that ls and inc (which reads p through the local
+    search) give. Unbound, the oracle still refuses p, and so r, which
+    calls it."""
+    from gtvm.oracle import OracleError
+    from gtvm.rules import VM
+    from gtvm.vtcl import link, parse
+    program = link([parse(NEG_ONLY_CALLED)], triangle.registry)
+    brute = BruteForce(triangle, program.patterns)
+    want = brute.match_set("m.p", {"Y": 2})
+    assert len(want) == 3
+    for matcher in ("ls", "inc"):
+        got = VM(program, triangle, matcher=matcher).query_all("m.p", {"Y": 2})
+        assert {(m["X"], m["Y"]) for m in got} == want, matcher
+    for name in ("m.p", "m.r"):
+        with pytest.raises(OracleError, match=r"m\.p: parameter Y has no positive binder"):
+            brute.full(name)
+
+
 def test_delta_since_folds_to_final():
     space = load_fixture("triangle")
     ls, rete = engines(space)
